@@ -81,7 +81,8 @@ let obs_term =
        feeds per-domain pause histograms \
        ($(b,runtime.ev.gc.pause.us{domain,phase})) into the registry and \
        backs per-request attribution ($(b,srv.http.gc_pause.us), the \
-       $(b,gc_pause_us) access-log field, $(b,GET /profile))."
+       $(b,gc_pause_us) access-log field, the $(b,events) section of \
+       $(b,GET /debug/vars) with its longest pauses)."
     in
     Arg.(value & flag & info [ "events" ] ~doc)
   in
@@ -193,6 +194,10 @@ let with_obs opts f =
     match opts.metrics with
     | None -> ()
     | Some fmt -> (
+        (* Publish the heap and GC gauges: outside the serving pool
+           nothing else samples them, and the main domain is this
+           process's only sampler here. *)
+        ignore (Obs.Runtime.sample ());
         let doc = Obs.Export.render fmt (Obs.Registry.snapshot ()) in
         match opts.metrics_out with
         | "-" -> print_string doc
@@ -1282,8 +1287,7 @@ let serve_cmd =
                       report.Persist.Recovery.r_torn);
                 Printf.printf
                   "cts serve: POST /v1/decide /v1/admit /v1/release, GET \
-                   /metrics /healthz /breakers /debug/vars /profile \
-                   /heatmap\n\
+                   /metrics /healthz /debug/vars /heatmap /heatmap.csv\n\
                    %!";
                 if obs_opts.events then
                   let ring = Obs.Events.ring_file () in

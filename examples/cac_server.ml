@@ -108,17 +108,8 @@ let () =
       (Resilience.Guard.fallbacks ())
       (Obs.Registry.counter_value "cac.guard.breaker_trips");
     List.iter
-      (fun link ->
-        List.iter
-          (fun cls ->
-            match
-              Cac.Engine.breaker_state engine ~link:(Cac.Link.id link) ~cls
-            with
-            | None -> ()
-            | Some state ->
-                Printf.printf "guard:  breaker %s/%s: %s\n" (Cac.Link.id link)
-                  cls.Cac.Source_class.name
-                  (Resilience.Guard.Breaker.state_name state))
-          [ z; dar3; dar1 ])
-      (Cac.Engine.links engine)
+      (fun (b : Cac.Engine.breaker_snapshot) ->
+        Printf.printf "guard:  breaker %s/%s: %s\n" b.Cac.Engine.b_link
+          b.Cac.Engine.b_class b.Cac.Engine.b_state)
+      (Cac.Engine.breakers engine)
   end

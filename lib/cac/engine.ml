@@ -123,6 +123,8 @@ let links t =
   Hashtbl.fold (fun _ l acc -> l :: acc) t.links []
   |> List.sort (fun a b -> String.compare (Link.id a) (Link.id b))
 
+let mem_link t id = Hashtbl.mem t.links id
+
 let link_telemetry t id = Hashtbl.find_opt t.link_telemetry id
 
 let remove_link t id =
@@ -201,6 +203,29 @@ let breaker t ~link_id ~(cls : Source_class.t) =
       in
       Hashtbl.replace t.breakers key b;
       b
+
+type breaker_snapshot = { b_link : string; b_class : string; b_state : string }
+
+(* Keys are [link_id ^ "/" ^ class_name]; class names never contain
+   '/', so split at the last one.  Sorted so [export] encodes
+   deterministically. *)
+let breakers t =
+  Hashtbl.fold
+    (fun key b acc ->
+      match String.rindex_opt key '/' with
+      | None -> acc
+      | Some i ->
+          {
+            b_link = String.sub key 0 i;
+            b_class = String.sub key (i + 1) (String.length key - i - 1);
+            b_state = Guard.Breaker.state_name (Guard.Breaker.state b);
+          }
+          :: acc)
+    t.breakers []
+  |> List.sort (fun a b ->
+         match String.compare a.b_link b.b_link with
+         | 0 -> String.compare a.b_class b.b_class
+         | c -> c)
 
 let breaker_state t ~link:link_id ~cls =
   Option.map Guard.Breaker.state
@@ -430,7 +455,6 @@ type link_state = {
 }
 
 type conn_state = { c_conn : int; c_link : string; c_class : string }
-type breaker_snapshot = { b_link : string; b_class : string; b_state : string }
 
 type state = {
   s_links : link_state list;
@@ -461,27 +485,7 @@ let export t =
       t.conns []
     |> List.sort (fun a b -> Int.compare a.c_conn b.c_conn)
   in
-  let s_breakers =
-    Hashtbl.fold
-      (fun key b acc ->
-        (* Keys are [link_id ^ "/" ^ class_name]; class names never
-           contain '/', so split at the last one. *)
-        match String.rindex_opt key '/' with
-        | None -> acc
-        | Some i ->
-            {
-              b_link = String.sub key 0 i;
-              b_class = String.sub key (i + 1) (String.length key - i - 1);
-              b_state = Guard.Breaker.state_name (Guard.Breaker.state b);
-            }
-            :: acc)
-      t.breakers []
-    |> List.sort (fun a b ->
-           match String.compare a.b_link b.b_link with
-           | 0 -> String.compare a.b_class b.b_class
-           | c -> c)
-  in
-  { s_links; s_conns; s_breakers; s_next_conn = t.next_conn }
+  { s_links; s_conns; s_breakers = breakers t; s_next_conn = t.next_conn }
 
 let restore t st =
   if journaled t then

@@ -152,6 +152,10 @@ val link : t -> string -> Link.t
 (** Raises [Invalid_argument] on unknown ids. *)
 
 val links : t -> Link.t list
+(** Every link, sorted by id. *)
+
+val mem_link : t -> string -> bool
+(** Whether a link with this id is registered (one hash lookup). *)
 
 val evaluate : t -> link:string -> cls:Source_class.t -> verdict
 (** The admission decision for one more [cls] connection, without
@@ -183,6 +187,13 @@ val breaker_state :
   t -> link:string -> cls:Source_class.t -> Resilience.Guard.Breaker.state option
 (** The (link, class) circuit breaker's state; [None] until the pair's
     first kernel evaluation. *)
+
+type breaker_snapshot = { b_link : string; b_class : string; b_state : string }
+(** [b_state] is a {!Resilience.Guard.Breaker.state_name}. *)
+
+val breakers : t -> breaker_snapshot list
+(** Every (link, class) breaker that has seen a kernel evaluation,
+    sorted by (link, class). *)
 
 val metrics : t -> Metrics.t
 val cache_stats : t -> Decision_cache.stats
@@ -217,13 +228,10 @@ type link_state = {
 
 type conn_state = { c_conn : int; c_link : string; c_class : string }
 
-type breaker_snapshot = { b_link : string; b_class : string; b_state : string }
-(** [b_state] is a {!Resilience.Guard.Breaker.state_name}. *)
-
 type state = {
   s_links : link_state list;  (** sorted by id *)
   s_conns : conn_state list;  (** sorted by connection id *)
-  s_breakers : breaker_snapshot list;  (** sorted by (link, class) *)
+  s_breakers : breaker_snapshot list;  (** {!breakers} *)
   s_next_conn : int;
 }
 

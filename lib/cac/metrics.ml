@@ -1,94 +1,47 @@
-(* Engine metrics are recorded twice on purpose: every event feeds the
-   process-wide Obs registry (the export source of truth, summed over
-   all engines), while the instance keeps just enough state — counts
-   and raw latency samples — for per-run summaries and confidence
-   intervals that a merged registry cannot provide. *)
-
-let latency_lo_us = 0.0
-let latency_hi_us = 500.0
-let latency_bins = 100
+(* Decision latency goes to the registry histogram only; the instance
+   keeps fixed-size per-engine counts and a latency sum, so a
+   long-running engine's memory does not grow with its traffic. *)
 
 let () =
-  Obs.Registry.declare_counter "cac.engine.admits";
-  Obs.Registry.declare_counter "cac.engine.rejects";
-  Obs.Registry.declare_counter "cac.engine.releases";
-  Obs.Registry.declare_histogram ~lo:latency_lo_us ~hi:latency_hi_us
-    ~bins:latency_bins "cac.engine.decision_latency_us"
+  Obs.Registry.declare_histogram ~lo:0.0 ~hi:500.0 ~bins:100
+    "cac.engine.decision_latency_us"
 
 type t = {
   mutable admits : int;
   mutable rejects : int;
   mutable releases : int;
   mutable fallbacks : int;  (* degraded (peak-rate) decisions *)
-  histogram : Stats.Histogram.t;  (* microseconds *)
-  mutable samples : float array;  (* microseconds *)
-  mutable n_samples : int;
-  (* registry handles (each domain resolves its own shard cell) *)
-  c_admits : Obs.Registry.Counter.t;
-  c_rejects : Obs.Registry.Counter.t;
-  c_releases : Obs.Registry.Counter.t;
-  h_latency : Obs.Registry.Histogram.t;
+  mutable latency_sum_us : float;
+  h_latency : Obs.Registry.Histogram.t;  (* resolves a shard per domain *)
 }
 
 let create () =
-  let histogram =
-    Stats.Histogram.create ~lo:latency_lo_us ~hi:latency_hi_us ~bins:latency_bins
-  in
-  (* The registry histogram shares the instance histogram's shape, so
-     merged exports and instance views bucket identically. *)
-  assert (
-    Float.equal (Stats.Histogram.lo histogram) latency_lo_us
-    && Float.equal (Stats.Histogram.hi histogram) latency_hi_us
-    && Stats.Histogram.bins histogram = latency_bins);
   {
     admits = 0;
     rejects = 0;
     releases = 0;
     fallbacks = 0;
-    histogram;
-    samples = Array.make 1024 0.0;
-    n_samples = 0;
-    c_admits = Obs.Registry.Counter.v "cac.engine.admits";
-    c_rejects = Obs.Registry.Counter.v "cac.engine.rejects";
-    c_releases = Obs.Registry.Counter.v "cac.engine.releases";
-    h_latency =
-      Obs.Registry.Histogram.v ~lo:latency_lo_us ~hi:latency_hi_us
-        ~bins:latency_bins "cac.engine.decision_latency_us";
+    latency_sum_us = 0.0;
+    h_latency = Obs.Registry.Histogram.v "cac.engine.decision_latency_us";
   }
 
+(* Decisions slower than the histogram's 500 us top land in its
+   overflow bin: counted, never dropped. *)
 let record_latency t latency =
   let us = latency *. 1e6 in
-  (* Decisions slower than [latency_hi_us] land in the overflow bin of
-     both histograms — they are counted, never dropped. *)
-  Stats.Histogram.add t.histogram us;
   Obs.Registry.Histogram.observe t.h_latency us;
-  if t.n_samples = Array.length t.samples then begin
-    let grown = Array.make (2 * t.n_samples) 0.0 in
-    Array.blit t.samples 0 grown 0 t.n_samples;
-    t.samples <- grown
-  end;
-  t.samples.(t.n_samples) <- us;
-  t.n_samples <- t.n_samples + 1
+  t.latency_sum_us <- t.latency_sum_us +. us
 
 let record_admit t ~latency =
   t.admits <- t.admits + 1;
-  Obs.Registry.Counter.incr t.c_admits;
   record_latency t latency
 
 let record_reject t ~latency =
   t.rejects <- t.rejects + 1;
-  Obs.Registry.Counter.incr t.c_rejects;
   record_latency t latency
 
-let record_release t =
-  t.releases <- t.releases + 1;
-  Obs.Registry.Counter.incr t.c_releases
-
-(* The registry-side tick ([cac.guard.fallbacks]) is recorded by
-   Resilience.Guard at the decision site; this keeps only the
-   per-instance view. *)
+let record_release t = t.releases <- t.releases + 1
 let record_fallback t = t.fallbacks <- t.fallbacks + 1
-
 let admits t = t.admits
 let rejects t = t.rejects
 let releases t = t.releases
@@ -99,17 +52,11 @@ let blocking_probability t =
   let d = decisions t in
   if d = 0 then 0.0 else float_of_int t.rejects /. float_of_int d
 
-let latency_histogram t = t.histogram
-let latency_overflow t = Stats.Histogram.overflow t.histogram
-let latency_samples t = Array.sub t.samples 0 t.n_samples
+let latency_sum_us t = t.latency_sum_us
 
 let latency_mean_us t =
-  if t.n_samples = 0 then 0.0
-  else Numerics.Float_array.mean (latency_samples t)
-
-let latency_ci_us t =
-  if t.n_samples < 2 then None
-  else Some (Stats.Ci.mean_ci (latency_samples t))
+  let d = decisions t in
+  if d = 0 then 0.0 else t.latency_sum_us /. float_of_int d
 
 let print ?sink ?(label = "cac") t =
   let sink = match sink with Some s -> s | None -> Obs.Sink.human_sink () in
@@ -119,13 +66,6 @@ let print ?sink ?(label = "cac") t =
     Obs.Sink.messagef sink
       "%s: %d degraded decisions (peak-rate fallback, fail-closed)" label
       t.fallbacks;
-  if t.n_samples > 0 then begin
-    match latency_ci_us t with
-    | Some ci ->
-        Obs.Sink.messagef sink
-          "%s: decision latency %.2f us (95%% CI +/- %.2f, n = %d)" label
-          ci.Stats.Ci.point ci.Stats.Ci.half_width t.n_samples
-    | None ->
-        Obs.Sink.messagef sink "%s: decision latency %.2f us (n = %d)" label
-          (latency_mean_us t) t.n_samples
-  end
+  if decisions t > 0 then
+    Obs.Sink.messagef sink "%s: decision latency %.2f us mean (n = %d)" label
+      (latency_mean_us t) (decisions t)

@@ -1,14 +1,13 @@
-(** Operational counters and latency accounting for the CAC engine — a
-    per-engine view over the same event stream that feeds the global
-    {!Obs.Registry}.
+(** Per-engine operational counters for the CAC engine.
 
-    Every recorded event goes to two places: the process-wide
-    instruments [cac.engine.{admits,rejects,releases}] and the
-    [cac.engine.decision_latency_us] histogram (the source of truth
-    for {!Obs.Export} — summed over all engines and domains), and this
-    instance's own state, which additionally keeps the raw latency
-    samples needed for mean / confidence-interval summaries via
-    {!Stats.Ci}. *)
+    Decision latency has one store: the process-wide
+    [cac.engine.decision_latency_us] registry histogram (summed over
+    all engines and domains; read it through {!Obs.Registry} or
+    {!Obs.Export}).  This instance keeps only what a process-wide
+    registry cannot give per engine — admit/reject/release/fallback
+    counts and a running latency sum — so its size is fixed however
+    many decisions it records.  Per-link counts live in the
+    [cac.engine.link.*] registry series. *)
 
 type t
 
@@ -21,9 +20,9 @@ val record_reject : t -> latency:float -> unit
 val record_release : t -> unit
 
 val record_fallback : t -> unit
-(** Count one degraded (peak-rate, fail-closed) decision.  Instance
-    view only: the process-wide [cac.guard.fallbacks] counter is
-    ticked by {!Resilience.Guard} at the decision site. *)
+(** Count one degraded (peak-rate, fail-closed) decision.  The
+    process-wide [cac.guard.fallbacks] counter is ticked by
+    {!Resilience.Guard} at the decision site. *)
 
 val admits : t -> int
 val rejects : t -> int
@@ -38,26 +37,13 @@ val decisions : t -> int
 val blocking_probability : t -> float
 (** [rejects / decisions]; 0 when no decisions were made. *)
 
-val latency_histogram : t -> Stats.Histogram.t
-(** Decision latency in microseconds: 100 equal bins over [0, 500).
-    Decisions slower than 500 us are {e not dropped} — they are
-    tallied in the histogram's overflow bin ({!latency_overflow},
-    included in {!Stats.Histogram.total}); anything below 0 would land
-    in the underflow bin.  The registry histogram
-    [cac.engine.decision_latency_us] uses the identical bin layout, so
-    the merged export buckets agree with this view. *)
-
-val latency_overflow : t -> int
-(** Decisions that took 500 us or longer (the overflow bin). *)
-
-val latency_samples : t -> float array
-(** All recorded decision latencies, microseconds, in arrival order. *)
+val latency_sum_us : t -> float
+(** Total decision latency recorded on this instance, microseconds.
+    The mean over a run is the change in this sum divided by the
+    change in {!decisions}. *)
 
 val latency_mean_us : t -> float
 (** Mean decision latency in microseconds; 0 when empty. *)
-
-val latency_ci_us : t -> Stats.Ci.interval option
-(** 95% Student-t interval on the mean latency (needs >= 2 samples). *)
 
 val print : ?sink:Obs.Sink.t -> ?label:string -> t -> unit
 (** Human-readable summary, routed through the given sink (default:

@@ -119,12 +119,14 @@ let run engine ~link s rng =
   Obs.Registry.incr ~by:s.requests "cac.workload.requests";
   let departures = Heap.create () in
   let admitted = ref 0 and rejected = ref 0 and errors = ref 0 in
-  let start_fallbacks = Metrics.fallbacks (Engine.metrics engine) in
+  let metrics = Engine.metrics engine in
+  let start_fallbacks = Metrics.fallbacks metrics in
+  let start_decisions = Metrics.decisions metrics in
+  let start_latency_us = Metrics.latency_sum_us metrics in
   let warmup_boundary = int_of_float (s.warmup *. float_of_int s.requests) in
   let warm_rejected = ref 0 and warm_offered = ref 0 in
   let steady_cache_base = ref (Engine.cache_stats engine) in
   let start_cache = Engine.cache_stats engine in
-  let start_latency = Metrics.latency_samples (Engine.metrics engine) in
   let occupancy_time = ref 0.0 in
   let peak = ref 0 in
   let now = ref 0.0 in
@@ -187,17 +189,13 @@ let run engine ~link s rng =
     | None -> if steady then incr warm_rejected
   done;
   let end_cache = Engine.cache_stats engine in
-  let latencies = Metrics.latency_samples (Engine.metrics engine) in
-  let new_latencies =
-    Array.sub latencies (Array.length start_latency)
-      (Array.length latencies - Array.length start_latency)
-  in
+  let decided = Metrics.decisions metrics - start_decisions in
   {
     offered = s.requests;
     admitted = !admitted;
     rejected = !rejected;
     errors = !errors;
-    degraded = Metrics.fallbacks (Engine.metrics engine) - start_fallbacks;
+    degraded = Metrics.fallbacks metrics - start_fallbacks;
     blocking = float_of_int (!rejected + !errors) /. float_of_int s.requests;
     steady_blocking =
       (if !warm_offered = 0 then 0.0
@@ -212,8 +210,10 @@ let run engine ~link s rng =
     peak_occupancy = !peak;
     final_occupancy = !occupancy;
     mean_latency_us =
-      (if Array.length new_latencies = 0 then 0.0
-       else Numerics.Float_array.mean new_latencies);
+      (if decided = 0 then 0.0
+       else
+         (Metrics.latency_sum_us metrics -. start_latency_us)
+         /. float_of_int decided);
     duration = !now;
   }
 

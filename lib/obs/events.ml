@@ -281,7 +281,7 @@ let current : t option Atomic.t = Atomic.make None
 let running () = Atomic.get current <> None
 
 (* Record one pause: per-ring atomics for request attribution, the
-   registry for exports, the bounded top list for /profile.  Runs on
+   registry for exports, the bounded top list for [debug_json].  Runs on
    the consumer domain only. *)
 let record ~pause_ns ~pause_count ~top ~top_mutex p =
   if p.p_domain >= 0 && p.p_domain < max_rings then begin
@@ -465,6 +465,7 @@ let debug_json () =
                        ("pause_ns", Json.Int ns);
                      ])
                  (domain_stats ())) );
+          ("top_pauses", Json.List (List.map pause_json (top_pauses ())));
         ])
     (Json.Obj [ ("running", Json.Bool false) ])
 

@@ -98,7 +98,8 @@ val top_pauses : unit -> pause list
 
 val debug_json : unit -> Json.t
 (** The [/debug/vars] section: running flag, poll interval, bridge
-    flag, ring file path, per-domain totals. *)
+    flag, ring file path, per-domain totals ([domains]) and the
+    longest pauses ([top_pauses]). *)
 
 val ring_file : unit -> string
 (** Where this process's ring lives:

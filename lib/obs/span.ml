@@ -28,137 +28,49 @@ let set_ring_bridge f = Atomic.set ring_bridge f
 
 (* {2 Sampling}
 
-   Trace emission can be rate-limited per span name so [--trace] stays
-   usable on million-request replays: registry histograms always see
-   every span; sampling only gates the per-span trace event.  The
-   policy is process-wide (an Atomic, like the sink); the counters and
-   bucket levels it drives are per-domain DLS state, re-initialized
-   whenever the policy version moves — same scheme as
-   [Resilience.Fault]'s per-domain streams. *)
+   Trace emission can be thinned so [--trace] stays usable on
+   million-request replays: registry histograms always see every span;
+   sampling only gates the per-span trace event.  The policy is
+   process-wide (an Atomic, like the sink); the 1-in-N counts it
+   drives are per-domain DLS state, one per span name. *)
 
-type sampling =
-  | Always
-  | One_in of int
-  | Token_bucket of { capacity : int; refill_per_s : float }
+type sampling = Always | One_in of int
 
-type sample_cfg = {
-  default_policy : sampling;
-  per_name : (string * sampling) list;
-  cfg_version : int;
-}
+let sampling = Atomic.make Always
 
-let sample_cfg =
-  Atomic.make { default_policy = Always; per_name = []; cfg_version = 0 }
+let set_sampling policy =
+  (match policy with
+  | One_in n when n < 1 -> invalid_arg "Span.set_sampling: One_in n < 1"
+  | _ -> ());
+  Atomic.set sampling policy
 
-let validate_sampling = function
-  | Always -> ()
-  | One_in n -> if n < 1 then invalid_arg "Span.set_sampling: One_in n < 1"
-  | Token_bucket { capacity; refill_per_s } ->
-      if capacity < 0 then
-        invalid_arg "Span.set_sampling: Token_bucket capacity < 0";
-      if not (Float.is_finite refill_per_s && refill_per_s >= 0.0) then
-        invalid_arg "Span.set_sampling: Token_bucket refill_per_s < 0"
-
-let set_sampling ?name policy =
-  validate_sampling policy;
-  let c = Atomic.get sample_cfg in
-  let next =
-    match name with
-    | None -> { c with default_policy = policy; cfg_version = c.cfg_version + 1 }
-    | Some n ->
-        {
-          c with
-          per_name = (n, policy) :: List.remove_assoc n c.per_name;
-          cfg_version = c.cfg_version + 1;
-        }
-  in
-  Atomic.set sample_cfg next
-
-let reset_sampling () =
-  let c = Atomic.get sample_cfg in
-  Atomic.set sample_cfg
-    { default_policy = Always; per_name = []; cfg_version = c.cfg_version + 1 }
-
-let sampling_for name =
-  let c = Atomic.get sample_cfg in
-  match List.assoc_opt name c.per_name with
-  | Some p -> p
-  | None -> c.default_policy
-
+let reset_sampling () = Atomic.set sampling Always
 let () = Registry.declare_counter "obs.span.sampled_out"
 
-(* Per-domain sampler state, keyed by span name. *)
-type sample_state = {
-  mutable emitted_count : int;  (** completions seen (One_in) *)
-  mutable tokens : float;
-  mutable last_refill_ns : int64;
-}
-
-type sampler = {
-  mutable seen_version : int;
-  table : (string, sample_state) Hashtbl.t;
-}
-
-let sampler_key : sampler Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      { seen_version = -1; table = Hashtbl.create 16 })
+(* Per-domain completion counts, keyed by span name. *)
+let seen_key : (string, int ref) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
 
 (* Decide whether this completion's trace event is emitted; advances
-   the calling domain's sampler state.  Only consulted when a trace
+   the calling domain's count for [name].  Only consulted when a trace
    sink is installed, so sampling costs nothing otherwise. *)
 let should_emit name =
-  let c = Atomic.get sample_cfg in
-  match
-    match List.assoc_opt name c.per_name with
-    | Some p -> p
-    | None -> c.default_policy
-  with
+  match Atomic.get sampling with
   | Always -> true
-  | policy -> (
-      let s = Domain.DLS.get sampler_key in
-      if s.seen_version <> c.cfg_version then begin
-        Hashtbl.reset s.table;
-        s.seen_version <- c.cfg_version
-      end;
-      let st =
-        match Hashtbl.find_opt s.table name with
-        | Some st -> st
+  | One_in n ->
+      let seen = Domain.DLS.get seen_key in
+      let k =
+        match Hashtbl.find_opt seen name with
+        | Some k -> k
         | None ->
-            let st =
-              {
-                emitted_count = 0;
-                tokens =
-                  (match policy with
-                  | Token_bucket { capacity; _ } -> float_of_int capacity
-                  | _ -> 0.0);
-                last_refill_ns = Clock.monotonic_ns ();
-              }
-            in
-            Hashtbl.replace s.table name st;
-            st
+            let k = ref 0 in
+            Hashtbl.replace seen name k;
+            k
       in
-      let emit =
-        match policy with
-        | Always -> true
-        | One_in n ->
-            let k = st.emitted_count in
-            st.emitted_count <- k + 1;
-            k mod n = 0
-        | Token_bucket { capacity; refill_per_s } ->
-            let now = Clock.monotonic_ns () in
-            let dt_s = Int64.to_float (Int64.sub now st.last_refill_ns) *. 1e-9 in
-            st.last_refill_ns <- now;
-            st.tokens <-
-              Stdlib.min (float_of_int capacity)
-                (st.tokens +. (dt_s *. refill_per_s));
-            if st.tokens >= 1.0 then begin
-              st.tokens <- st.tokens -. 1.0;
-              true
-            end
-            else false
-      in
+      let emit = !k mod n = 0 in
+      incr k;
       if not emit then Registry.incr "obs.span.sampled_out";
-      emit)
+      emit
 
 let current_depth () = List.length !(Domain.DLS.get stack)
 let current () = match !(Domain.DLS.get stack) with [] -> None | f :: _ -> Some f

@@ -30,9 +30,9 @@ val set_ring_bridge : (string -> bool -> unit) option -> unit
 
 (** {1 Sampling}
 
-    Rate-limits {e trace emission} per span name so [--trace] stays
-    usable on million-request replays and under the serving daemon.
-    Registry histograms are unaffected — every span is still timed and
+    Thins {e trace emission} so [--trace] stays usable on
+    million-request replays and under the serving daemon.  Registry
+    histograms are unaffected — every span is still timed and
     recorded; sampling only decides which completions reach the trace
     sink.  Dropped completions tick [obs.span.sampled_out]. *)
 
@@ -41,23 +41,13 @@ type sampling =
   | One_in of int
       (** emit the 1st, (n+1)th, (2n+1)th … completion of each span
           name, counted per domain *)
-  | Token_bucket of { capacity : int; refill_per_s : float }
-      (** emit while tokens remain; one token per event, refilled at
-          [refill_per_s] against the monotonic clock, per domain *)
 
-val set_sampling : ?name:string -> sampling -> unit
-(** [set_sampling ~name policy] overrides the policy for one span
-    name; without [name] it replaces the default applied to
-    unlisted names.  Raises [Invalid_argument] on [One_in n < 1], a
-    negative capacity or a non-finite/negative refill rate.  Any
-    change resets every domain's sampling counters. *)
+val set_sampling : sampling -> unit
+(** Set the process-wide policy.  Raises [Invalid_argument] on
+    [One_in n < 1]. *)
 
 val reset_sampling : unit -> unit
-(** Back to emit-everything (the default), clearing per-name
-    overrides. *)
-
-val sampling_for : string -> sampling
-(** The policy that applies to a span name. *)
+(** Back to emit-everything (the default). *)
 
 val current_depth : unit -> int
 (** Number of open spans on the calling domain's stack. *)

@@ -87,13 +87,8 @@ let link_class t req k =
         (Printf.sprintf "unknown class %S (known: %s)" cls_name
            (String.concat ", " Cac.Source_class.names))
   | Some cls ->
-      if
-        not
-          (with_engine t (fun e ->
-               List.exists
-                 (fun l -> String.equal (Cac.Link.id l) link)
-                 (Cac.Engine.links e)))
-      then Http.json_error ~status:404 (Printf.sprintf "unknown link %S" link)
+      if not (with_engine t (fun e -> Cac.Engine.mem_link e link)) then
+        Http.json_error ~status:404 (Printf.sprintf "unknown link %S" link)
       else k ~link ~cls
 
 (* {2 Encoding} *)
@@ -220,42 +215,19 @@ let healthz t _req =
          ("runtime_sample_age_s", opt_age (Obs.Runtime.sample_age_s ()));
        ])
 
-(* The span quantile view shared by /debug/vars and [cts obs export]
-   consumers: every unlabelled [span.*.us] histogram that has seen at
-   least one completion, with interpolated p50/p95/p99. *)
-let spans_json () =
-  let snap = Obs.Registry.snapshot () in
-  let q h p =
-    match Obs.Registry.histogram_quantile h ~q:p with
-    | Some v -> Obs.Json.Float v
-    | None -> Obs.Json.Null
-  in
+let breaker_json (b : Cac.Engine.breaker_snapshot) =
   Obs.Json.Obj
-    (List.filter_map
-       (fun ((name, labels), h) ->
-         if
-           String.starts_with ~prefix:"span." name
-           && h.Obs.Registry.count > 0
-           && Obs.Labels.to_list labels = []
-         then
-           Some
-             ( name,
-               Obs.Json.Obj
-                 [
-                   ("count", Obs.Json.Int h.Obs.Registry.count);
-                   ( "mean_us",
-                     Obs.Json.Float
-                       (h.Obs.Registry.sum /. float_of_int h.Obs.Registry.count)
-                   );
-                   ("p50_us", q h 0.5);
-                   ("p95_us", q h 0.95);
-                   ("p99_us", q h 0.99);
-                 ] )
-         else None)
-       snap.Obs.Registry.histograms)
+    [
+      ("link", Obs.Json.String b.Cac.Engine.b_link);
+      ("class", Obs.Json.String b.Cac.Engine.b_class);
+      ("state", Obs.Json.String b.Cac.Engine.b_state);
+    ]
 
 let debug_vars t _req =
-  let providers = Mutex.protect t.mutex (fun () -> t.debug_providers) in
+  let providers, breakers =
+    Mutex.protect t.mutex (fun () ->
+        (t.debug_providers, Cac.Engine.breakers t.engine))
+  in
   let provider_fields =
     List.rev_map
       (fun (name, f) ->
@@ -280,10 +252,9 @@ let debug_vars t _req =
             match Obs.Runtime.last () with
             | Some (_, s) -> Obs.Runtime.json_of_stats s
             | None -> Obs.Json.Null );
-          ("runtime_collector", Obs.Json.String (runtime_collector_status ()));
-          ("runtime_sample_age_s", opt_age (Obs.Runtime.sample_age_s ()));
-          ("registry_snapshot_age_s", opt_age (Obs.Registry.snapshot_age_s ()));
-          ("spans", spans_json ());
+          (* Every (link, class) circuit breaker that has seen a
+             kernel evaluation, with its state. *)
+          ("breakers", Obs.Json.List (List.map breaker_json breakers));
         ]
        @ provider_fields))
 
@@ -313,151 +284,11 @@ let heatmap_csv _req =
     ~headers:[ ("content-type", "text/csv; charset=utf-8") ]
     ~status:200 body
 
-let breakers t _req =
-  let entries =
-    with_engine t (fun e ->
-        List.concat_map
-          (fun link ->
-            List.filter_map
-              (fun name ->
-                let cls = Cac.Source_class.of_name_exn name in
-                match
-                  Cac.Engine.breaker_state e ~link:(Cac.Link.id link) ~cls
-                with
-                | None -> None
-                | Some state ->
-                    Some
-                      (Obs.Json.Obj
-                         [
-                           ("link", Obs.Json.String (Cac.Link.id link));
-                           ("class", Obs.Json.String name);
-                           ( "state",
-                             Obs.Json.String
-                               (Resilience.Guard.Breaker.state_name state) );
-                         ]))
-              Cac.Source_class.names)
-          (Cac.Engine.links e))
-  in
-  Http.json (Obs.Json.Obj [ ("breakers", Obs.Json.List entries) ])
-
 let metrics _req =
   Http.response
     ~headers:[ ("content-type", "text/plain; version=0.0.4; charset=utf-8") ]
     ~status:200
     (Obs.Export.prometheus (Obs.Registry.snapshot ()))
-
-(* {2 /profile — where does request latency go?}
-
-   Decomposes the serving path per route from the registry's own
-   histograms: queue wait (accept → worker pop, charged to the
-   connection's first request), handler time ([srv.http.latency_us]),
-   and — when the [Obs.Events] consumer runs — the GC pauses that
-   overlapped each dispatch.  [totals] lets a client cross-check the
-   decomposition against the [srv.http.request] span's view of the
-   same requests. *)
-
-let route_of labels =
-  match Obs.Labels.to_list labels with
-  | [ ("route", r) ] -> Some r
-  | _ -> None
-
-let profile _t _req =
-  let snap = Obs.Registry.snapshot () in
-  let by_route name =
-    List.filter_map
-      (fun ((n, labels), h) ->
-        if String.equal n name then
-          Option.map (fun r -> (r, h)) (route_of labels)
-        else None)
-      snap.Obs.Registry.histograms
-  in
-  let latency = by_route "srv.http.latency_us" in
-  let queue = by_route "srv.http.queue_wait.us" in
-  let gc = by_route "srv.http.gc_pause.us" in
-  let sum_for table r =
-    match List.assoc_opt r table with
-    | Some h -> h.Obs.Registry.sum
-    | None -> 0.0
-  in
-  let routes =
-    List.map
-      (fun (r, h) ->
-        let handler_us = h.Obs.Registry.sum in
-        let queue_wait_us = sum_for queue r in
-        let gc_pause_us = sum_for gc r in
-        let q p =
-          match Obs.Registry.histogram_quantile h ~q:p with
-          | Some v -> Obs.Json.Float v
-          | None -> Obs.Json.Null
-        in
-        ( r,
-          Obs.Json.Obj
-            [
-              ("requests", Obs.Json.Int h.Obs.Registry.count);
-              ("handler_us", Obs.Json.Float handler_us);
-              ("queue_wait_us", Obs.Json.Float queue_wait_us);
-              ("gc_pause_us", Obs.Json.Float gc_pause_us);
-              ( "handler_minus_gc_us",
-                Obs.Json.Float (handler_us -. gc_pause_us) );
-              ("total_us", Obs.Json.Float (handler_us +. queue_wait_us));
-              ("p50_us", q 0.5);
-              ("p95_us", q 0.95);
-              ("p99_us", q 0.99);
-            ] ))
-      latency
-  in
-  let handler_us =
-    List.fold_left (fun acc (_, h) -> acc +. h.Obs.Registry.sum) 0.0 latency
-  in
-  let total_us =
-    List.fold_left
-      (fun acc (r, h) -> acc +. h.Obs.Registry.sum +. sum_for queue r)
-      0.0 latency
-  in
-  (* The same requests as seen by the [srv.http.request] span — the
-     decomposition above should account for (almost all of) this. *)
-  let span_request_us =
-    match
-      List.find_opt
-        (fun ((n, labels), _) ->
-          String.equal n "span.srv.http.request.us"
-          && Obs.Labels.to_list labels = [])
-        snap.Obs.Registry.histograms
-    with
-    | Some (_, h) -> h.Obs.Registry.sum
-    | None -> 0.0
-  in
-  Http.json
-    (Obs.Json.Obj
-       [
-         ("events", Obs.Events.debug_json ());
-         ("routes", Obs.Json.Obj routes);
-         ( "totals",
-           Obs.Json.Obj
-             [
-               ("total_us", Obs.Json.Float total_us);
-               (* [handler_us] is the leg the [srv.http.request] span
-                  also times: the two should agree to within the
-                  span's own overhead (queue wait happens before the
-                  span opens, so [total_us] does not compare). *)
-               ("handler_us", Obs.Json.Float handler_us);
-               ("span_request_us", Obs.Json.Float span_request_us);
-             ] );
-         ( "top_pauses",
-           Obs.Json.List
-             (List.map Obs.Events.pause_json (Obs.Events.top_pauses ())) );
-         ( "gc_domains",
-           Obs.Json.List
-             (List.map
-                (fun (d, n, ns) ->
-                  Obs.Json.Obj
-                    [
-                      ("domain", Obs.Json.Int d);
-                      ("pauses", Obs.Json.Int n);
-                      ("pause_ns", Obs.Json.Int ns);
-                    ])
-                (Obs.Events.domain_stats ())) );
-       ])
 
 (* Last-resort exception boundary for every route.  Handlers can
    raise through deep call chains (a kernel [invalid_arg], a TOCTOU
@@ -477,9 +308,7 @@ let router t =
       Router.route Http.POST "/v1/release" (protected (release t));
       Router.route Http.GET "/metrics" (protected metrics);
       Router.route Http.GET "/healthz" (protected (healthz t));
-      Router.route Http.GET "/breakers" (protected (breakers t));
       Router.route Http.GET "/debug/vars" (protected (debug_vars t));
-      Router.route Http.GET "/profile" (protected (profile t));
       Router.route Http.GET "/heatmap" (protected heatmap_html);
       Router.route Http.GET "/heatmap.csv" (protected heatmap_csv);
     ]

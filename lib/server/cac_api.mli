@@ -20,22 +20,15 @@
       registry snapshot age, and runtime-collector liveness
       ([live]/[stale]/[never]; stale after 5 s without an
       {!Obs.Runtime.sample}).
-    - [GET /breakers] — every (link, class) circuit breaker that has
-      seen traffic, with its state.
     - [GET /debug/vars] — JSON introspection: uptime, monotonic clock
       source, a fresh [Gc.quick_stat] poll ([gc], the answering
       domain's view) plus the runtime collector's last sample
-      ([gc_sampled]), collector/snapshot ages, a [spans] section
-      (count, mean and interpolated p50/p95/p99 per [span.*.us]
-      histogram), and any sections registered via
-      {!add_debug_provider}.
-    - [GET /profile] — the latency decomposition: per route, the
-      handler time ([srv.http.latency_us] sum and quantiles), queue
-      wait and GC-pause overlap sums; [totals] (decomposition total
-      vs. the [srv.http.request] span's sum over the same requests);
-      the {!Obs.Events} state, its longest pauses and per-domain pause
-      totals.  GC fields are zero until the daemon runs with
-      [--events].
+      ([gc_sampled]), [breakers] (every (link, class) circuit breaker
+      that has seen a kernel evaluation, with its state, from
+      {!Cac.Engine.breakers}), and any sections registered via
+      {!add_debug_provider}.  Counts and sums of every timed leg
+      (handler, queue wait, GC-pause overlap, spans) are on
+      [/metrics], not repeated here.
     - [GET /heatmap], [GET /heatmap.csv] — the per-buffer
       [cts.m_star] distributions ({!Obs.Heatmap}) as a self-contained
       HTML view / long-format CSV.

@@ -55,7 +55,8 @@ let () =
 
    [Conn] carries its enqueue timestamp so the worker that pops it can
    charge the time spent queued to the request it serves — the
-   queue-wait leg of the [/profile] latency decomposition. *)
+   queue-wait leg ([srv.http.queue_wait.us]) of the latency
+   decomposition. *)
 
 type job = Conn of Unix.file_descr * int64 | Quit
 

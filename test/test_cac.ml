@@ -224,9 +224,15 @@ let test_engine_heterogeneous_mix () =
     (Cac.Source_class.mean dar1 +. Cac.Source_class.mean dar2)
     (Cac.Link.mean_load link)
 
+let latency_observations () =
+  match Obs.Registry.histogram_snapshot "cac.engine.decision_latency_us" with
+  | Some h -> h.Obs.Registry.count
+  | None -> 0
+
 let test_engine_metrics_consistency () =
   let cls = Cac.Source_class.of_name_exn "dar1" in
   let engine = fresh_engine () in
+  let observed_before = latency_observations () in
   let spec =
     Cac.Workload.spec ~arrival_rate:0.6 ~mean_holding:50.0 ~requests:500
       ~mix:[ (cls, 1.0) ] ()
@@ -243,7 +249,55 @@ let test_engine_metrics_consistency () =
     result.Cac.Workload.blocking
     (Cac.Metrics.blocking_probability m);
   check_int "latency histogram complete" 500
-    (Stats.Histogram.total (Cac.Metrics.latency_histogram m))
+    (latency_observations () - observed_before)
+
+(* Decision latency lives in the registry histogram; the engine keeps
+   fixed-size counts, so its memory does not grow with traffic. *)
+let test_engine_memory_bounded () =
+  let cls = Cac.Source_class.of_name_exn "dar1" in
+  let engine = fresh_engine () in
+  let cycles n =
+    for _ = 1 to n do
+      match Cac.Engine.admit engine ~link:"oc3" ~cls with
+      | Cac.Engine.Admitted conn -> Cac.Engine.release engine ~conn
+      | Cac.Engine.Rejected _ -> Alcotest.fail "empty link rejected"
+    done
+  in
+  cycles 2_000;
+  let words = Obj.reachable_words (Obj.repr engine) in
+  cycles 20_000;
+  check_int "reachable words after 2k and 22k cycles" words
+    (Obj.reachable_words (Obj.repr engine));
+  check_int "every cycle counted" 22_000
+    (Cac.Metrics.releases (Cac.Engine.metrics engine))
+
+(* [mean_latency_us] is the run's (latency sum, decisions) delta: a
+   clock that advances 2 us per read makes every decision take 2 us,
+   whatever the engine recorded before the run. *)
+let test_workload_mean_latency () =
+  let now = ref 0.0 in
+  let clock () =
+    now := !now +. 2e-6;
+    !now
+  in
+  let engine = Cac.Engine.create ~clock () in
+  let _ =
+    Cac.Engine.add_link_msec engine ~id:"oc3" ~capacity:16140.0
+      ~buffer_msec:10.0 ~target_clr:1e-6
+  in
+  let cls = Cac.Source_class.of_name_exn "dar1" in
+  ignore (Cac.Engine.fill engine ~link:"oc3" ~cls);
+  let spec =
+    Cac.Workload.spec ~arrival_rate:0.6 ~mean_holding:50.0 ~requests:300
+      ~mix:[ (cls, 1.0) ] ()
+  in
+  let r =
+    Cac.Workload.run engine ~link:"oc3" spec (Numerics.Rng.create ~seed:9)
+  in
+  check_close ~tol:1e-6 "mean decision latency" 2.0
+    r.Cac.Workload.mean_latency_us;
+  check_close ~tol:1e-6 "engine-lifetime mean agrees" 2.0
+    (Cac.Metrics.latency_mean_us (Cac.Engine.metrics engine))
 
 let test_workload_deterministic () =
   let cls = Cac.Source_class.of_name_exn "dar2" in
@@ -378,6 +432,8 @@ let suite =
     case "verdict stable across repeats" test_engine_verdict_stable_across_repeats;
     case "heterogeneous mix" test_engine_heterogeneous_mix;
     case "metrics consistency" test_engine_metrics_consistency;
+    case "engine memory bounded under churn" test_engine_memory_bounded;
+    case "workload mean latency via sum delta" test_workload_mean_latency;
     case "workload deterministic" test_workload_deterministic;
     case "steady-state cache hits" test_workload_steady_state_cache_hits;
     case "sweep parallel = sequential" test_sweep_parallel_equals_sequential;

@@ -220,7 +220,7 @@ let emitted_under policy ~name ~spans =
   let lines =
     with_temp_jsonl (fun sink ->
         Obs.Span.set_trace_sink sink;
-        Obs.Span.set_sampling ~name policy;
+        Obs.Span.set_sampling policy;
         Fun.protect
           ~finally:(fun () ->
             Obs.Span.set_trace_sink Obs.Sink.Null;
@@ -243,44 +243,41 @@ let test_span_sampling_one_in () =
   | Some s -> check_true "histogram saw all 9 spans" (s.count >= 9)
   | None -> Alcotest.fail "sampled span histogram missing"
 
-let test_span_sampling_token_bucket () =
-  check_int "bucket of 2 with no refill" 2
-    (emitted_under
-       (Obs.Span.Token_bucket { capacity = 2; refill_per_s = 0.0 })
-       ~name:"test.sampled_bucket" ~spans:40)
-
-let test_span_sampling_scoping () =
-  Obs.Span.set_sampling ~name:"test.scoped" (Obs.Span.One_in 5);
-  Fun.protect
-    ~finally:(fun () -> Obs.Span.reset_sampling ())
-    (fun () ->
-      check_true "named override applies"
-        (Obs.Span.sampling_for "test.scoped" = Obs.Span.One_in 5);
-      check_true "other names keep the default"
-        (Obs.Span.sampling_for "test.other" = Obs.Span.Always));
-  check_true "reset restores emit-everything"
-    (Obs.Span.sampling_for "test.scoped" = Obs.Span.Always);
+let test_span_sampling_reset_and_no_sink () =
   (* spans with no sink installed never consult the sampler *)
   let before = Obs.Registry.counter_value "obs.span.sampled_out" in
-  Obs.Span.set_sampling ~name:"test.scoped" (Obs.Span.One_in 2);
+  Obs.Span.set_sampling (Obs.Span.One_in 2);
   Fun.protect
     ~finally:(fun () -> Obs.Span.reset_sampling ())
     (fun () ->
       for _ = 1 to 8 do
-        Obs.Span.with_ ~name:"test.scoped" ignore
+        Obs.Span.with_ ~name:"test.no_sink" ignore
       done);
   check_int "no sink: sampler never consulted" before
-    (Obs.Registry.counter_value "obs.span.sampled_out")
+    (Obs.Registry.counter_value "obs.span.sampled_out");
+  (* after the reset above, every completion reaches the sink *)
+  let lines =
+    with_temp_jsonl (fun sink ->
+        Obs.Span.set_trace_sink sink;
+        Fun.protect
+          ~finally:(fun () -> Obs.Span.set_trace_sink Obs.Sink.Null)
+          (fun () ->
+            for _ = 1 to 7 do
+              Obs.Span.with_ ~name:"test.after_reset" ignore
+            done))
+  in
+  check_int "reset restores emit-everything" 7 (List.length lines)
 
 let test_span_sampling_validation () =
   let rejected policy =
-    match Obs.Span.set_sampling ~name:"test.invalid" policy with
+    match Obs.Span.set_sampling policy with
     | exception Invalid_argument _ -> ()
-    | () -> Alcotest.fail "invalid sampling policy accepted"
+    | () ->
+        Obs.Span.reset_sampling ();
+        Alcotest.fail "invalid sampling policy accepted"
   in
   rejected (Obs.Span.One_in 0);
-  rejected (Obs.Span.Token_bucket { capacity = -1; refill_per_s = 1.0 });
-  rejected (Obs.Span.Token_bucket { capacity = 1; refill_per_s = Float.nan })
+  rejected (Obs.Span.One_in (-1))
 
 (* {2 Trace context} *)
 
@@ -772,8 +769,7 @@ let suite =
     case "span: closed on exception" test_span_exception_closes;
     case "span: JSON-lines trace events" test_span_trace_events;
     case "span: 1-in-N trace sampling" test_span_sampling_one_in;
-    case "span: token-bucket trace sampling" test_span_sampling_token_bucket;
-    case "span: sampling scoping and reset" test_span_sampling_scoping;
+    case "span: no-sink bypass and reset" test_span_sampling_reset_and_no_sink;
     case "span: sampling validation" test_span_sampling_validation;
     case "trace: traceparent parse and round-trip" test_trace_parse_roundtrip;
     case "trace: generated ids are well-formed" test_trace_generate;

@@ -670,16 +670,80 @@ let test_debug_vars () =
             | Some (Int n) -> n >= 0
             | _ -> false)
       | None -> Alcotest.fail "no gc section");
-      check_true "collector status reported"
-        (match f "runtime_collector" with
-        | Some (String s) -> List.mem s [ "never"; "live"; "stale" ]
-        | _ -> false);
       check_true "registered provider rendered"
         (match f "test_section" with
         | Some s -> Obs.Json.member "answer" s = Some (Obs.Json.Int 42)
         | None -> false);
       check_true "throwing provider degrades, not 500s"
         (f "test_broken" = Some (String "<provider error>"))
+
+(* The breaker list is a /debug/vars section, and the longest GC
+   pauses ride in its events section. *)
+let test_debug_vars_breakers_and_pauses () =
+  with_api @@ fun api ->
+  let ev = Obs.Events.start ~poll_interval_s:0.001 () in
+  Fun.protect ~finally:(fun () -> Obs.Events.stop ev) @@ fun () ->
+  let router =
+    Cac_api.router
+      (Cac_api.add_debug_provider api ~name:"events" Obs.Events.debug_json)
+  in
+  let decide =
+    {
+      (req_for Http.POST "/v1/decide") with
+      Http.body = {|{"link": "oc3", "class": "dar1"}|};
+    }
+  in
+  check_int "decided" 200 (Http.status (snd (Router.dispatch router decide)));
+  let _, resp = Router.dispatch router (req_for Http.GET "/debug/vars") in
+  check_int "debug vars answers" 200 (Http.status resp);
+  match Obs.Json.of_string (response_body resp) with
+  | None -> Alcotest.fail "unparseable /debug/vars body"
+  | Some doc ->
+      check_true "the decide's breaker is listed, closed"
+        (Obs.Json.member "breakers" doc
+        = Some
+            (List
+               [
+                 Obj
+                   [
+                     ("link", String "oc3");
+                     ("class", String "dar1");
+                     ("state", String "closed");
+                   ];
+               ]));
+      (match Obs.Json.member "events" doc with
+      | Some events ->
+          check_true "events running"
+            (Obs.Json.member "running" events = Some (Bool true));
+          check_true "top pauses carried"
+            (match Obs.Json.member "top_pauses" events with
+            | Some (List _) -> true
+            | _ -> false)
+      | None -> Alcotest.fail "no events section");
+      List.iter
+        (fun gone ->
+          check_true (gone ^ " is not repeated here")
+            (Obs.Json.member gone doc = None))
+        [
+          "spans";
+          "runtime_collector";
+          "runtime_sample_age_s";
+          "registry_snapshot_age_s";
+        ]
+
+let test_folded_endpoints_gone () =
+  with_api @@ fun api ->
+  let router = Cac_api.router api in
+  List.iter
+    (fun path ->
+      let _, resp = Router.dispatch router (req_for Http.GET path) in
+      check_int (path ^ " answers 404") 404 (Http.status resp))
+    [ "/profile"; "/breakers" ];
+  check_true "five GET endpoints"
+    (List.filter_map
+       (fun (m, p) -> if Http.meth_equal m Http.GET then Some p else None)
+       (Router.routes router)
+    = [ "/metrics"; "/healthz"; "/debug/vars"; "/heatmap"; "/heatmap.csv" ])
 
 let test_healthz_liveness_fields () =
   with_api @@ fun api ->
@@ -837,6 +901,9 @@ let suite =
     case "gc attribution: handler pauses land in srv.http.gc_pause.us"
       test_gc_attribution;
     case "debug vars: gc, clock and providers" test_debug_vars;
+    case "debug vars: breakers and top pauses"
+      test_debug_vars_breakers_and_pauses;
+    case "router: /profile, /breakers are 404" test_folded_endpoints_gone;
     case "healthz: snapshot age and collector liveness"
       test_healthz_liveness_fields;
     case "heatmap: per-buffer rows from live decides"
