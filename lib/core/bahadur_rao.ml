@@ -20,10 +20,29 @@ let h_eval_us =
    every n during a fill); the *total* buffer [b*n] is what a link
    scenario fixes, so the label set stays one value per configured
    link/scenario.  %.4g keeps float formatting stable across the
-   b*n = (B/n)*n round trip. *)
-let buffer_labels ~b ~n =
-  Obs.Labels.make
-    [ ("buffer_cells", Printf.sprintf "%.4g" (b *. float_of_int n)) ]
+   b*n = (B/n)*n round trip.
+
+   Formatting that label and hashing it on every call would cost
+   several times the rest of [evaluate]'s telemetry, so each domain
+   binds one handle per total buffer on first use.  The table is keyed
+   by the float's bits, so a value always gets the series it formats to
+   (0. and -0. format differently but compare equal). *)
+let m_star_series : (int64, Obs.Registry.Histogram.t) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
+
+let m_star_series_of ~b ~n =
+  let total = b *. float_of_int n in
+  let key = Int64.bits_of_float total in
+  let series = Domain.DLS.get m_star_series in
+  match Hashtbl.find_opt series key with
+  | Some h -> h
+  | None ->
+      let labels =
+        Obs.Labels.make [ ("buffer_cells", Printf.sprintf "%.4g" total) ]
+      in
+      let h = Obs.Registry.Histogram.v ~labels "cts.m_star" in
+      Hashtbl.replace series key h;
+      h
 
 let evaluate vg ~mu ~c ~b ~n =
   assert (n >= 1);
@@ -32,7 +51,7 @@ let evaluate vg ~mu ~c ~b ~n =
   Obs.Registry.Counter.incr c_evaluations;
   Obs.Registry.Histogram.observe h_eval_us
     (Obs.Clock.ns_to_us (Obs.Clock.elapsed_ns ~since:t0));
-  Obs.Registry.observe ~labels:(buffer_labels ~b ~n) "cts.m_star"
+  Obs.Registry.Histogram.observe (m_star_series_of ~b ~n)
     (float_of_int cts.Cts.m_star);
   let nf = float_of_int n in
   (* Fault-injection hook: when armed (chaos tests, --fault-spec) this

@@ -31,9 +31,15 @@ val analyze :
 (** Computes [I(c,b)] and [m*_b].  Requires [c > mu] (stability with
     positive spare capacity).  The scan continues until the index
     exceeds [margin * argmin + 64] with the objective at twice the
-    running minimum (default [margin = 8]); for the monotone-ACF
-    sources of interest the objective is unimodal and this is a
-    comfortable certificate. *)
+    running minimum (default [margin = 8]), or at [m = 2_000_000]; for
+    the monotone-ACF sources of interest the objective is unimodal and
+    this is a comfortable certificate.
+
+    The scan is one loop over the table's prefix sums that allocates
+    nothing per step: it fills the table exactly as far as
+    [scanned_up_to - 1], and its results are bit-identical to scanning
+    {!objective} with {!Numerics.Optimize.integer_argmin} under the
+    same stopping rule. *)
 
 val curve :
   ?margin:int ->

@@ -39,6 +39,9 @@ let ensure t m =
     t.filled <- m
   end
 
+let prefix_r t = t.p
+let prefix_ir t = t.q
+
 let v t m =
   assert (m >= 1);
   (* sum_(i=1..m) (m - i) r(i) = m * P(m-1) - Q(m-1); the i = m term

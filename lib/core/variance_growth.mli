@@ -24,6 +24,29 @@ val v : t -> int -> float
 val variance : t -> float
 (** The underlying sigma^2 (= V(1)). *)
 
+(** {2 Prefix sums, for the CTS scan}
+
+    {!Cts.analyze} evaluates [V(m)] in its own loop from the memoized
+    prefix sums, so that a scan step neither crosses a module boundary
+    for each value nor boxes a float. *)
+
+val ensure : t -> int -> unit
+(** [ensure t m] fills the prefix sums through index [m], calling the
+    ACF once for each lag not yet tabulated and never beyond [m].  It
+    allocates only when the table grows, plus what the ACF itself
+    allocates. *)
+
+val prefix_r : t -> float array
+(** [(prefix_r t).(i)] is [r(1) + ... + r(i)], valid for every [i] up
+    to the largest index passed to {!ensure} so far ([(prefix_r t).(0)]
+    is [0.]).  The array is the table's own storage and is read-only:
+    writing to it corrupts every later [V(m)].  Growing the table
+    replaces it, so re-fetch it after any {!ensure} past its length. *)
+
+val prefix_ir : t -> float array
+(** [(prefix_ir t).(i)] is [1 r(1) + ... + i r(i)]; same validity,
+    read-only contract and re-fetch rule as {!prefix_r}. *)
+
 val of_acf_array : acf:float array -> variance:float -> t
 (** Same, from a tabulated ACF; lags beyond the table are treated as
     zero correlation. *)

@@ -32,4 +32,9 @@ val integer_argmin :
     [2_000_000], is reached).  The stopping predicate receives the best
     value so far, the current index and the current value, so callers
     encode problem-specific certificates (e.g. a lower bound on all
-    remaining values exceeding [best]). *)
+    remaining values exceeding [best]).
+
+    [Core.Cts.analyze] runs its Critical Time Scale scan as its own
+    allocation-free loop; this function, fed [Core.Cts.objective] and
+    the same certificate, is the reference that loop is tested against
+    bit for bit. *)

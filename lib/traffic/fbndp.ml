@@ -61,9 +61,14 @@ let half_nabla2 alpha k =
   0.5
   *. (((kf +. 1.0) ** e) -. (2.0 *. (kf ** e)) +. ((kf -. 1.0) ** e))
 
-let frame_acf t ~ts k =
-  assert (k >= 0);
-  if k = 0 then 1.0 else g_factor t ~ts *. half_nabla2 t.alpha k
+(* g(T_s) costs an exp and five powers; computed once per
+   [frame_acf t ~ts], not once per lag, since variance-growth tables
+   call the per-lag function for every lag they scan. *)
+let frame_acf t ~ts =
+  let g = g_factor t ~ts in
+  fun k ->
+    assert (k >= 0);
+    if k = 0 then 1.0 else g *. half_nabla2 t.alpha k
 
 let process t ~ts =
   assert (ts > 0.0);

@@ -52,7 +52,9 @@ val frame_mean : params -> ts:float -> float
 val frame_variance : params -> ts:float -> float
 
 val frame_acf : params -> ts:float -> int -> float
-(** Analytic frame autocorrelation [r k], [k >= 0]. *)
+(** Analytic frame autocorrelation [r k], [k >= 0].  [frame_acf t ~ts]
+    computes [g(T_s)] once and returns the per-lag function, so
+    partially apply it when tabulating many lags. *)
 
 val g_factor : params -> ts:float -> float
 (** The weight [g(T_s) = T_s^alpha / (T_s^alpha + T_0^alpha)] of the

@@ -224,6 +224,62 @@ let test_engine_heterogeneous_mix () =
     (Cac.Source_class.mean dar1 +. Cac.Source_class.mean dar2)
     (Cac.Link.mean_load link)
 
+(* The decision verdicts of the cache-off benchmark set-up: five 16140
+   cells/frame links at CLR 1e-6 across 0.5-30 ms, three homogeneous
+   and two mixed, each preloaded to 20 connections.  A decide of a
+   homogeneous link's own class reports log10 BOP; every other decide
+   prices a mix and reports the required bandwidth.  Pinned to the
+   benchmark's own 1e-9 relative tolerance. *)
+let test_engine_decide_verdicts_pinned () =
+  let engine = Cac.Engine.create ~cache_capacity:0 ~clock:zero_clock () in
+  let z = "z0.975" and dar = "dar3" in
+  List.iter
+    (fun (id, buffer_msec, preload) ->
+      ignore
+        (Cac.Engine.add_link_msec engine ~id ~capacity:16140.0 ~buffer_msec
+           ~target_clr:1e-6);
+      List.iter
+        (fun (cls, n) ->
+          for _ = 1 to n do
+            match Cac.Engine.admit engine ~link:id ~cls:(Cac.Source_class.of_name_exn cls) with
+            | Cac.Engine.Admitted _ -> ()
+            | Cac.Engine.Rejected _ -> Alcotest.failf "preload of %s on %s rejected" cls id
+          done)
+        preload)
+    [
+      ("b0.5", 0.5, [ (z, 20) ]);
+      ("b2", 2.0, [ (dar, 20) ]);
+      ("b5", 5.0, [ (z, 20) ]);
+      ("b10", 10.0, [ (z, 10); (dar, 10) ]);
+      ("b30", 30.0, [ (z, 10); (dar, 10) ]);
+    ];
+  List.iter
+    (fun (link, cls, log10_bop, required_bw) ->
+      let v = Cac.Engine.evaluate engine ~link ~cls:(Cac.Source_class.of_name_exn cls) in
+      let what = Printf.sprintf "(%s, %s)" link cls in
+      check_true (what ^ " admissible") v.Cac.Engine.admissible;
+      check_true (what ^ " not degraded") (not v.Cac.Engine.degraded);
+      let pinned name expected got =
+        match (expected, got) with
+        | None, None -> ()
+        | Some x, Some y -> check_close_rel ~tol:1e-9 (what ^ " " ^ name) x y
+        | _ -> Alcotest.failf "%s: %s present where it should not be, or missing" what name
+      in
+      pinned "log10_bop" log10_bop v.Cac.Engine.log10_bop;
+      pinned "required_bw" required_bw v.Cac.Engine.required_bw)
+    [
+      ("b0.5", z, Some (-72.230048686334797), None);
+      ("b0.5", dar, None, Some 12102.933826446533);
+      ("b2", z, None, Some 11946.957206726074);
+      ("b2", dar, Some (-84.649083725999574), None);
+      ("b5", z, Some (-94.145585592607418), None);
+      ("b5", dar, None, Some 11803.783588409424);
+      ("b10", z, None, Some 11865.55046081543);
+      ("b10", dar, None, Some 11864.189925193787);
+      ("b30", z, None, Some 11509.387278556824);
+      ("b30", dar, None, Some 11504.385805130005);
+    ]
+
 let latency_observations () =
   match Obs.Registry.histogram_snapshot "cac.engine.decision_latency_us" with
   | Some h -> h.Obs.Registry.count
@@ -431,6 +487,7 @@ let suite =
     case "cached = uncached decisions" test_engine_cached_equals_uncached;
     case "verdict stable across repeats" test_engine_verdict_stable_across_repeats;
     case "heterogeneous mix" test_engine_heterogeneous_mix;
+    case "decide verdicts pinned (cache off, 0.5-30 ms)" test_engine_decide_verdicts_pinned;
     case "metrics consistency" test_engine_metrics_consistency;
     case "engine memory bounded under churn" test_engine_memory_bounded;
     case "workload mean latency via sum delta" test_workload_mean_latency;

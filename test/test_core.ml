@@ -122,6 +122,145 @@ let test_truncation_beyond_cts_is_free () =
     a.Core.Cts.rate a'.Core.Cts.rate;
   check_int "m* unchanged" a.Core.Cts.m_star a'.Core.Cts.m_star
 
+(* {2 The CTS scan against its reference}
+
+   [reference_scan] is the scan [Cts.analyze] replaces: [Cts.objective]
+   (hence [Variance_growth.v]) under [Numerics.Optimize.integer_argmin],
+   with the certificate as a stop closure.  The single-loop scan must
+   reproduce it to the bit, on fresh tables that it grows itself. *)
+let reference_scan ~margin vg ~mu ~c ~b =
+  let argmin_so_far = ref 1 in
+  let f m = Core.Cts.objective vg ~mu ~c ~b m in
+  let best_value = ref (f 1) in
+  Numerics.Optimize.integer_argmin ~f ~lo:1
+    ~stop:(fun ~best ~at ~current ->
+      if best < !best_value then begin
+        best_value := best;
+        argmin_so_far := at
+      end;
+      current > 2.0 *. best && at > (margin * !argmin_so_far) + 64)
+    ()
+
+let scan_classes =
+  lazy
+    (Array.map
+       (fun name ->
+         let p = (Cac.Source_class.of_name_exn name).Cac.Source_class.process in
+         let fresh () =
+           Core.Variance_growth.create ~acf:p.Traffic.Process.acf
+             ~variance:p.Traffic.Process.variance
+         in
+         (* One warm table per (class, truncation) for the reference. *)
+         let reference = fresh () in
+         (p.Traffic.Process.mean, fresh, reference,
+          Core.Variance_growth.truncated reference ~at:10))
+       [| "z0.7"; "z0.975"; "l"; "dar1"; "dar3"; "mpeg" |])
+
+let scan_case_gen =
+  QCheck2.Gen.(
+    tup5 (int_range 0 5) bool (float_range 0.0 1.0) (float_range 0.0 5000.0)
+      (int_range 1 8))
+
+let scan_matches_reference (cls, truncate, u, b, margin) =
+  let mu, fresh, reference, reference_truncated =
+    (Lazy.force scan_classes).(cls)
+  in
+  let c = mu +. 20.0 +. (u *. ((2.0 *. mu) -. 20.0)) in
+  let vg, ref_vg =
+    if truncate then (Core.Variance_growth.truncated (fresh ()) ~at:10, reference_truncated)
+    else (fresh (), reference)
+  in
+  let got = Core.Cts.analyze ~margin vg ~mu ~c ~b in
+  let want = reference_scan ~margin ref_vg ~mu ~c ~b in
+  got.Core.Cts.m_star = want.Numerics.Optimize.argmin
+  && got.Core.Cts.scanned_up_to = want.Numerics.Optimize.scanned_up_to
+  && Int64.equal
+       (Int64.bits_of_float got.Core.Cts.rate)
+       (Int64.bits_of_float want.Numerics.Optimize.minimum)
+
+let z975_process () = (Traffic.Models.z ~a:0.975).Traffic.Models.process
+
+let test_cts_scan_acf_calls () =
+  (* The scan fills the table exactly as far as it looks: lags 1 ..
+     scanned_up_to - 1, each once, and none ahead. *)
+  let z = z975_process () in
+  let calls = ref 0 in
+  let vg =
+    Core.Variance_growth.create ~variance:z.Traffic.Process.variance
+      ~acf:(fun k ->
+        incr calls;
+        z.Traffic.Process.acf k)
+  in
+  let a = Core.Cts.analyze vg ~mu:500.0 ~c:520.0 ~b:2000.0 in
+  check_int "scan length (Z^0.975, c = 520, b = 2000)" 10_708
+    a.Core.Cts.scanned_up_to;
+  check_int "ACF calls = scanned_up_to - 1" (a.Core.Cts.scanned_up_to - 1) !calls;
+  ignore (Core.Cts.analyze vg ~mu:500.0 ~c:520.0 ~b:2000.0);
+  check_int "a warm table calls the ACF no more" 10_707 !calls
+
+let test_cts_scan_allocation () =
+  (* Per-step allocation would cost ~6 words x 10,708 steps; what is
+     left is the result record and the scan's telemetry. *)
+  let z = z975_process () in
+  let vg =
+    Core.Variance_growth.create ~acf:z.Traffic.Process.acf
+      ~variance:z.Traffic.Process.variance
+  in
+  ignore (Core.Cts.analyze vg ~mu:500.0 ~c:520.0 ~b:2000.0);
+  let before = Gc.minor_words () in
+  let a = Core.Cts.analyze vg ~mu:500.0 ~c:520.0 ~b:2000.0 in
+  let words = Gc.minor_words () -. before in
+  check_int "same scan" 10_708 a.Core.Cts.scanned_up_to;
+  check_true
+    (Printf.sprintf "warm 10,708-step scan allocates %.0f minor words (< 200)" words)
+    (words < 200.0)
+
+let m_star_count labels =
+  match Obs.Registry.histogram_snapshot ~labels "cts.m_star" with
+  | Some h -> h.Obs.Registry.count
+  | None -> 0
+
+let labelled_m_star_counts () =
+  List.filter_map
+    (fun (((name, labels) : Obs.Registry.key), h) ->
+      if String.equal name "cts.m_star" && not (Obs.Labels.is_empty labels) then
+        Some (Obs.Labels.to_string labels, h.Obs.Registry.count)
+      else None)
+    (Obs.Registry.snapshot ()).Obs.Registry.histograms
+
+let test_bahadur_rao_buffer_series () =
+  (* [evaluate] observes m* under the link's total buffer b n, so a fill
+     at b = B/n for n = 1..30 lands in one series per B: %.4g absorbs
+     the last-ulp drift of (B/n) n.  The second B runs on a spawned
+     domain, which resolves its own handle. *)
+  let here = 1234.5 and elsewhere = 98765.4321 in
+  let before = labelled_m_star_counts () in
+  let fill total =
+    let vg = ar1_vg 0.8 5000.0 in
+    for n = 1 to 30 do
+      let b = total /. float_of_int n in
+      ignore (Core.Bahadur_rao.evaluate vg ~mu:500.0 ~c:538.0 ~b ~n)
+    done
+  in
+  fill here;
+  Domain.join (Domain.spawn (fun () -> fill elsewhere));
+  List.iter
+    (fun total ->
+      let label = Printf.sprintf "%.4g" total in
+      check_int
+        (Printf.sprintf "30 observations under buffer_cells=%s" label)
+        30
+        (m_star_count (Obs.Labels.make [ ("buffer_cells", label) ])))
+    [ here; elsewhere ];
+  let after = labelled_m_star_counts () in
+  let grown =
+    List.filter
+      (fun (l, n) ->
+        match List.assoc_opt l before with Some n0 -> n <> n0 | None -> true)
+      after
+  in
+  check_int "no other buffer_cells series moved" 2 (List.length grown)
+
 let test_bahadur_rao_vs_large_n () =
   let vg = ar1_vg 0.82 5000.0 in
   let br = Core.Bahadur_rao.evaluate vg ~mu:500.0 ~c:538.0 ~b:134.5 ~n:30 in
@@ -301,6 +440,13 @@ let suite =
         let vg = ar1_vg rho 5000.0 in
         let a = Core.Cts.analyze vg ~mu:500.0 ~c:538.0 ~b in
         a.Core.Cts.m_star >= 1 && a.Core.Cts.rate > 0.0);
+    case "CTS scan: ACF called once per lag scanned" test_cts_scan_acf_calls;
+    case "CTS scan: no allocation per step" test_cts_scan_allocation;
+    case "B-R: m* series per total buffer" test_bahadur_rao_buffer_series;
+    (* A fixed seed, so every run checks the same 200 cases. *)
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 1996 |])
+      (QCheck2.Test.make ~count:200 ~name:"CTS scan bit-identical to integer_argmin"
+         scan_case_gen scan_matches_reference);
     qcheck ~count:30 "stronger correlations inflate V(m)"
       QCheck2.Gen.(int_range 2 500)
       (fun m ->

@@ -40,7 +40,45 @@ let test_fig3_alignment () =
       check_close ~tol:1e-9 "V lag-1 equal (b=c)" b c
   | _ -> Alcotest.fail "expected three series"
 
+(* The y value of series [label], in whichever of [figs] holds it, at
+   buffer [msec]. *)
+let value_at (figs : Experiments.Common.figure list) label msec =
+  let same_label s = String.equal s.Experiments.Common.label label in
+  match
+    List.find_map (fun (f : Experiments.Common.figure) -> List.find_opt same_label f.series) figs
+  with
+  | None -> Alcotest.failf "no series %s" label
+  | Some s -> (
+      match Array.find_opt (fun (x, _) -> Float.equal x msec) s.points with
+      | Some (_, y) -> y
+      | None -> Alcotest.failf "%s: no point at %g msec" label msec)
+
+(* Pinned values, so an optimisation of the kernel cannot move a figure
+   while keeping its shape: (series, [(buffer msec, value)]). *)
+let fig4_m_star =
+  [
+    ("V^0.67", [ (0.5, 3); (2.0, 6); (30.0, 106) ]);
+    ("V^1", [ (0.5, 3); (2.0, 7); (30.0, 148) ]);
+    ("V^1.5", [ (0.5, 3); (2.0, 8); (30.0, 186) ]);
+    ("Z^0.7", [ (0.5, 2); (2.0, 5); (30.0, 80) ]);
+    ("Z^0.9", [ (0.5, 3); (2.0, 8); (30.0, 53) ]);
+    ("Z^0.975", [ (0.5, 4); (2.0, 13); (30.0, 71) ]);
+    ("Z^0.99", [ (0.5, 5); (2.0, 17); (30.0, 102) ]);
+  ]
+
+let fig5_log10_bop =
+  [
+    ("V^0.67", [ (2.0, -4.272154109800); (30.0, -9.271287429851) ]);
+    ("V^1", [ (2.0, -4.231581817128); (30.0, -8.168967871221) ]);
+    ("V^1.5", [ (2.0, -4.177182219802); (30.0, -7.232322660372) ]);
+    ("Z^0.7", [ (2.0, -4.782109957877); (30.0, -11.864863073868) ]);
+    ("Z^0.9", [ (2.0, -4.183746232059); (30.0, -8.726963443157) ]);
+    ("Z^0.975", [ (2.0, -3.837676315013); (30.0, -6.099360103655) ]);
+    ("Z^0.99", [ (2.0, -3.733349815399); (30.0, -5.223746062554) ]);
+  ]
+
 let test_fig4_monotone_cts () =
+  let figs = [ Experiments.Exp_fig4.figure_a (); Experiments.Exp_fig4.figure_b () ] in
   List.iter
     (fun fig ->
       List.iter
@@ -52,7 +90,16 @@ let test_fig4_monotone_cts () =
               (v.(i) >= v.(i - 1))
           done)
         fig.Experiments.Common.series)
-    [ Experiments.Exp_fig4.figure_a (); Experiments.Exp_fig4.figure_b () ]
+    figs;
+  List.iter
+    (fun (label, points) ->
+      List.iter
+        (fun (msec, m_star) ->
+          check_true
+            (Printf.sprintf "fig4 %s m* at %g msec = %d" label msec m_star)
+            (Float.equal (float_of_int m_star) (value_at figs label msec)))
+        points)
+    fig4_m_star
 
 let test_fig4_short_term_dominates () =
   (* The paper's headline for Fig 4: Z^a curves split wide; V^v curves
@@ -71,6 +118,7 @@ let test_fig4_short_term_dominates () =
   check_true "Z^a spread large at 2 msec (>= 10 lags)" (spread zb 3 >= 10.0)
 
 let test_fig5_bop_decreasing () =
+  let figs = [ Experiments.Exp_fig5.figure_a (); Experiments.Exp_fig5.figure_b () ] in
   List.iter
     (fun fig ->
       List.iter
@@ -80,7 +128,16 @@ let test_fig5_bop_decreasing () =
             check_true "BOP decreasing in buffer" (v.(i) < v.(i - 1))
           done)
         fig.Experiments.Common.series)
-    [ Experiments.Exp_fig5.figure_a (); Experiments.Exp_fig5.figure_b () ]
+    figs;
+  List.iter
+    (fun (label, points) ->
+      List.iter
+        (fun (msec, log10_bop) ->
+          check_close ~tol:1e-9
+            (Printf.sprintf "fig5 %s log10 BOP at %g msec" label msec)
+            log10_bop (value_at figs label msec))
+        points)
+    fig5_log10_bop
 
 let test_fig5_z_ordering () =
   (* Stronger short-term correlations -> slower BOP decay: at every

@@ -65,6 +65,27 @@ let test_acf_powerlaw_tail () =
   let ratio = r 2000 /. r 1000 in
   check_close ~tol:1e-3 "tail decay exponent" (2.0 ** (0.8 -. 1.0)) ratio
 
+let check_bits msg expected actual =
+  if not (Int64.equal (Int64.bits_of_float expected) (Int64.bits_of_float actual)) then
+    Alcotest.failf "%s: expected %.17g, got %.17g" msg expected actual
+
+let test_acf_hoisted_g_bit_identical () =
+  (* [process]'s ACF is [frame_acf p ~ts] partially applied (g(T_s)
+     computed once); it must equal the fully applied form to the bit,
+     and the model processes must keep their tabulated values. *)
+  let ts = Traffic.Models.ts in
+  let p = Traffic.Models.l_params () in
+  let acf = (Traffic.Fbndp.process p ~ts).Traffic.Process.acf in
+  for k = 0 to 2000 do
+    check_bits (Printf.sprintf "L r(%d)" k) (Traffic.Fbndp.frame_acf p ~ts k) (acf k)
+  done;
+  let z = (Traffic.Models.z ~a:0.975).Traffic.Models.process.Traffic.Process.acf in
+  let l = (Traffic.Models.l ()).Traffic.Process.acf in
+  check_bits "Z^0.975 r(1)" 0.82099550696651169 (z 1);
+  check_bits "Z^0.975 r(1000)" 0.081385122016905675 (z 1000);
+  check_bits "L r(1)" 0.58246383108163158 (l 1);
+  check_bits "L r(1000)" 0.08055146995175165 (l 1000)
+
 let test_simulated_moments () =
   let p =
     Traffic.Fbndp.of_moments ~alpha:0.8 ~mean:250.0 ~variance:2500.0 ~m:15 ~ts
@@ -120,6 +141,7 @@ let suite =
     case "Table 1 anchor: V component" test_table1_v_anchor;
     case "exact-LRD acf form" test_acf_form;
     case "power-law tail exponent" test_acf_powerlaw_tail;
+    case "process acf = frame_acf, pinned bits" test_acf_hoisted_g_bit_identical;
     slow_case "simulated moments" test_simulated_moments;
     slow_case "simulated short-lag acf" test_simulated_short_acf;
     case "counts are non-negative integers" test_counts_nonnegative_integers;
