@@ -11,6 +11,11 @@ let check_close_rel ?(tol = 1e-9) msg expected actual =
     Alcotest.failf "%s: expected %.12g, got %.12g (rel tol %g)" msg expected
       actual tol
 
+(* Bit equality, for results that must not move at all. *)
+let check_bits msg expected actual =
+  if not (Int64.equal (Int64.bits_of_float expected) (Int64.bits_of_float actual)) then
+    Alcotest.failf "%s: expected %.17g, got %.17g" msg expected actual
+
 let check_true msg cond = Alcotest.(check bool) msg true cond
 
 let check_int msg expected actual = Alcotest.(check int) msg expected actual

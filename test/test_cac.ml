@@ -228,8 +228,8 @@ let test_engine_heterogeneous_mix () =
    cells/frame links at CLR 1e-6 across 0.5-30 ms, three homogeneous
    and two mixed, each preloaded to 20 connections.  A decide of a
    homogeneous link's own class reports log10 BOP; every other decide
-   prices a mix and reports the required bandwidth.  Pinned to the
-   benchmark's own 1e-9 relative tolerance. *)
+   prices a mix and reports the required bandwidth.  Pinned to the bit,
+   and so is the kernel work the ten decisions take. *)
 let test_engine_decide_verdicts_pinned () =
   let engine = Cac.Engine.create ~cache_capacity:0 ~clock:zero_clock () in
   let z = "z0.975" and dar = "dar3" in
@@ -253,6 +253,9 @@ let test_engine_decide_verdicts_pinned () =
       ("b10", 10.0, [ (z, 10); (dar, 10) ]);
       ("b30", 30.0, [ (z, 10); (dar, 10) ]);
     ];
+  let evaluations () = Obs.Registry.counter_value "bahadur_rao.evaluations" in
+  let scan_steps () = Obs.Registry.counter_value "bahadur_rao.infimum_iterations" in
+  let evaluations0 = evaluations () and scan_steps0 = scan_steps () in
   List.iter
     (fun (link, cls, log10_bop, required_bw) ->
       let v = Cac.Engine.evaluate engine ~link ~cls:(Cac.Source_class.of_name_exn cls) in
@@ -262,7 +265,7 @@ let test_engine_decide_verdicts_pinned () =
       let pinned name expected got =
         match (expected, got) with
         | None, None -> ()
-        | Some x, Some y -> check_close_rel ~tol:1e-9 (what ^ " " ^ name) x y
+        | Some x, Some y -> check_bits (what ^ " " ^ name) x y
         | _ -> Alcotest.failf "%s: %s present where it should not be, or missing" what name
       in
       pinned "log10_bop" log10_bop v.Cac.Engine.log10_bop;
@@ -278,7 +281,11 @@ let test_engine_decide_verdicts_pinned () =
       ("b10", dar, None, Some 11864.189925193787);
       ("b30", z, None, Some 11509.387278556824);
       ("b30", dar, None, Some 11504.385805130005);
-    ]
+    ];
+  (* The plain bisection made 295 evaluations and 277,557 scan steps
+     here; the replay skips its costly points close to the mean load. *)
+  check_int "Bahadur-Rao evaluations" 157 (evaluations () - evaluations0);
+  check_int "CTS scan steps" 53_222 (scan_steps () - scan_steps0)
 
 let latency_observations () =
   match Obs.Registry.histogram_snapshot "cac.engine.decision_latency_us" with

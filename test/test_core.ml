@@ -410,6 +410,136 @@ let test_required_capacity () =
   in
   check_true "capacity meets CLR target" (r.Core.Bahadur_rao.log10_bop <= -6.0)
 
+(* {2 The effective-bandwidth search against its reference}
+
+   [Admission.required_capacity] replays the doubling-and-bisection
+   that [Admission.reference_capacity_search] runs against the kernel,
+   evaluating only near the threshold.  With the kernel's margin as the
+   oracle the two must agree to the bit. *)
+
+let bits = Int64.bits_of_float
+let replay_fallbacks () = Obs.Registry.counter_value "admission.replay_fallbacks"
+
+type eb_case = { cls : string; link : float; msec : float; clr : float; n : int }
+
+let eb_case_gen =
+  QCheck2.Gen.(
+    map
+      (fun (cls, link, msec, exponent, n) -> { cls; link; msec; clr = 10.0 ** -.exponent; n })
+      (tup5
+         (oneofl [ "z0.7"; "z0.975"; "z0.99"; "l"; "dar1"; "dar3"; "mpeg" ])
+         (oneofl [ 4035.0; 16140.0; 64560.0 ])
+         (frequency [ (1, pure 0.0); (9, float_range 0.0 120.0) ])
+         (float_range 3.0 12.0) (int_range 1 40)))
+
+let print_eb_case c =
+  Printf.sprintf "%s on %g cells/frame, %g ms, CLR %g, n = %d" c.cls c.link c.msec c.clr c.n
+
+let test_required_capacity_matches_reference () =
+  let low = ref 0 and fallbacks = replay_fallbacks () in
+  QCheck2.Test.check_exn ~rand:(Random.State.make [| 1996 |])
+    (QCheck2.Test.make ~count:300 ~name:"required_capacity = reference"
+       ~print:print_eb_case eb_case_gen (fun c ->
+         let cls = Cac.Source_class.of_name_exn c.cls in
+         let vg = cls.Cac.Source_class.vg and mu = Cac.Source_class.mean cls in
+         let total_buffer =
+           Queueing.Units.buffer_cells_of_msec ~msec:c.msec
+             ~service_cells_per_frame:c.link ~ts:Traffic.Models.ts
+         in
+         let mean_load = float_of_int c.n *. mu in
+         let want =
+           Core.Admission.reference_capacity_search ~mean_load
+             ~margin:
+               (Core.Admission.capacity_margin vg ~mu ~n:c.n ~total_buffer
+                  ~target_clr:c.clr)
+         in
+         let got =
+           Core.Admission.required_capacity vg ~mu ~n:c.n ~total_buffer ~target_clr:c.clr
+         in
+         if want <= mean_load *. 1.01 then incr low;
+         Int64.equal (bits want) (bits got)));
+  (* Below 1.01x the mean load the top-down bracket ends at the
+     reference's first point and the replay evaluates every midpoint. *)
+  check_true
+    (Printf.sprintf "draw includes thresholds at or below 1.01x mean load (%d)" !low)
+    (!low >= 1);
+  check_int "no replay fallbacks" 0 (replay_fallbacks () - fallbacks)
+
+(* Synthetic monotone margins: a smooth one, and a staircase with a
+   plateau at exactly 0 (admissible), where Brent stops at the first
+   zero it meets; both infinite at and below the mean load, like the
+   kernel's. *)
+let synthetic_matches_reference (load_exp, ratio_exp, scale_exp, staircase) =
+  let mean_load = 10.0 ** load_exp in
+  let threshold = mean_load *. (1.0 +. (10.0 ** ratio_exp)) in
+  let scale = 10.0 ** scale_exp in
+  let margin c =
+    if c <= mean_load then infinity
+    else if staircase then Float.of_int (truncate ((threshold -. c) *. scale))
+    else scale *. log (threshold /. c)
+  in
+  let got = Core.Admission.capacity_search ~mean_load ~margin in
+  let want = Core.Admission.reference_capacity_search ~mean_load ~margin in
+  Int64.equal (bits want) (bits got) && margin got <= 0.0
+
+let test_capacity_search_synthetic () =
+  let fallbacks = replay_fallbacks () in
+  QCheck2.Test.check_exn ~rand:(Random.State.make [| 1996 |])
+    (QCheck2.Test.make ~count:2000 ~name:"capacity_search = reference (synthetic)"
+       ~print:QCheck2.Print.(tup4 float float float bool)
+       QCheck2.Gen.(
+         tup4 (float_range 0.0 5.0) (float_range (-4.0) 2.0) (float_range (-2.0) 3.0) bool)
+       synthetic_matches_reference);
+  (* Margins near 1e154 overflow Brent's interpolation into a NaN
+     iterate, which must only end the narrowing; near 1e300 the ends'
+     product overflows and Brent is skipped. *)
+  List.iter
+    (fun scale_exp ->
+      check_true
+        (Printf.sprintf "margins of magnitude 1e%g" scale_exp)
+        (synthetic_matches_reference (3.0, log10 0.2345678, scale_exp, false)))
+    [ 153.0; 154.0; 155.0; 300.0 ];
+  check_int "no replay fallbacks" 0 (replay_fallbacks () - fallbacks)
+
+(* A margin admissible on [1254.999, 1255.001] and from 1300 up.  The
+   top-down bracket passes at 1255 and fails at 1127.5, and Brent narrows
+   it around 1254.999.  The replay then infers that the next bisection
+   point above, 1255.0024, is admissible, but it lies in the hole. *)
+let test_capacity_search_fallback () =
+  let mean_load = 1000.0 in
+  let margin c =
+    if c < 1254.999 then 1.0 else if c <= 1255.001 then -1.0 else if c < 1300.0 then 1.0 else -1.0
+  in
+  let fallbacks = replay_fallbacks () in
+  let got = Core.Admission.capacity_search ~mean_load ~margin in
+  check_int "fallback taken and counted" 1 (replay_fallbacks () - fallbacks);
+  let want = Core.Admission.reference_capacity_search ~mean_load ~margin in
+  check_bits "the reference's answer" want got;
+  check_true "above the hole" (got >= 1300.0)
+
+let test_capacity_search_non_finite () =
+  let raises name f =
+    match f () with
+    | (_ : float) -> Alcotest.failf "%s: returned instead of raising Non_finite" name
+    | exception Resilience.Guard.Non_finite _ -> ()
+  in
+  let searches =
+    [
+      ("replay", Core.Admission.capacity_search);
+      ("reference", Core.Admission.reference_capacity_search);
+    ]
+  in
+  List.iter
+    (fun (name, search) ->
+      raises (name ^ ": NaN margin") (fun () ->
+          search ~mean_load:500.0 ~margin:(fun _ -> Float.nan));
+      raises (name ^ ": NaN above the threshold") (fun () ->
+          search ~mean_load:500.0 ~margin:(fun c -> if c < 700.0 then 1.0 else Float.nan));
+      (* Never admissible: the doubling stops before infinity. *)
+      raises (name ^ ": no admissible capacity") (fun () ->
+          search ~mean_load:500.0 ~margin:(fun _ -> 1.0)))
+    searches
+
 let suite =
   [
     case "V(m) matches naive evaluation" test_variance_growth_vs_naive;
@@ -434,6 +564,13 @@ let suite =
     case "admission monotone in target" test_admission_monotone;
     case "admission boundary exact" test_admission_feasibility_boundary;
     case "required capacity" test_required_capacity;
+    case "required capacity bit-equal to the reference bisection"
+      test_required_capacity_matches_reference;
+    case "capacity search on synthetic monotone margins" test_capacity_search_synthetic;
+    case "capacity search falls back on a non-monotone margin"
+      test_capacity_search_fallback;
+    case "capacity search raises on NaN and on no admissible capacity"
+      test_capacity_search_non_finite;
     qcheck ~count:50 "CTS finite and positive rate"
       QCheck2.Gen.(pair (float_range 0.1 0.95) (float_range 0.0 500.0))
       (fun (rho, b) ->

@@ -65,10 +65,6 @@ let test_acf_powerlaw_tail () =
   let ratio = r 2000 /. r 1000 in
   check_close ~tol:1e-3 "tail decay exponent" (2.0 ** (0.8 -. 1.0)) ratio
 
-let check_bits msg expected actual =
-  if not (Int64.equal (Int64.bits_of_float expected) (Int64.bits_of_float actual)) then
-    Alcotest.failf "%s: expected %.17g, got %.17g" msg expected actual
-
 let test_acf_hoisted_g_bit_identical () =
   (* [process]'s ACF is [frame_acf p ~ts] partially applied (g(T_s)
      computed once); it must equal the fully applied form to the bit,

@@ -247,6 +247,71 @@ let test_engine_degrades_on_nan () =
   check_true "no BOP from a degraded decision"
     (Option.is_none v.Cac.Engine.log10_bop)
 
+(* The benchmark's mixed links: 10 Z^0.975 and 10 DAR(3) connections
+   on 16140 cells/frame at 10 and 30 ms, cache off, so every decision
+   prices the mix by the effective-bandwidth search. *)
+let mixed_engine () =
+  let engine = Cac.Engine.create ~cache_capacity:0 ~clock:(fun () -> 0.0) () in
+  List.iter
+    (fun (id, buffer_msec) ->
+      ignore
+        (Cac.Engine.add_link_msec engine ~id ~capacity:16140.0 ~buffer_msec
+           ~target_clr:1e-6);
+      List.iter
+        (fun cls ->
+          for _ = 1 to 10 do
+            ignore (Cac.Engine.admit engine ~link:id ~cls:(Cac.Source_class.of_name_exn cls))
+          done)
+        [ "z0.975"; "dar3" ])
+    [ ("b10", 10.0); ("b30", 30.0) ];
+  engine
+
+let mixed_decisions =
+  List.concat_map
+    (fun link -> List.map (fun cls -> (link, Cac.Source_class.of_name_exn cls)) [ "z0.975"; "dar3" ])
+    [ "b10"; "b30" ]
+
+let test_engine_mixed_degrades_on_nan () =
+  let engine = mixed_engine () in
+  let z = Cac.Source_class.of_name_exn "z0.975" in
+  let dar = Cac.Source_class.of_name_exn "dar3" in
+  with_faults ~seed:5 "bahadur_rao.evaluate=nan" @@ fun () ->
+  let v = Cac.Engine.evaluate engine ~link:"b10" ~cls:z in
+  check_true "degraded" v.Cac.Engine.degraded;
+  match v.Cac.Engine.required_bw with
+  | Some bw ->
+      check_close_rel ~tol:1e-12 "allocates the mix's peak rate"
+        ((11.0 *. Cac.Source_class.peak z) +. (10.0 *. Cac.Source_class.peak dar))
+        bw
+  | None -> Alcotest.fail "degraded verdict must report its allocation"
+
+let test_engine_mixed_nan_never_moves_required_bw () =
+  let engine = mixed_engine () in
+  let clean = List.map (fun (link, cls) -> Cac.Engine.evaluate engine ~link ~cls) mixed_decisions in
+  let degraded = ref 0 and exact = ref 0 in
+  (with_faults ~seed:5 "bahadur_rao.evaluate=nan:0.02" @@ fun () ->
+   for _ = 1 to 50 do
+     List.iter2
+       (fun (link, cls) want ->
+         let v = Cac.Engine.evaluate engine ~link ~cls in
+         if v.Cac.Engine.degraded then incr degraded
+         else begin
+           (* A NaN inside the search raises, so the retry recomputes
+              from scratch: a clean verdict is the fault-free one. *)
+           match (v.Cac.Engine.required_bw, want.Cac.Engine.required_bw) with
+           | Some got, Some bw ->
+               check_bits
+                 (Printf.sprintf "(%s, %s) clean required_bw" link cls.Cac.Source_class.name)
+                 bw got;
+               incr exact
+           | _ -> Alcotest.failf "(%s, %s): mixed verdict without required_bw" link
+                    cls.Cac.Source_class.name
+         end)
+       mixed_decisions clean
+   done);
+  check_true (Printf.sprintf "some verdicts degraded (%d)" !degraded) (!degraded > 0);
+  check_true (Printf.sprintf "some verdicts clean (%d)" !exact) (!exact > 0)
+
 let test_engine_degraded_never_fails_open () =
   (* The chaos invariant: under total kernel failure the engine admits
      exactly what peak-rate allocation affords, never more. *)
@@ -537,6 +602,9 @@ let suite =
     case "breaker trip, half-open, recovery" test_breaker_lifecycle;
     case "breaker wall-clock cooldowns" test_breaker_wall_clock;
     case "NaN kernel degrades fail-closed" test_engine_degrades_on_nan;
+    case "NaN kernel degrades a mixed decision" test_engine_mixed_degrades_on_nan;
+    case "NaN at 2% never moves a clean mixed verdict"
+      test_engine_mixed_nan_never_moves_required_bw;
     case "degraded fill stops at the peak-rate boundary"
       test_engine_degraded_never_fails_open;
     case "engine breaker opens and recovers" test_engine_breaker_opens_and_recovers;
