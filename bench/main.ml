@@ -76,6 +76,7 @@ let micro_tests () =
   let dar_gen = dar3.Traffic.Process.spawn (Numerics.Rng.split rng) in
   let fbndp_gen = z.Traffic.Process.spawn (Numerics.Rng.split rng) in
   let fgn_rng = Numerics.Rng.split rng in
+  let float_rng = Numerics.Rng.split rng in
   let acf_z = z.Traffic.Process.acf in
   [
     Test.make ~name:"cts_analyze_fresh_b10ms"
@@ -95,6 +96,9 @@ let micro_tests () =
       (Staged.stage (fun () -> Traffic.Dar.fit ~target_acf:acf_z ~p:3));
     Test.make ~name:"dar3_frame" (Staged.stage dar_gen);
     Test.make ~name:"fbndp_frame" (Staged.stage fbndp_gen);
+    (* One uniform draw: the unit cost of every ON/OFF period. *)
+    Test.make ~name:"rng_float"
+      (Staged.stage (fun () -> Numerics.Rng.float float_rng));
     Test.make ~name:"fgn_block_4096"
       (Staged.stage (fun () ->
            Traffic.Fgn.sample_davies_harte fgn_rng ~h:0.9 ~n:4096));

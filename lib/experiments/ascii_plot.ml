@@ -72,4 +72,4 @@ let render_figure ?width ?height ?logx (fig : Common.figure) =
 
 let emit ?logx fig =
   Common.emit fig;
-  print_string (render_figure ?logx fig)
+  Common.printf "%s" (render_figure ?logx fig)

@@ -20,5 +20,6 @@ val render_figure : ?width:int -> ?height:int -> ?logx:bool -> Common.figure -> 
 (** Render a {!Common.figure}'s series. *)
 
 val emit : ?logx:bool -> Common.figure -> unit
-(** {!Common.emit} (table + CSV) followed by a rendered plot on
-    stdout. *)
+(** {!Common.emit} (table + CSV) followed by a rendered plot.  Table
+    and plot both go to the human sink ({!Obs.Sink.human_sink}), so
+    [--quiet] silences them. *)

@@ -1,4 +1,23 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The xoshiro256++ state is four 64-bit words s0..s3, kept at byte
+   offsets 0, 8, 16 and 24 of one 32-byte buffer.  Reading and writing
+   them through the unchecked native-endian primitives lets the
+   compiler keep a step's words unboxed in registers, so a draw
+   allocates only the value it returns.  The accessors skip the bounds
+   check, which is safe because [t] is abstract and [of_words] and
+   [copy] are the only ways to make one: every [t] is exactly 32 bytes
+   long. *)
+type t = Bytes.t
+
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let of_words s0 s1 s2 s3 =
+  let t = Bytes.create 32 in
+  set64u t 0 s0;
+  set64u t 8 s1;
+  set64u t 16 s2;
+  set64u t 24 s3;
+  t
 
 (* SplitMix64 is used only to expand a small seed into full 256-bit
    state; it guarantees that nearby integer seeds yield unrelated
@@ -11,57 +30,59 @@ let splitmix_next state =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let create ~seed =
-  let state = ref (Int64.of_int seed) in
+(* Four SplitMix64 outputs, in order, as a fresh state. *)
+let of_splitmix state =
   let s0 = splitmix_next state in
   let s1 = splitmix_next state in
   let s2 = splitmix_next state in
   let s3 = splitmix_next state in
-  { s0; s1; s2; s3 }
+  of_words s0 s1 s2 s3
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let create ~seed = of_splitmix (ref (Int64.of_int seed))
 
-let rotl x k =
+let copy t = Bytes.copy t
+
+let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let uint64 t =
+(* One xoshiro256++ step: the output, and the state advanced in place.
+   Inlined into every draw below, so only callers outside this module
+   get the output boxed. *)
+let[@inline] uint64 t =
   let open Int64 in
-  let result = add (rotl (add t.s0 t.s3) 23) t.s0 in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = get64u t 0 and s1 = get64u t 8 and s2 = get64u t 16 and s3 = get64u t 24 in
+  let result = add (rotl (add s0 s3) 23) s0 in
+  let tmp = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  let s1 = logxor s1 s2 in
+  let s0 = logxor s0 s3 in
+  set64u t 0 s0;
+  set64u t 8 s1;
+  set64u t 16 (logxor s2 tmp);
+  set64u t 24 (rotl s3 45);
   result
 
-let split t =
-  let state = ref (uint64 t) in
-  let s0 = splitmix_next state in
-  let s1 = splitmix_next state in
-  let s2 = splitmix_next state in
-  let s3 = splitmix_next state in
-  { s0; s1; s2; s3 }
+let split t = of_splitmix (ref (uint64 t))
 
 let jump_to_substream t i =
   (* Mix the substream index into a snapshot of the state through
      SplitMix64 so the parent generator is left untouched. *)
-  let state = ref (Int64.logxor t.s0 (Int64.mul (Int64.of_int (i + 1)) 0xD1342543DE82EF95L)) in
+  let state = ref (Int64.logxor (get64u t 0) (Int64.mul (Int64.of_int (i + 1)) 0xD1342543DE82EF95L)) in
   let s0 = splitmix_next state in
-  let state = ref (Int64.logxor t.s1 s0) in
+  let state = ref (Int64.logxor (get64u t 8) s0) in
   let s1 = splitmix_next state in
-  let state = ref (Int64.logxor t.s2 s1) in
+  let state = ref (Int64.logxor (get64u t 16) s1) in
   let s2 = splitmix_next state in
-  let state = ref (Int64.logxor t.s3 s2) in
+  let state = ref (Int64.logxor (get64u t 24) s2) in
   let s3 = splitmix_next state in
-  { s0; s1; s2; s3 }
+  of_words s0 s1 s2 s3
 
 (* 2^-53: the spacing of doubles in [1,2); used to map 53 random bits
    onto (0,1). *)
 let two_pow_minus53 = 1.1102230246251565e-16
 
-let float t =
+let[@inline] float t =
   let bits = Int64.shift_right_logical (uint64 t) 11 in
   let u = Int64.to_float bits *. two_pow_minus53 in
   if u <= 0. then two_pow_minus53 else u
@@ -73,11 +94,11 @@ let float_range t ~lo ~hi =
 let int t ~bound =
   assert (bound > 0);
   (* Rejection sampling on the high bits avoids modulo bias. *)
-  let rec loop () =
+  let rec loop t bound =
     let r = Int64.to_int (Int64.shift_right_logical (uint64 t) 2) in
     let v = r mod bound in
-    if r - v > (max_int - bound) + 1 then loop () else v
+    if r - v > (max_int - bound) + 1 then loop t bound else v
   in
-  loop ()
+  loop t bound
 
-let bool t = Int64.compare (uint64 t) 0L < 0
+let bool t = uint64 t < 0L

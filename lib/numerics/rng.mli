@@ -4,10 +4,18 @@
     period of [2^256 - 1] and excellent statistical quality for
     simulation work.  All simulation code in this project draws its
     randomness through this module so that every experiment is exactly
-    reproducible from a seed. *)
+    reproducible from a seed.
+
+    {b State layout.}  The 256-bit state is one 32-byte buffer holding
+    the four 64-bit words of xoshiro256++, read and written as unboxed
+    [int64]s.  A draw therefore allocates only the value it returns:
+    one boxed float (2 words) for {!float} and {!float_range}, one
+    boxed [int64] (3 words) for {!uint64}, nothing for {!int} and
+    {!bool}.  In an ON/OFF source every period costs one {!float}, so
+    this is what keeps source generation cheap. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state, always exactly 32 bytes. *)
 
 val create : seed:int -> t
 (** [create ~seed] builds a fresh generator.  Equal seeds produce equal
@@ -24,11 +32,13 @@ val split : t -> t
     component's consumption does not perturb the others. *)
 
 val uint64 : t -> int64
-(** [uint64 t] is the next raw 64-bit output. *)
+(** [uint64 t] is the next raw 64-bit output.  Allocates its boxed
+    result. *)
 
 val float : t -> float
 (** [float t] is uniform on the open interval (0, 1).  Neither endpoint
-    is ever returned, so it is safe to take logarithms. *)
+    is ever returned, so it is safe to take logarithms.  Allocates its
+    boxed result and nothing else. *)
 
 val float_range : t -> lo:float -> hi:float -> float
 (** [float_range t ~lo ~hi] is uniform on (lo, hi). *)

@@ -29,30 +29,30 @@ let text_of_field (k, v) =
     | Json.Null -> "null"
     | v -> Json.to_string v)
 
+(* One [output_string] per line: a channel's lock is held for the
+   whole call, so lines written by concurrent domains never interleave.
+   Writing the newline separately would let two lines merge into one. *)
+let write_line oc line =
+  output_string oc (line ^ "\n");
+  flush oc
+
 let emit t e =
   match t with
   | Null -> ()
   | Text oc ->
-      Printf.fprintf oc "[%s] %s %s\n%!" e.kind e.name
-        (String.concat " " (List.map text_of_field e.fields))
-  | Jsonl oc ->
-      output_string oc (Json.to_string (json_of_event e));
-      output_char oc '\n';
-      flush oc
+      write_line oc
+        (Printf.sprintf "[%s] %s %s" e.kind e.name
+           (String.concat " " (List.map text_of_field e.fields)))
+  | Jsonl oc -> write_line oc (Json.to_string (json_of_event e))
 
 let message t line =
   match t with
   | Null -> ()
-  | Text oc ->
-      output_string oc line;
-      output_char oc '\n';
-      flush oc
+  | Text oc -> write_line oc line
   | Jsonl oc ->
-      output_string oc
+      write_line oc
         (Json.to_string (json_of_event (event ~kind:"message" ~name:"message"
-                                          [ ("text", Json.String line) ])));
-      output_char oc '\n';
-      flush oc
+                                          [ ("text", Json.String line) ])))
 
 let messagef t fmt = Printf.ksprintf (message t) fmt
 

@@ -15,6 +15,10 @@ type t = private {
   gamma : float;  (** tail index, in (1, 2) *)
   a : float;      (** body/tail breakpoint A > 0 (seconds) *)
   mean : float;   (** E[T], closed form *)
+  tail_mass : float;
+      (** [P(T > A) = exp(-gamma)], the mass of the Pareto tail.
+          Computed once here, since every {!sample} compares against
+          it and the tail-branch formulas scale by it. *)
 }
 
 val create : gamma:float -> a:float -> t

@@ -22,6 +22,19 @@ let check_int msg expected actual = Alcotest.(check int) msg expected actual
 
 let rng ?(seed = 7) () = Numerics.Rng.create ~seed
 
+(* Route experiment CSV output to a temp dir so tests don't litter. *)
+let with_tmp_results f =
+  let dir = Filename.temp_file "cts_results" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  Unix.putenv "CTS_RESULTS_DIR" dir;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir;
+      Unix.putenv "CTS_RESULTS_DIR" "results")
+    (fun () -> f dir)
+
 (* Register a QCheck property as an alcotest case. *)
 let qcheck ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest

@@ -44,6 +44,26 @@ let test_render_figure () =
   let out = Experiments.Ascii_plot.render_figure fig in
   check_true "figure renders" (String.length out > 200)
 
+let test_emit_goes_to_human_sink () =
+  (* [--quiet] installs a Null human sink; the plot must go through the
+     sink to be silenced with the table. *)
+  let fig = Experiments.Exp_fig1.figure_z () in
+  let path = Filename.temp_file "cts_plot" ".txt" in
+  let oc = open_out path in
+  let prev = Obs.Sink.human_sink () in
+  Obs.Sink.set_human (Obs.Sink.Text oc);
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Sink.set_human prev;
+      close_out_noerr oc;
+      Sys.remove path)
+  @@ fun () ->
+  with_tmp_results (fun _ -> Experiments.Ascii_plot.emit fig);
+  flush oc;
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  let plot = Experiments.Ascii_plot.render_figure fig in
+  check_true "the plot lands in the human sink's file" (contains_substring text plot)
+
 let suite =
   [
     case "render basics" test_render_basics;
@@ -51,4 +71,5 @@ let suite =
     case "non-finite input" test_empty_and_nonfinite;
     case "log x axis" test_logx;
     case "render a real figure" test_render_figure;
+    case "emit writes the plot to the human sink" test_emit_goes_to_human_sink;
   ]

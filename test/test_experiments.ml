@@ -1,18 +1,5 @@
 open Helpers
 
-(* Route experiment CSV output to a temp dir so tests don't litter. *)
-let with_tmp_results f =
-  let dir = Filename.temp_file "cts_results" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  Unix.putenv "CTS_RESULTS_DIR" dir;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Sys.rmdir dir;
-      Unix.putenv "CTS_RESULTS_DIR" "results")
-    (fun () -> f dir)
-
 let series_values (s : Experiments.Common.series) = Array.map snd s.points
 
 let test_registry_unique_ids () =

@@ -143,6 +143,22 @@ let test_z_is_lrd_empirically () =
     (Printf.sprintf "aggregated-variance H = %.3f > 0.7" est.Stats.Hurst.h)
     (est.Stats.Hurst.h > 0.7)
 
+let test_z975_frame_allocation () =
+  (* Per frame the FBNDP part's 15 ON/OFF sources end ~158 periods,
+     each drawing one duration.  The bound holds only while a draw
+     allocates little beyond its boxed result: boxing the xoshiro
+     state costs ~20 words more per draw, ~4,000 per frame. *)
+  let z = (Traffic.Models.z ~a:0.975).Traffic.Models.process in
+  let next = z.Traffic.Process.spawn (rng ~seed:1996 ()) in
+  for _ = 1 to 100 do ignore (Sys.opaque_identity (next ())) done;
+  let frames = 2_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to frames do ignore (Sys.opaque_identity (next ())) done;
+  let per_frame = (Gc.minor_words () -. before) /. float_of_int frames in
+  check_true
+    (Printf.sprintf "Z^0.975 source frame allocates %.0f minor words (< 1,000)" per_frame)
+    (per_frame < 1000.0)
+
 let suite =
   [
     case "all models share the marginal" test_shared_marginal;
@@ -155,6 +171,7 @@ let suite =
     case "DAR fits match Table 1" test_dar_fits_match_paper;
     case "S matches Z's first p lags" test_s_matches_z_short_lags;
     case "L parameters" test_l_params;
+    case "Z^0.975 source frame: allocation bound" test_z975_frame_allocation;
     slow_case "generated moments" test_generation_moments;
     slow_case "Z is empirically LRD" test_z_is_lrd_empirically;
   ]

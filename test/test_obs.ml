@@ -620,6 +620,30 @@ let test_json_rejects_garbage () =
         (Obs.Json.of_string s = None))
     [ ""; "{"; "[1,]"; "{\"a\":1} trailing"; "nul"; "\"unterminated" ]
 
+let test_jsonl_concurrent_lines () =
+  (* Worker domains share one trace sink (Cac.Sweep, the serving
+     pool); every event must stay one parseable line. *)
+  let per_domain = 20_000 in
+  let ready = Atomic.make 0 in
+  let lines =
+    with_temp_jsonl (fun sink ->
+        let work () =
+          (* Start together, so the writes overlap. *)
+          Atomic.incr ready;
+          while Atomic.get ready < 3 do Domain.cpu_relax () done;
+          for i = 1 to per_domain do
+            Obs.Sink.emit sink
+              (Obs.Sink.event ~kind:"span" ~name:"test.concurrent" [ ("i", Int i) ])
+          done
+        in
+        let domains = List.init 2 (fun _ -> Domain.spawn work) in
+        work ();
+        List.iter Domain.join domains)
+  in
+  let parsed = List.filter (fun l -> Option.is_some (Obs.Json.of_string l)) lines in
+  check_int "one parseable line per event, from 3 domains" (3 * per_domain)
+    (List.length parsed)
+
 let test_jsonl_message_roundtrip () =
   let lines =
     with_temp_jsonl (fun sink -> Obs.Sink.message sink "hello from the sink")
@@ -787,6 +811,7 @@ let suite =
     case "json: encode/parse round-trip" test_json_roundtrip;
     case "json: rejects malformed input" test_json_rejects_garbage;
     case "sink: jsonl message round-trip" test_jsonl_message_roundtrip;
+    case "sink: jsonl lines from concurrent domains" test_jsonl_concurrent_lines;
     case "prometheus: golden exposition" test_prometheus_golden;
     case "export: json document keys" test_export_json_keys;
     case "quantile: linear interpolation" test_quantile_interpolation;

@@ -207,6 +207,45 @@ let test_scenario () =
   let buffers = Queueing.Scenario.buffers_of_msec s [| 10.0 |] in
   check_close_rel ~tol:1e-12 "buffer msec conversion" 4035.0 buffers.(0)
 
+(* A paper_sim-shaped CLR curve (Figs. 8-10: Z^0.975, N = 30, the
+   practical buffer axis), short enough to run in a test, pinned to the
+   bit: every source stream, the multiplexer and the replication CIs
+   feed it.  c = 515 keeps every point above zero at this length. *)
+let test_clr_curve_pinned () =
+  let model = (Traffic.Models.z ~a:0.975).Traffic.Models.process in
+  let scenario = Queueing.Scenario.make ~model ~n:30 ~c:515.0 ~ts:Traffic.Models.ts in
+  let curve =
+    Queueing.Scenario.clr_curve scenario
+      ~buffers_msec:Experiments.Common.practical_buffers_msec ~frames:300 ~reps:2
+      ~seed:1996
+  in
+  let expected =
+    [|
+      (0x1.5fff48355aa92p-9, 0x1.e7750ee448d76p-6);
+      (0x1.51babaf4e6d3ap-9, 0x1.de7ba1d1d167fp-6);
+      (0x1.40ef39df2ccbbp-9, 0x1.d5d10fca7e131p-6);
+      (0x1.3023b8c972c4p-9, 0x1.cd267dc32abe5p-6);
+      (0x1.1f5837b3b8bc3p-9, 0x1.c47bebbbd769fp-6);
+      (0x1.146c42948a423p-9, 0x1.b70925a672639p-6);
+      (0x1.0edc2c67f74dep-9, 0x1.ae334e181a945p-6);
+      (0x1.03bc000ed1657p-9, 0x1.9c879efb6af65p-6);
+      (0x1.f137a76b56f9dp-10, 0x1.8adbefdebb583p-6);
+      (0x1.daf74eb90b28ap-10, 0x1.793040c20bb9ep-6);
+      (0x1.b996c9ad996fp-10, 0x1.5eaeba17044c9p-6);
+      (0x1.81f5ebefdbe41p-10, 0x1.3281844f4d40ep-6);
+      (0x1.4a550e321e592p-10, 0x1.06544e8796353p-6);
+      (0x1.12b4307460ce4p-10, 0x1.b44e317fbe531p-7);
+    |]
+  in
+  check_int "one point per buffer" (Array.length expected) (Array.length curve);
+  Array.iteri
+    (fun i (point, half_width) ->
+      let msec = Experiments.Common.practical_buffers_msec.(i) in
+      check_bits (Printf.sprintf "CLR at %g ms" msec) point curve.(i).Stats.Ci.point;
+      check_bits (Printf.sprintf "half-width at %g ms" msec) half_width
+        curve.(i).Stats.Ci.half_width)
+    expected
+
 let suite =
   [
     case "units roundtrip" test_units_roundtrip;
@@ -224,6 +263,7 @@ let suite =
     case "replication CI" test_replication_ci;
     case "replication determinism" test_replication_deterministic;
     case "scenario wiring" test_scenario;
+    case "paper_sim-shaped CLR curve, pinned bits" test_clr_curve_pinned;
     qcheck ~count:50 "CLR decreasing in service rate"
       QCheck2.Gen.(int_range 0 10_000)
       (fun seed_offset ->

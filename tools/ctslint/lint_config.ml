@@ -20,7 +20,7 @@ let default =
     kernel_paths = [ "lib/core"; "lib/numerics" ];
     domain_spawn_paths = [ "lib/cac/sweep.ml" ];
     clock_paths = [ "lib/obs/clock.ml" ];
-    printf_allow = [ "lib/obs/sink.ml"; "lib/experiments/ascii_plot.ml" ];
+    printf_allow = [ "lib/obs/sink.ml" ];
     mli_exempt = [];
     lib_prefixes = [ "lib" ];
   }
