@@ -345,24 +345,17 @@ let analytic_cmd =
     Term.(const run $ frames_arg $ reps_arg $ seed_arg $ results_dir_arg)
 
 (* Model selection shared by the engineering subcommands. *)
-let model_of_name name =
-  match String.lowercase_ascii name with
-  | "z0.7" -> Some (Traffic.Models.z ~a:0.7).Traffic.Models.process
-  | "z0.9" -> Some (Traffic.Models.z ~a:0.9).Traffic.Models.process
-  | "z0.975" -> Some (Traffic.Models.z ~a:0.975).Traffic.Models.process
-  | "z0.99" -> Some (Traffic.Models.z ~a:0.99).Traffic.Models.process
-  | "l" -> Some (Traffic.Models.l ())
-  | "dar1" -> Some (Traffic.Models.s ~a:0.975 ~p:1)
-  | "dar2" -> Some (Traffic.Models.s ~a:0.975 ~p:2)
-  | "dar3" -> Some (Traffic.Models.s ~a:0.975 ~p:3)
-  | "mpeg" -> Some (Traffic.Mpeg.process (Traffic.Mpeg.create ~mean:500.0 ()))
-  | _ -> None
-
-let model_names = "z0.7, z0.9, z0.975, z0.99, l, dar1, dar2, dar3, mpeg"
+let class_names_doc = String.concat ", " Cac.Source_class.names
 
 let model_arg =
-  let doc = Printf.sprintf "Source model: one of %s." model_names in
+  let doc = Printf.sprintf "Source model: one of %s." class_names_doc in
   Arg.(value & opt string "z0.975" & info [ "model" ] ~docv:"MODEL" ~doc)
+
+let with_model name k =
+  match Cac.Source_class.of_name name with
+  | None ->
+      `Error (false, Printf.sprintf "unknown model %S (try %s)" name class_names_doc)
+  | Some cls -> k cls.Cac.Source_class.process cls.Cac.Source_class.vg
 
 let n_arg =
   let doc = "Number of multiplexed sources." in
@@ -378,40 +371,33 @@ let buffer_arg =
 
 let analyze_cmd =
   let run model_name n c buffer_msec =
-    match model_of_name model_name with
-    | None ->
-        `Error (false, Printf.sprintf "unknown model %S (try %s)" model_name model_names)
-    | Some model ->
-        let vg =
-          Core.Variance_growth.create ~acf:model.Traffic.Process.acf
-            ~variance:model.Traffic.Process.variance
-        in
-        let mu = model.Traffic.Process.mean in
-        let b =
-          Queueing.Units.buffer_cells_of_msec ~msec:buffer_msec
-            ~service_cells_per_frame:(float_of_int n *. c)
-            ~ts:Traffic.Models.ts
-          /. float_of_int n
-        in
-        if c <= mu then `Error (false, "unstable: bandwidth per source <= mean")
-        else begin
-          let br = Core.Bahadur_rao.evaluate vg ~mu ~c ~b ~n in
-          let ln = Core.Large_n.evaluate vg ~mu ~c ~b ~n in
-          Printf.printf "model          %s\n" model.Traffic.Process.name;
-          Printf.printf "sources        %d at c = %g cells/frame (util %.1f%%)\n"
-            n c (100.0 *. mu /. c);
-          Printf.printf "buffer         %g msec = %.0f cells total\n" buffer_msec
-            (b *. float_of_int n);
-          Printf.printf "CTS m*_b       %d frames\n"
-            br.Core.Bahadur_rao.cts.Core.Cts.m_star;
-          Printf.printf "rate I(c,b)    %.5f\n" br.Core.Bahadur_rao.cts.Core.Cts.rate;
-          Printf.printf "log10 BOP      %.3f (Bahadur-Rao)  %.3f (Large-N)\n"
-            br.Core.Bahadur_rao.log10_bop ln.Core.Large_n.log10_bop;
-          Printf.printf "cutoff freq    %.4f rad/frame (pi / m*)\n"
-            (Core.Spectrum.cutoff_frequency_of_cts
-               ~m_star:br.Core.Bahadur_rao.cts.Core.Cts.m_star);
-          `Ok ()
-        end
+    with_model model_name @@ fun model vg ->
+    let mu = model.Traffic.Process.mean in
+    let b =
+      Queueing.Units.buffer_cells_of_msec ~msec:buffer_msec
+        ~service_cells_per_frame:(float_of_int n *. c)
+        ~ts:Traffic.Models.ts
+      /. float_of_int n
+    in
+    if c <= mu then `Error (false, "unstable: bandwidth per source <= mean")
+    else begin
+      let br = Core.Bahadur_rao.evaluate vg ~mu ~c ~b ~n in
+      let ln = Core.Large_n.evaluate vg ~mu ~c ~b ~n in
+      Printf.printf "model          %s\n" model.Traffic.Process.name;
+      Printf.printf "sources        %d at c = %g cells/frame (util %.1f%%)\n"
+        n c (100.0 *. mu /. c);
+      Printf.printf "buffer         %g msec = %.0f cells total\n" buffer_msec
+        (b *. float_of_int n);
+      Printf.printf "CTS m*_b       %d frames\n"
+        br.Core.Bahadur_rao.cts.Core.Cts.m_star;
+      Printf.printf "rate I(c,b)    %.5f\n" br.Core.Bahadur_rao.cts.Core.Cts.rate;
+      Printf.printf "log10 BOP      %.3f (Bahadur-Rao)  %.3f (Large-N)\n"
+        br.Core.Bahadur_rao.log10_bop ln.Core.Large_n.log10_bop;
+      Printf.printf "cutoff freq    %.4f rad/frame (pi / m*)\n"
+        (Core.Spectrum.cutoff_frequency_of_cts
+           ~m_star:br.Core.Bahadur_rao.cts.Core.Cts.m_star);
+      `Ok ()
+    end
   in
   Cmd.v
     (Cmd.info "analyze"
@@ -428,27 +414,20 @@ let admit_cmd =
     Arg.(value & opt float 1e-6 & info [ "clr" ] ~docv:"CLR" ~doc)
   in
   let run model_name capacity buffer_msec target_clr =
-    match model_of_name model_name with
-    | None ->
-        `Error (false, Printf.sprintf "unknown model %S (try %s)" model_name model_names)
-    | Some model ->
-        let vg =
-          Core.Variance_growth.create ~acf:model.Traffic.Process.acf
-            ~variance:model.Traffic.Process.variance
-        in
-        let total_buffer =
-          Queueing.Units.buffer_cells_of_msec ~msec:buffer_msec
-            ~service_cells_per_frame:capacity ~ts:Traffic.Models.ts
-        in
-        let n =
-          Core.Admission.max_admissible vg ~mu:model.Traffic.Process.mean
-            ~total_capacity:capacity ~total_buffer ~target_clr
-        in
-        Printf.printf
-          "%d %s connections admissible on %g cells/frame with %g msec buffer \
-           at CLR <= %g\n"
-          n model.Traffic.Process.name capacity buffer_msec target_clr;
-        `Ok ()
+    with_model model_name @@ fun model vg ->
+    let total_buffer =
+      Queueing.Units.buffer_cells_of_msec ~msec:buffer_msec
+        ~service_cells_per_frame:capacity ~ts:Traffic.Models.ts
+    in
+    let n =
+      Core.Admission.max_admissible vg ~mu:model.Traffic.Process.mean
+        ~total_capacity:capacity ~total_buffer ~target_clr
+    in
+    Printf.printf
+      "%d %s connections admissible on %g cells/frame with %g msec buffer \
+       at CLR <= %g\n"
+      n model.Traffic.Process.name capacity buffer_msec target_clr;
+    `Ok ()
   in
   Cmd.v
     (Cmd.info "admit"
@@ -469,40 +448,34 @@ let simulate_cmd =
     Arg.(value & opt int 1996 & info [ "seed" ] ~docv:"SEED" ~doc)
   in
   let run model_name n c buffer_msec frames reps seed =
-    match model_of_name model_name with
-    | None ->
-        `Error (false, Printf.sprintf "unknown model %S (try %s)" model_name model_names)
-    | Some model ->
-        let scenario =
-          Queueing.Scenario.make ~model ~n ~c ~ts:Traffic.Models.ts
-        in
-        let intervals =
-          Queueing.Scenario.clr_curve scenario ~buffers_msec:[| buffer_msec |]
-            ~frames ~reps ~seed
-        in
-        let ci = intervals.(0) in
-        Printf.printf
-          "%s x%d at c = %g, buffer %g msec: CLR = %.3e (95%% CI +/- %.1e, %d \
-           x %d frames)\n"
-          model.Traffic.Process.name n c buffer_msec ci.Stats.Ci.point
-          ci.Stats.Ci.half_width reps frames;
-        (match
-           Core.Bahadur_rao.evaluate
-             (Core.Variance_growth.create ~acf:model.Traffic.Process.acf
-                ~variance:model.Traffic.Process.variance)
-             ~mu:model.Traffic.Process.mean ~c
-             ~b:
-               (Queueing.Units.buffer_cells_of_msec ~msec:buffer_msec
-                  ~service_cells_per_frame:(float_of_int n *. c)
-                  ~ts:Traffic.Models.ts
-               /. float_of_int n)
-             ~n
-         with
-        | r ->
-            Printf.printf "Bahadur-Rao estimate: %.3e (infinite-buffer BOP)\n"
-              r.Core.Bahadur_rao.bop
-        | exception Invalid_argument _ -> ());
-        `Ok ()
+    with_model model_name @@ fun model vg ->
+    let scenario =
+      Queueing.Scenario.make ~model ~n ~c ~ts:Traffic.Models.ts
+    in
+    let intervals =
+      Queueing.Scenario.clr_curve scenario ~buffers_msec:[| buffer_msec |]
+        ~frames ~reps ~seed
+    in
+    let ci = intervals.(0) in
+    Printf.printf
+      "%s x%d at c = %g, buffer %g msec: CLR = %.3e (95%% CI +/- %.1e, %d \
+       x %d frames)\n"
+      model.Traffic.Process.name n c buffer_msec ci.Stats.Ci.point
+      ci.Stats.Ci.half_width reps frames;
+    (match
+       Core.Bahadur_rao.evaluate vg ~mu:model.Traffic.Process.mean ~c
+         ~b:
+           (Queueing.Units.buffer_cells_of_msec ~msec:buffer_msec
+              ~service_cells_per_frame:(float_of_int n *. c)
+              ~ts:Traffic.Models.ts
+           /. float_of_int n)
+         ~n
+     with
+    | r ->
+        Printf.printf "Bahadur-Rao estimate: %.3e (infinite-buffer BOP)\n"
+          r.Core.Bahadur_rao.bop
+    | exception Invalid_argument _ -> ());
+    `Ok ()
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Simulate one multiplexer scenario directly")
@@ -539,8 +512,6 @@ let parse_mix s =
          entries
   then None
   else Some (List.map Option.get entries)
-
-let class_names_doc = String.concat ", " Cac.Source_class.names
 
 let cac_capacity_arg =
   let doc = "Total link capacity, cells/frame." in
@@ -1009,8 +980,9 @@ let serve_cmd =
   in
   let run host port domains queue read_timeout max_body links cache_capacity
       max_retries breaker_cooldown_s state_dir fsync_policy snapshot_every
-      access_log_path quiet fault_opts obs_opts =
-    with_obs obs_opts @@ fun () ->
+      access_log quiet fault_opts obs_opts =
+    (* The daemon owns the --trace file: SIGHUP reopens it. *)
+    with_obs { obs_opts with trace = None } @@ fun () ->
     with_faults fault_opts @@ fun () ->
     if quiet then Obs.Sink.set_human Obs.Sink.Null;
     let parsed = List.map parse_link_spec links in
@@ -1028,332 +1000,69 @@ let serve_cmd =
         ( false,
           "bad --link spec (want id=capacity:buffer_msec:clr, e.g. \
            oc3=16140:20:1e-6)" )
-    else begin
+    else
       match Persist.Wal.policy_of_string fsync_policy with
       | Error msg -> `Error (false, "bad --fsync-policy: " ^ msg)
-      | Ok policy -> (
-      let engine =
-        Cac.Engine.create ~cache_capacity ~max_retries ?breaker_cooldown_s ()
-      in
-      (* The API starts not-ready when there is state to replay:
-         decide/admit/release answer 503 and /healthz reports
-         "recovering" until the journal is fully applied. *)
-      let api = Srv.Cac_api.create ~recovering:(state_dir <> None) engine in
-      (* Recover (snapshot, then WAL replay) into the cold engine, then
-         open the store and install the journal hook — interior
-         corruption fails the boot closed rather than over-admit on a
-         guessed connection table. *)
-      let persist =
-        match state_dir with
-        | None -> Ok None
-        | Some dir -> (
-            match Persist.Recovery.recover ~dir engine with
-            | Error e ->
-                Error
-                  (Printf.sprintf "state recovery failed (fail closed): %s" e)
-            | Ok report -> (
-                match
-                  Persist.Store.open_ ~dir ~policy ~snapshot_every
-                    ~next_seq:report.Persist.Recovery.r_next_seq
-                with
-                | exception Sys_error msg -> Error msg
-                | exception (Unix.Unix_error _ as e) ->
-                    Error
-                      (Printf.sprintf "cannot open state dir %s: %s" dir
-                         (Printexc.to_string e))
-                | store ->
-                    Cac.Engine.set_journal engine
-                      (Some (Persist.Store.journal store));
-                    Ok (Some (store, report))))
-      in
-      match persist with
-      | Error e -> `Error (false, e)
-      | Ok persist ->
-      (* Configured links the recovered state does not already carry are
-         added (and journaled) now; recovered links win over respecs. *)
-      let existing =
-        List.map Cac.Link.id (Cac.Engine.links engine)
-      in
-      List.iter
-        (fun spec ->
-          let id, capacity, buffer_msec, target_clr = Option.get spec in
-          if not (List.mem id existing) then
-            ignore
-              (Cac.Engine.add_link_msec engine ~id ~capacity ~buffer_msec
-                 ~target_clr))
-        parsed;
-      (* Boot checkpoint: fold the replayed journal into a fresh
-         snapshot so the old segments compact away immediately, then
-         arm the per-ack durability barrier and open for business. *)
-      (match persist with
-      | None -> ()
-      | Some (store, _) ->
-          (match
-             Persist.Store.snapshot store
-               ~with_engine:(Srv.Cac_api.with_engine api)
-           with
-          | Ok _ -> ()
-          | Error e ->
-              Printf.eprintf
-                "cts serve: boot snapshot failed: %s (journal remains \
-                 authoritative)\n\
-                 %!"
-                e);
-          Srv.Cac_api.set_barrier api (fun () -> Persist.Store.barrier store));
-      Srv.Cac_api.set_ready api;
-      (* SIGHUP: flag now, rotate sinks from the accept loop's
-         housekeeping tick (signal handlers must not do I/O). *)
-      let hup = Atomic.make false in
-      Sys.set_signal Sys.sighup
-        (Sys.Signal_handle (fun _ -> Atomic.set hup true));
-      let reopen_append path =
-        match
-          open_out_gen [ Open_creat; Open_append; Open_wronly ] 0o644 path
-        with
-        | oc -> Some oc
-        | exception Sys_error msg ->
-            Printf.eprintf
-              "cts serve: cannot reopen %s: %s (keeping the old sink)\n%!"
-              path msg;
-            None
-      in
-      let access =
-        Option.map
-          (fun path ->
-            match reopen_append path with
-            | Some oc -> (path, Atomic.make (Obs.Sink.Jsonl oc))
-            | None -> exit 1)
-          access_log_path
-      in
-      (* Superseded channels are flushed at rotation but only closed
-         after the drain — a worker may still be writing its line. *)
-      let retired = ref [] in
-      let installed_trace = ref None in
-      let rotate_sinks () =
-        (match access with
-        | None -> ()
-        | Some (path, cell) -> (
-            match reopen_append path with
-            | None -> ()
-            | Some oc -> (
-                match Atomic.exchange cell (Obs.Sink.Jsonl oc) with
-                | Obs.Sink.Jsonl old | Obs.Sink.Text old ->
-                    (try flush old with Sys_error _ -> ());
-                    retired := old :: !retired
-                | Obs.Sink.Null -> ())));
-        match obs_opts.trace with
-        | None -> ()
-        | Some path -> (
-            match reopen_append path with
-            | None -> ()
-            | Some oc ->
-                Obs.Span.set_trace_sink (Obs.Sink.Jsonl oc);
-                (match !installed_trace with
-                | Some old ->
-                    (try flush old with Sys_error _ -> ());
-                    retired := old :: !retired
-                | None -> ());
-                installed_trace := Some oc)
-      in
-      let tick () =
-        if Atomic.exchange hup false then begin
-          if not quiet then
-            Printf.printf "cts serve: SIGHUP — reopening log sinks\n%!";
-          rotate_sinks ()
-        end;
-        match persist with
-        | None -> ()
-        | Some (store, _) -> (
-            match
-              Persist.Store.maybe_snapshot store
-                ~with_engine:(Srv.Cac_api.with_engine api)
-            with
-            | Some (Error e) ->
-                Printf.eprintf
-                  "cts serve: snapshot failed: %s (journal remains \
-                   authoritative)\n\
-                   %!"
-                  e
-            | Some (Ok _) | None -> ())
-      in
-      let config =
-        {
-          Srv.Pool.default_config with
-          domains =
-            (match domains with
-            | Some d -> d
-            | None -> Srv.Pool.default_config.Srv.Pool.domains);
-          queue_capacity = queue;
-          read_timeout_s =
-            (if read_timeout > 0.0 then Some read_timeout else None);
-          limits = { Srv.Http.default_limits with max_body };
-          (* One JSON line per request: to --access-log when given
-             (SIGHUP-rotatable), else the human sink, which --quiet
-             silences via the Null sink installed above. *)
-          access_log = true;
-          access_sink =
-            Option.map (fun (_, cell) () -> Atomic.get cell) access;
-          tick = Some tick;
-        }
-      in
-      match Srv.Pool.create ~config (Srv.Cac_api.router api) with
-      | exception Invalid_argument msg -> `Error (false, msg)
-      | pool -> (
-          match Srv.Pool.listen ~host ~port () with
-          | exception (Unix.Unix_error _ as e) ->
-              `Error
-                ( false,
-                  Printf.sprintf "cannot listen on %s:%d: %s" host port
-                    (Printexc.to_string e) )
-          | exception Invalid_argument msg -> `Error (false, msg)
-          | listen_fd ->
-              (* Graceful drain: SIGTERM/SIGINT set the stop flag (one
-                 atomic write, signal-safe); the accept loop notices
-                 within a poll tick, queued requests are answered, the
-                 workers join, and serve returns for a clean exit 0. *)
-              let stop_signal _ = Srv.Pool.stop pool in
-              Sys.set_signal Sys.sigterm (Sys.Signal_handle stop_signal);
-              Sys.set_signal Sys.sigint (Sys.Signal_handle stop_signal);
-              (* The /debug/vars "server" section: live pool state,
-                 read per request. *)
-              ignore
-                (Srv.Cac_api.add_debug_provider api ~name:"server" (fun () ->
-                     Obs.Json.Obj
-                       [
-                         ("domains", Obs.Json.Int config.Srv.Pool.domains);
-                         ("queue_capacity", Obs.Json.Int queue);
-                         ( "queue_length",
-                           Obs.Json.Int (Srv.Pool.queue_length pool) );
-                         ( "accepting",
-                           Obs.Json.Bool (Srv.Pool.accepting pool) );
-                         ( "breaker_cooldown_s",
-                           match breaker_cooldown_s with
-                           | Some s -> Obs.Json.Float s
-                           | None -> Obs.Json.Null );
-                       ]));
-              (* The /debug/vars "events" section: the GC-pause
-                 consumer's state (running flag, ring file, per-domain
-                 totals) — present whether or not --events is on, so
-                 clients can tell "off" from "absent". *)
-              ignore
-                (Srv.Cac_api.add_debug_provider api ~name:"events"
-                   Obs.Events.debug_json);
-              (* The /debug/vars "persist" section: live store figures
-                 plus the boot-time recovery report. *)
-              (match persist with
-              | None -> ()
-              | Some (store, report) ->
-                  ignore
-                    (Srv.Cac_api.add_debug_provider api ~name:"persist"
-                       (fun () ->
-                         match Persist.Store.debug_json store with
-                         | Obs.Json.Obj fields ->
-                             Obs.Json.Obj
-                               (fields
-                               @ [
-                                   ( "recovery",
-                                     Persist.Recovery.report_json report );
-                                 ])
-                         | j -> j)));
-              if not quiet then begin
-                Printf.printf
-                  "cts serve: listening on %s:%d (%d domains, queue %d)\n" host
-                  (Srv.Pool.bound_port listen_fd)
-                  config.Srv.Pool.domains queue;
-                List.iter
-                  (fun link ->
-                    Printf.printf
-                      "cts serve:   link %-7s %.0f cells/frame, buffer %.1f \
-                       msec, CLR <= %g\n"
-                      (Cac.Link.id link) (Cac.Link.capacity link)
-                      (Cac.Link.buffer_msec link) (Cac.Link.target_clr link))
-                  (Srv.Cac_api.with_engine api Cac.Engine.links);
-                (match persist with
-                | None -> ()
-                | Some (store, report) ->
-                    Printf.printf
-                      "cts serve: durable state in %s (fsync %s, snapshot \
-                       every %d ops)\n"
-                      (Persist.Store.dir store)
-                      (Persist.Wal.policy_name policy)
-                      snapshot_every;
-                    Printf.printf
-                      "cts serve: recovered %d links, %d connections (%d \
-                       records applied, %d skipped, %d torn tails)\n"
-                      report.Persist.Recovery.r_links
-                      report.Persist.Recovery.r_conns
-                      report.Persist.Recovery.r_applied
-                      report.Persist.Recovery.r_skipped
-                      report.Persist.Recovery.r_torn);
-                Printf.printf
-                  "cts serve: POST /v1/decide /v1/admit /v1/release, GET \
-                   /metrics /healthz /debug/vars /heatmap /heatmap.csv\n\
-                   %!";
-                if obs_opts.events then
-                  let ring = Obs.Events.ring_file () in
-                  Printf.printf "cts serve: runtime events ring at %s\n%!"
-                    (match obs_opts.events_dir with
-                    | Some dir ->
-                        Filename.concat dir (Filename.basename ring)
-                    | None -> ring)
-              end;
-              Srv.Pool.serve pool listen_fd;
-              (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-              (* The drain snapshot runs strictly after serve returns —
-                 i.e. after every worker domain has joined — so an
-                 admit racing the shutdown is either fully journaled
-                 and checkpointed or was refused with 503. *)
-              (match persist with
-              | None -> ()
-              | Some (store, _) ->
-                  (match
-                     Persist.Store.snapshot store
-                       ~with_engine:(Srv.Cac_api.with_engine api)
-                   with
-                  | Ok covers ->
-                      if not quiet then
-                        Printf.printf
-                          "cts serve: shutdown snapshot covers segment %d\n"
-                          covers
-                  | Error e ->
-                      Printf.eprintf
-                        "cts serve: shutdown snapshot failed: %s (journal \
-                         remains authoritative)\n\
-                         %!"
-                        e);
-                  Persist.Store.close store);
-              (* All workers joined: retire the log sinks. *)
-              (match !installed_trace with
-              | Some oc ->
-                  Obs.Span.set_trace_sink Obs.Sink.Null;
-                  close_out_noerr oc
-              | None -> ());
-              (match access with
-              | None -> ()
-              | Some (_, cell) -> (
-                  match Atomic.get cell with
-                  | Obs.Sink.Jsonl oc | Obs.Sink.Text oc -> close_out_noerr oc
-                  | Obs.Sink.Null -> ()));
-              List.iter close_out_noerr !retired;
-              let snap = Obs.Registry.snapshot () in
-              let counter name =
-                match
-                  List.assoc_opt (name, Obs.Labels.empty)
-                    snap.Obs.Registry.counters
-                with
-                | Some v -> v
-                | None -> 0
-              in
-              if not quiet then
-                Printf.printf
-                  "cts serve: drained; %d requests on %d connections (%d \
-                   shed, %d handler errors)\n"
-                  (counter "srv.http.requests")
-                  (counter "srv.http.connections")
-                  (counter "srv.http.shed")
-                  (counter "srv.http.handler_errors");
-              `Ok ()))
-    end
+      | Ok fsync_policy -> (
+          match
+            Srv.Daemon.start
+              {
+                host;
+                port;
+                domains;
+                queue_capacity = queue;
+                read_timeout_s =
+                  (if read_timeout > 0.0 then Some read_timeout else None);
+                max_body;
+                links = List.filter_map Fun.id parsed;
+                cache_capacity;
+                max_retries;
+                breaker_cooldown_s;
+                state_dir;
+                fsync_policy;
+                snapshot_every;
+                access_log;
+                trace = obs_opts.trace;
+              }
+          with
+          | Error e -> `Error (false, e)
+          | Ok daemon ->
+              (* SIGTERM/SIGINT drain (exit 0), SIGHUP reopens the log
+                 files; each handler only sets a flag. *)
+              let stop = Sys.Signal_handle (fun _ -> Srv.Daemon.stop daemon) in
+              Sys.set_signal Sys.sigterm stop;
+              Sys.set_signal Sys.sigint stop;
+              Sys.set_signal Sys.sighup
+                (Sys.Signal_handle (fun _ -> Srv.Daemon.reopen_logs daemon));
+              Obs.Sink.printf
+                "cts serve: listening on %s:%d (%d domains, queue %d)\n" host
+                (Srv.Daemon.port daemon) (Srv.Daemon.domains daemon) queue;
+              List.iter
+                (fun link ->
+                  Obs.Sink.printf
+                    "cts serve:   link %-7s %.0f cells/frame, buffer %.1f \
+                     msec, CLR <= %g\n"
+                    (Cac.Link.id link) (Cac.Link.capacity link)
+                    (Cac.Link.buffer_msec link) (Cac.Link.target_clr link))
+                (Srv.Daemon.links daemon);
+              Obs.Sink.printf
+                "cts serve: POST /v1/decide /v1/admit /v1/release, GET \
+                 /metrics /healthz /debug/vars /heatmap /heatmap.csv\n";
+              (if obs_opts.events then
+                 let ring = Obs.Events.ring_file () in
+                 Obs.Sink.printf "cts serve: runtime events ring at %s\n"
+                   (match obs_opts.events_dir with
+                   | Some dir -> Filename.concat dir (Filename.basename ring)
+                   | None -> ring));
+              Srv.Daemon.serve daemon;
+              let count = Obs.Registry.counter_value in
+              Obs.Sink.printf
+                "cts serve: drained; %d requests on %d connections (%d \
+                 shed, %d handler errors)\n"
+                (count "srv.http.requests") (count "srv.http.connections")
+                (count "srv.http.shed")
+                (count "srv.http.handler_errors");
+              `Ok ())
   in
   Cmd.v
     (Cmd.info "serve"

@@ -1,7 +1,7 @@
 (** The daemon-facing durability façade: one state directory, one
     journal hook, one barrier, checkpointing and compaction.
 
-    Wiring (see [cts serve]): recover with {!Recovery.recover}, open
+    Wiring (see [Srv.Daemon]): recover with {!Recovery.recover}, open
     the store with the recovery's [r_next_seq], install {!journal} as
     the engine's hook ({!Cac.Engine.set_journal}), call {!barrier}
     after each acked mutation, {!maybe_snapshot} from the pool's

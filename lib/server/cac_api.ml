@@ -8,36 +8,25 @@ type t = {
   engine : Cac.Engine.t;
   mutex : Mutex.t;
   started_wall : float;
-  (* Readiness vs. liveness: while WAL replay is restoring the
-     connection table the daemon is alive but must not take decisions
-     — /healthz reports "recovering" and decide/admit/release answer
-     503 so load balancers keep traffic away. *)
-  ready : bool Atomic.t;
-  (* The durability barrier, installed by the daemon when a persist
-     store is wired in: runs after each acked mutation, outside the
-     engine mutex, and blocks until the fsync policy's watermark
+  (* The durability barrier: runs after each acked mutation, outside
+     the engine mutex, and blocks until the fsync policy's watermark
      covers it. *)
-  barrier : (unit -> unit) Atomic.t;
+  barrier : unit -> unit;
   (* Extra /debug/vars sections contributed by the embedding daemon
      (pool configuration, build info, …); guarded by [mutex]. *)
   mutable debug_providers : (string * (unit -> Obs.Json.t)) list;
 }
 
-let create ?(recovering = false) engine =
+let create ?(barrier = fun () -> ()) engine =
   {
     engine;
     mutex = Mutex.create ();
     started_wall = Obs.Clock.wall ();
-    ready = Atomic.make (not recovering);
-    barrier = Atomic.make (fun () -> ());
+    barrier;
     debug_providers = [];
   }
 
 let with_engine t f = Mutex.protect t.mutex (fun () -> f t.engine)
-let ready t = Atomic.get t.ready
-let set_ready t = Atomic.set t.ready true
-let set_barrier t f = Atomic.set t.barrier f
-let run_barrier t = (Atomic.get t.barrier) ()
 
 let add_debug_provider t ~name f =
   Mutex.protect t.mutex (fun () ->
@@ -119,13 +108,8 @@ let verdict_json (v : Cac.Engine.verdict) =
    tree (request → api handler → engine/kernel spans), all stamped
    with the same trace id. *)
 
-let not_ready () =
-  Http.json_error ~status:503 "recovering: state replay in progress"
-
 let decide t req =
   Obs.Span.with_ ~name:"cac.api.decide" @@ fun () ->
-  if not (ready t) then not_ready ()
-  else
   link_class t req @@ fun ~link ~cls ->
   (* The only blocking call the lint can reach from this critical
      section is the seeded latency injector inside the decision
@@ -139,8 +123,6 @@ let decide t req =
 
 let admit t req =
   Obs.Span.with_ ~name:"cac.api.admit" @@ fun () ->
-  if not (ready t) then not_ready ()
-  else
   link_class t req @@ fun ~link ~cls ->
   (* Same seeded-latency-injector waiver as [decide]. *)
   match
@@ -151,7 +133,7 @@ let admit t req =
       (* Ack only once the journal's fsync policy covers the admit:
          the barrier runs outside the engine mutex so slow storage
          never serializes decisions. *)
-      run_barrier t;
+      t.barrier ();
       Http.json
         (Obs.Json.Obj
            [ ("admitted", Obs.Json.Bool true); ("conn", Obs.Json.Int conn) ])
@@ -165,13 +147,11 @@ let admit t req =
 
 let release t req =
   Obs.Span.with_ ~name:"cac.api.release" @@ fun () ->
-  if not (ready t) then not_ready ()
-  else
   let* doc = body_json req in
   let* conn = int_field doc "conn" in
   match with_engine t (fun e -> Cac.Engine.release e ~conn) with
   | () ->
-      run_barrier t;
+      t.barrier ();
       Http.json (Obs.Json.Obj [ ("released", Obs.Json.Bool true) ])
   | exception Invalid_argument _ ->
       Http.json_error ~status:404 (Printf.sprintf "unknown connection %d" conn)
@@ -198,10 +178,9 @@ let healthz t _req =
     (Obs.Json.Obj
        [
          ("status", Obs.Json.String "ok");
-         (* Liveness vs. readiness: the process answers (alive) even
-            while state replay keeps decide/admit at 503. *)
-         ( "state",
-           Obs.Json.String (if ready t then "ready" else "recovering") );
+         (* Always "ready": the daemon binds only after recovery.  The
+            field stays for readiness probes. *)
+         ("state", Obs.Json.String "ready");
          ("uptime_s", Obs.Json.Float (Obs.Clock.wall () -. t.started_wall));
          ("links", Obs.Json.List links);
          ("connections", Obs.Json.Int connections);

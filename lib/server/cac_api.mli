@@ -14,11 +14,10 @@
     - [GET /metrics] — Prometheus text exposition of the whole
       {!Obs.Registry} (the OpenMetrics scrape endpoint), including
       trace-id exemplars on histogram [+Inf] buckets.
-    - [GET /healthz] — liveness {e and} readiness: status, [state]
-      (["ready"], or ["recovering"] while WAL replay is restoring the
-      connection table), uptime, link ids, active connection count,
-      registry snapshot age, and runtime-collector liveness
-      ([live]/[stale]/[never]; stale after 5 s without an
+    - [GET /healthz] — liveness: status, [state] (always ["ready"]:
+      the daemon binds only after recovery), uptime, link ids, active
+      connection count, registry snapshot age, and runtime-collector
+      liveness ([live]/[stale]/[never]; stale after 5 s without an
       {!Obs.Runtime.sample}).
     - [GET /debug/vars] — JSON introspection: uptime, monotonic clock
       source, a fresh [Gc.quick_stat] poll ([gc], the answering
@@ -38,33 +37,20 @@
     [srv.http.request] root.
 
     Malformed JSON answers [400]; missing or mistyped fields answer
-    [422]; unknown links, classes and connections answer [404];
-    decide/admit/release answer [503] while the daemon is still
-    recovering ({!create}'s [recovering], cleared by {!set_ready}). *)
+    [422]; unknown links, classes and connections answer [404]. *)
 
 type t
 
-val create : ?recovering:bool -> Cac.Engine.t -> t
-(** [recovering] (default [false]) starts the API not-ready: /healthz
-    reports [state = "recovering"] and decide/admit/release answer
-    503 until {!set_ready} — bind the socket early, route traffic only
-    after replay. *)
+val create : ?barrier:(unit -> unit) -> Cac.Engine.t -> t
+(** [barrier] (default: no-op) is the durability barrier (e.g.
+    [Persist.Store.barrier]): it runs after each acked mutation (admit
+    established / release applied), outside the engine mutex, before
+    the response is written. *)
 
 val with_engine : t -> (Cac.Engine.t -> 'a) -> 'a
 (** Run [f] on the engine under the API mutex — for daemon code that
     needs to touch the engine (setup, reporting) while the server is
     live. *)
-
-val ready : t -> bool
-
-val set_ready : t -> unit
-(** Flip to ready (one-way).  Call after state recovery completes. *)
-
-val set_barrier : t -> (unit -> unit) -> unit
-(** Install the durability barrier (e.g. [Persist.Store.barrier]): it
-    runs after each acked mutation (admit established / release
-    applied), outside the engine mutex, before the response is
-    written.  Default: no-op. *)
 
 val add_debug_provider : t -> name:string -> (unit -> Obs.Json.t) -> t
 (** Register (or replace) a named [/debug/vars] section; the thunk

@@ -11,8 +11,7 @@ type config = {
   read_timeout_s : float option;
   limits : Http.limits;
   max_conn_requests : int;
-  access_log : bool;
-  access_sink : (unit -> Obs.Sink.t) option;
+  access_log : (unit -> Obs.Sink.t) option;
   tick : (unit -> unit) option;
 }
 
@@ -23,8 +22,7 @@ let default_config =
     read_timeout_s = Some 10.0;
     limits = Http.default_limits;
     max_conn_requests = 100_000;
-    access_log = false;
-    access_sink = None;
+    access_log = None;
     tick = None;
   }
 
@@ -148,13 +146,10 @@ let incr_requests ~route ~meth ~status =
     "srv.http.requests"
 
 (* One structured access-log line per request.  The sink resolves per
-   line: by default the process-wide human sink (so [--quiet], a Null
-   human sink, silences it), or [config.access_sink]'s current value —
-   which is how SIGHUP-driven log rotation swaps the file under a
+   line, which is how SIGHUP-driven log rotation swaps the file under a
    running pool without tearing requests. *)
-let access_log_line ~sink ~ctx ~req ~status ~us ~queue_wait_us ~gc_pause_us =
-  Obs.Sink.message
-    (match sink with None -> Obs.Sink.human_sink () | Some f -> f ())
+let access_log_line sink ~ctx ~req ~status ~us ~queue_wait_us ~gc_pause_us =
+  Obs.Sink.message (sink ())
     (Obs.Json.to_string
        (Obs.Json.Obj
           [
@@ -223,9 +218,10 @@ let handle_request t ~queue_wait_us req =
   if Obs.Events.running () then
     Obs.Registry.observe ~labels:route_labels "srv.http.gc_pause.us"
       gc_pause_us;
-  if t.config.access_log then
-    access_log_line ~sink:t.config.access_sink ~ctx ~req ~status ~us
-      ~queue_wait_us ~gc_pause_us;
+  (match t.config.access_log with
+  | Some sink ->
+      access_log_line sink ~ctx ~req ~status ~us ~queue_wait_us ~gc_pause_us
+  | None -> ());
   Http.add_header resp ("traceparent", Obs.Trace.to_traceparent ctx)
 
 (* Serve every request a connection carries, then close it.  The

@@ -42,10 +42,8 @@
     carries the context back in a [traceparent] header.  With
     [config.access_log] set, each request also emits a one-line JSON
     access log ([method], [path], [status], [us], [queue_wait_us],
-    [gc_pause_us], [trace]) through
-    [config.access_sink] (resolved per line, so the daemon can rotate
-    the log on SIGHUP by swapping the sink the thunk returns); when
-    unset, {!Obs.Sink.human_sink} is used, which [--quiet] silences.
+    [gc_pause_us], [trace]) through the sink that thunk returns,
+    resolved per line so the daemon can rotate the log on SIGHUP.
 
     {2 Housekeeping tick}
 
@@ -72,9 +70,8 @@ type config = {
   read_timeout_s : float option;  (** per-request read deadline; [None] = none *)
   limits : Http.limits;
   max_conn_requests : int;  (** keep-alive requests per connection *)
-  access_log : bool;  (** one JSON line per request on the access sink *)
-  access_sink : (unit -> Obs.Sink.t) option;
-      (** access-log destination, resolved per line; [None] = human sink *)
+  access_log : (unit -> Obs.Sink.t) option;
+      (** the access-log sink, resolved per line; [None] = off *)
   tick : (unit -> unit) option;
       (** housekeeping hook, run each accept-loop poll tick *)
 }
@@ -82,8 +79,7 @@ type config = {
 val default_config : config
 (** [min 4 (recommended_domain_count - 1)] domains (at least 1), a
     128-connection queue, 10 s read timeout, {!Http.default_limits},
-    100k requests per connection, access log off, no access sink
-    override, no tick hook. *)
+    100k requests per connection, access log off, no tick hook. *)
 
 type t
 

@@ -55,3 +55,61 @@ let contains_substring haystack needle =
     in
     scan 0
   end
+
+let rec rm_rf path =
+  match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+      Unix.rmdir path
+  | _ -> Unix.unlink path
+  | exception Unix.Unix_error _ -> ()
+
+let with_tmp_dir f =
+  let dir = Filename.temp_file "cts_persist" "" in
+  Unix.unlink dir;
+  Unix.mkdir dir 0o755;
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+
+(* {2 In-process daemons} *)
+
+(* [cts serve]'s defaults on an ephemeral loopback port, two workers
+   and no links; tests override the fields they exercise. *)
+let daemon_config =
+  {
+    Srv.Daemon.host = "127.0.0.1";
+    port = 0;
+    domains = Some 2;
+    queue_capacity = 64;
+    read_timeout_s = Some 10.0;
+    max_body = 1 lsl 20;
+    links = [];
+    cache_capacity = 4096;
+    max_retries = 1;
+    breaker_cooldown_s = None;
+    state_dir = None;
+    fsync_policy = Persist.Wal.Always;
+    snapshot_every = 10_000;
+    access_log = None;
+    trace = None;
+  }
+
+(* Run [f] with the human sink silenced, as [--quiet] does: the
+   daemon's access log and lifecycle lines stay out of the test log. *)
+let quietly f =
+  let prev = Obs.Sink.human_sink () in
+  Obs.Sink.set_human Obs.Sink.Null;
+  Fun.protect ~finally:(fun () -> Obs.Sink.set_human prev) f
+
+(* Start [config], serve it on a spawned domain and run [f]; then stop
+   it and wait for [serve] to return, i.e. for the whole drain. *)
+let with_daemon config f =
+  quietly @@ fun () ->
+  match Srv.Daemon.start config with
+  | Error e -> Alcotest.failf "daemon failed to start: %s" e
+  | Ok d ->
+      let server = Domain.spawn (fun () -> Srv.Daemon.serve d) in
+      Fun.protect
+        ~finally:(fun () ->
+          Srv.Daemon.stop d;
+          Domain.join server)
+        (fun () -> f d)

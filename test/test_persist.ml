@@ -19,20 +19,6 @@ let exe =
     | Some path -> path
     | None -> Alcotest.fail "cts_cli.exe not built")
 
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-      Unix.rmdir path
-  | _ -> Unix.unlink path
-  | exception Unix.Unix_error _ -> ()
-
-let with_tmp_dir f =
-  let dir = Filename.temp_file "cts_persist" "" in
-  Unix.unlink dir;
-  Unix.mkdir dir 0o755;
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
-
 let check_str msg expected actual = Alcotest.(check string) msg expected actual
 
 let spin ?(tries = 2000) cond msg =
@@ -496,53 +482,12 @@ let test_fsync_fault_keeps_barrier_honest () =
   check_true "fsync errors counted"
     (Obs.Registry.counter_value "persist.wal.fsync_errors" >= 1)
 
-(* {2 The API recovery gate} *)
-
-let req_for ?(body = "") meth path =
-  {
-    Srv.Http.meth;
-    target = path;
-    path;
-    query = [];
-    version = Srv.Http.Http_1_1;
-    headers = [];
-    body;
-  }
-
-let test_api_recovering_gate () =
-  let engine = Cac.Engine.create () in
-  ignore
-    (Cac.Engine.add_link_msec engine ~id:"oc3" ~capacity:16140.0
-       ~buffer_msec:20.0 ~target_clr:1e-6);
-  let api = Srv.Cac_api.create ~recovering:true engine in
-  let router = Srv.Cac_api.router api in
-  let decide () =
-    let _, resp =
-      Srv.Router.dispatch router
-        (req_for ~body:{|{"link":"oc3","class":"z0.975"}|} Srv.Http.POST
-           "/v1/decide")
-    in
-    Srv.Http.status resp
-  in
-  let healthz () =
-    let _, resp = Srv.Router.dispatch router (req_for Srv.Http.GET "/healthz") in
-    Srv.Http.to_string ~keep_alive:false resp
-  in
-  check_int "decide answers 503 while recovering" 503 (decide ());
-  check_true "healthz reports recovering"
-    (contains_substring (healthz ()) {|"state":"recovering"|});
-  check_true "not ready" (not (Srv.Cac_api.ready api));
-  Srv.Cac_api.set_ready api;
-  check_int "decide serves once ready" 200 (decide ());
-  check_true "healthz reports ready"
-    (contains_substring (healthz ()) {|"state":"ready"|})
-
 (* {2 The admit-racing-drain regression}
 
    An admit in flight while the pool drains must either be fully
    journaled (its ack implies durability) or refused — never acked and
-   lost.  The drain snapshot runs strictly after [Pool.serve] returns,
-   i.e. after every worker domain has joined. *)
+   lost.  [Srv.Daemon.serve] cuts the drain snapshot only after every
+   worker domain has joined. *)
 
 let read_response reader =
   let dl = Srv.Io.deadline_in 10.0 in
@@ -605,58 +550,43 @@ let admit_request =
 
 let test_admit_racing_drain () =
   with_tmp_dir @@ fun dir ->
-  let engine = Cac.Engine.create () in
-  let api = Srv.Cac_api.create engine in
-  let store =
-    Persist.Store.open_ ~dir ~policy:(Persist.Wal.Every 8) ~snapshot_every:0
-      ~next_seq:0
-  in
-  Cac.Engine.set_journal engine (Some (Persist.Store.journal store));
-  ignore
-    (Cac.Engine.add_link_msec engine ~id:"big" ~capacity:1_000_000.0
-       ~buffer_msec:50.0 ~target_clr:1e-6);
-  Srv.Cac_api.set_barrier api (fun () -> Persist.Store.barrier store);
-  let pool =
-    Srv.Pool.create
-      ~config:{ Srv.Pool.default_config with domains = 2 }
-      (Srv.Cac_api.router api)
-  in
-  let listen_fd = Srv.Pool.listen ~host:"127.0.0.1" ~port:0 () in
-  let port = Srv.Pool.bound_port listen_fd in
-  let server = Domain.spawn (fun () -> Srv.Pool.serve pool listen_fd) in
-  spin (fun () -> Srv.Pool.accepting pool) "accept loop never came up";
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  let reader = Srv.Io.reader fd in
   let acked = ref [] in
-  let fire () =
-    match
-      Srv.Io.write_string fd admit_request;
-      read_response reader
-    with
-    | Some (200, body) -> (
-        match conn_of_body body with
-        | Some conn -> acked := conn :: !acked
-        | None -> ())
-    | Some _ | None -> ()
-    | exception (Unix.Unix_error _ | Sys_error _) -> ()
-  in
-  for _ = 1 to 10 do
-    fire ()
-  done;
-  (* Stop the pool and keep firing: these admits race the drain. *)
-  Srv.Pool.stop pool;
-  for _ = 1 to 10 do
-    fire ()
-  done;
-  (try Unix.close fd with Unix.Unix_error _ -> ());
-  Domain.join server;
-  (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-  (* Workers have joined: cut the drain snapshot, then recover. *)
-  (match Persist.Store.snapshot store ~with_engine:(fun f -> f engine) with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "drain snapshot failed: %s" e);
-  Persist.Store.close store;
+  with_daemon
+    {
+      daemon_config with
+      links = [ ("big", 1_000_000.0, 50.0, 1e-6) ];
+      state_dir = Some dir;
+      fsync_policy = Persist.Wal.Every 8;
+      snapshot_every = 0;
+    }
+    (fun d ->
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Unix.connect fd
+        (Unix.ADDR_INET (Unix.inet_addr_loopback, Srv.Daemon.port d));
+      let reader = Srv.Io.reader fd in
+      let fire () =
+        match
+          Srv.Io.write_string fd admit_request;
+          read_response reader
+        with
+        | Some (200, body) -> (
+            match conn_of_body body with
+            | Some conn -> acked := conn :: !acked
+            | None -> ())
+        | Some _ | None -> ()
+        | exception (Unix.Unix_error _ | Sys_error _) -> ()
+      in
+      for _ = 1 to 10 do
+        fire ()
+      done;
+      (* Stop the daemon and keep firing: these admits race the drain. *)
+      Srv.Daemon.stop d;
+      for _ = 1 to 10 do
+        fire ()
+      done;
+      try Unix.close fd with Unix.Unix_error _ -> ());
+  (* [serve] has returned: workers joined, shutdown snapshot cut, store
+     closed.  Every acked admit must come back. *)
   check_true "the race produced acked admits" (List.length !acked >= 10);
   let recovered = Cac.Engine.create () in
   (match Persist.Recovery.recover ~dir recovered with
@@ -969,7 +899,6 @@ let suite =
       test_short_write_fault_is_interior_corruption;
     case "injected fsync failure retries for real"
       test_fsync_fault_keeps_barrier_honest;
-    case "api answers 503 while recovering" test_api_recovering_gate;
     slow_case "admit racing drain is never lost" test_admit_racing_drain;
     slow_case "kill -9 crash recovery harness" test_crash_recovery_harness;
     slow_case "crash recovery under torn-write faults"

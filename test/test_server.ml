@@ -536,7 +536,11 @@ let test_access_log () =
           close_out_noerr oc)
         (fun () ->
           let config =
-            { Pool.default_config with domains = 1; access_log = true }
+            {
+              Pool.default_config with
+              domains = 1;
+              access_log = Some Obs.Sink.human_sink;
+            }
           in
           let pool = Pool.create ~config (make_router ()) in
           with_socketpair (fun client server ->
@@ -809,68 +813,167 @@ let test_heatmap_endpoints () =
 (* {2 Loopback soak: the acceptance criterion}
 
    10k sequential decides over one keep-alive connection against the
-   real daemon surface (Cac_api router + Pool over TCP), then a
-   /metrics scrape that must carry the per-route telemetry. *)
+   real daemon ([Srv.Daemon] over TCP), then a /metrics scrape that
+   must carry the per-route telemetry. *)
 
 let test_soak_10k_decides () =
-  let engine = Cac.Engine.create () in
-  let (_ : Cac.Link.t) =
-    Cac.Engine.add_link_msec engine ~id:"oc3" ~capacity:16140.0
-      ~buffer_msec:20.0 ~target_clr:1e-6
-  in
-  let api = Cac_api.create engine in
-  let config = { Pool.default_config with domains = 2; queue_capacity = 64 } in
-  let pool = Pool.create ~config (Cac_api.router api) in
-  let listen_fd = Pool.listen ~host:"127.0.0.1" ~port:0 () in
-  let port = Pool.bound_port listen_fd in
-  let server = Domain.spawn (fun () -> Pool.serve pool listen_fd) in
+  with_daemon { daemon_config with links = [ ("oc3", 16140.0, 20.0, 1e-6) ] }
+  @@ fun d ->
+  let fd = connect (Daemon.port d) in
   Fun.protect
-    ~finally:(fun () ->
-      Pool.stop pool;
-      ignore (Domain.join server);
-      close_quietly listen_fd)
+    ~finally:(fun () -> close_quietly fd)
     (fun () ->
-      spin (fun () -> Pool.accepting pool) "accept loop never came up";
-      let fd = connect port in
-      Fun.protect
-        ~finally:(fun () -> close_quietly fd)
-        (fun () ->
-          let reader = Io.reader fd in
-          let body = {|{"link": "oc3", "class": "dar1"}|} in
-          let request =
-            Printf.sprintf
-              "POST /v1/decide HTTP/1.1\r\n\
-               content-type: application/json\r\n\
-               content-length: %d\r\n\
-               \r\n\
-               %s"
-              (String.length body) body
-          in
-          let ok = ref 0 in
-          for _ = 1 to 10_000 do
-            Io.write_string fd request;
-            let st, _, resp = read_response reader in
-            if st = 200 && contains_substring resp "admissible" then incr ok
-          done;
-          check_int "10k keep-alive decides, zero transport errors" 10_000
-            !ok;
-          (* the scrape endpoint reports what just happened *)
-          Io.write_string fd "GET /metrics HTTP/1.1\r\n\r\n";
-          let st, hdrs, metrics = read_response reader in
-          check_int "metrics scrape" 200 st;
-          check_true "prometheus content type"
-            (contains_substring
-               (Option.value ~default:"?"
-                  (List.assoc_opt "content-type" hdrs))
-               "text/plain");
-          check_true "request counter exported"
-            (contains_substring metrics "srv_http_requests_total");
-          check_true "per-route series exported"
-            (contains_substring metrics "route=\"/v1/decide\"");
-          check_true "per-route latency histogram exported"
-            (contains_substring metrics "srv_http_latency_us");
-          check_true "engine counters exported alongside"
-            (contains_substring metrics "cac_cache_hits_total")))
+      let reader = Io.reader fd in
+      let body = {|{"link": "oc3", "class": "dar1"}|} in
+      let request =
+        Printf.sprintf
+          "POST /v1/decide HTTP/1.1\r\n\
+           content-type: application/json\r\n\
+           content-length: %d\r\n\
+           \r\n\
+           %s"
+          (String.length body) body
+      in
+      let ok = ref 0 in
+      for _ = 1 to 10_000 do
+        Io.write_string fd request;
+        let st, _, resp = read_response reader in
+        if st = 200 && contains_substring resp "admissible" then incr ok
+      done;
+      check_int "10k keep-alive decides, zero transport errors" 10_000 !ok;
+      (* the scrape endpoint reports what just happened *)
+      Io.write_string fd "GET /metrics HTTP/1.1\r\n\r\n";
+      let st, hdrs, metrics = read_response reader in
+      check_int "metrics scrape" 200 st;
+      check_true "prometheus content type"
+        (contains_substring
+           (Option.value ~default:"?" (List.assoc_opt "content-type" hdrs))
+           "text/plain");
+      check_true "request counter exported"
+        (contains_substring metrics "srv_http_requests_total");
+      check_true "per-route series exported"
+        (contains_substring metrics "route=\"/v1/decide\"");
+      check_true "per-route latency histogram exported"
+        (contains_substring metrics "srv_http_latency_us");
+      check_true "engine counters exported alongside"
+        (contains_substring metrics "cac_cache_hits_total"))
+
+(* {2 Daemon lifecycle} *)
+
+let big_link = ("big", 1_000_000.0, 50.0, 1e-6)
+
+(* One request on a fresh connection; the JSON body. *)
+let request_json port raw =
+  let fd = connect port in
+  Fun.protect
+    ~finally:(fun () -> close_quietly fd)
+    (fun () ->
+      Io.write_string fd raw;
+      let st, _, body = read_response (Io.reader fd) in
+      check_int "request answered" 200 st;
+      match Obs.Json.of_string body with
+      | Some doc -> doc
+      | None -> Alcotest.failf "unparseable body %S" body)
+
+let get_json port path =
+  request_json port
+    (Printf.sprintf "GET %s HTTP/1.1\r\nconnection: close\r\n\r\n" path)
+
+let json_at doc path =
+  List.fold_left (fun acc k -> Option.bind acc (Obs.Json.member k)) (Some doc)
+    path
+
+(* A graceful drain checkpoints the whole table, so the next boot
+   restores it from the snapshot alone and replays no journal record. *)
+let test_daemon_restart_replays_nothing () =
+  with_tmp_dir @@ fun dir ->
+  let config =
+    { daemon_config with links = [ big_link ]; state_dir = Some dir }
+  in
+  let n = 12 in
+  let admit = {|{"link":"big","class":"z0.975"}|} in
+  with_daemon config (fun d ->
+      for _ = 1 to n do
+        let doc =
+          request_json (Daemon.port d)
+            (Printf.sprintf
+               "POST /v1/admit HTTP/1.1\r\nconnection: close\r\n\
+                content-length: %d\r\n\r\n%s"
+               (String.length admit) admit)
+        in
+        check_true "admitted"
+          (Obs.Json.member "admitted" doc = Some (Obs.Json.Bool true))
+      done);
+  with_daemon config (fun d ->
+      let health = get_json (Daemon.port d) "/healthz" in
+      check_true "healthz reports every connection"
+        (json_at health [ "connections" ] = Some (Obs.Json.Int n));
+      let recovery =
+        json_at (get_json (Daemon.port d) "/debug/vars") [ "persist"; "recovery" ]
+      in
+      let at path = Option.bind recovery (fun r -> json_at r path) in
+      check_true "recovered from the shutdown snapshot"
+        (at [ "snapshot"; "connections" ] = Some (Obs.Json.Int n));
+      check_true "no journal record replayed"
+        (at [ "records" ] = Some (Obs.Json.Int 0)))
+
+(* [start] must release everything it acquired when the bind fails.
+   lockf locks never conflict within one process, so reopening the
+   store alone cannot see a leak; the open descriptors (lock file, WAL
+   segment) can. *)
+let test_daemon_failed_listen_releases_state_dir () =
+  with_tmp_dir @@ fun dir ->
+  let open_fds () =
+    try Array.length (Sys.readdir "/proc/self/fd") with Sys_error _ -> 0
+  in
+  with_daemon daemon_config @@ fun first ->
+  let fds = open_fds () in
+  (match
+     quietly (fun () ->
+         Daemon.start
+           {
+             daemon_config with
+             port = Daemon.port first;
+             links = [ big_link ];
+             state_dir = Some dir;
+           })
+   with
+  | Ok _ -> Alcotest.fail "second daemon bound a port already in use"
+  | Error e ->
+      check_true ("error names the bind: " ^ e)
+        (contains_substring e "cannot listen"));
+  check_int "no descriptor leaked" fds (open_fds ());
+  let store =
+    Persist.Store.open_ ~dir ~policy:Persist.Wal.Never ~snapshot_every:0
+      ~next_seq:1
+  in
+  Persist.Store.close store
+
+(* [reopen_logs] is the SIGHUP hand-off: the next tick reopens the
+   access log and the trace file by path.  Lines written before it stay
+   in the renamed files, later ones land in the new files. *)
+let test_daemon_reopen_logs () =
+  with_tmp_dir @@ fun dir ->
+  let access = Filename.concat dir "access.jsonl"
+  and trace = Filename.concat dir "trace.jsonl" in
+  with_daemon { daemon_config with access_log = Some access; trace = Some trace }
+    (fun d ->
+      ignore (get_json (Daemon.port d) "/healthz");
+      Sys.rename access (access ^ ".1");
+      Sys.rename trace (trace ^ ".1");
+      Daemon.reopen_logs d;
+      spin
+        (fun () -> Sys.file_exists access && Sys.file_exists trace)
+        "the tick never reopened the logs";
+      ignore (get_json (Daemon.port d) "/healthz"));
+  let lines path needle =
+    List.length (List.filter (fun l -> contains_substring l needle) (read_lines path))
+  in
+  List.iter
+    (fun (path, needle) ->
+      check_int (path ^ ".1 kept the first request") 1 (lines (path ^ ".1") needle);
+      check_int (path ^ " has the second request") 1 (lines path needle))
+    [ (access, "/healthz"); (trace, {|"name":"srv.http.request"|}) ]
 
 let suite =
   [
@@ -910,4 +1013,10 @@ let suite =
       test_heatmap_endpoints;
     slow_case "daemon: 10k-request loopback soak + metrics scrape"
       test_soak_10k_decides;
+    slow_case "daemon: restart after drain replays nothing"
+      test_daemon_restart_replays_nothing;
+    slow_case "daemon: failed listen releases the state dir"
+      test_daemon_failed_listen_releases_state_dir;
+    slow_case "daemon: reopen_logs hands off the access log and trace"
+      test_daemon_reopen_logs;
   ]
