@@ -33,8 +33,9 @@ check:
 	dune build
 	dune runtest
 
+# Micro-benchmarks only; figures come from `cts run all` / `cts analytic`.
 bench:
-	CTS_BENCH_ANALYTIC_ONLY=1 dune exec bench/main.exe
+	dune exec bench/main.exe
 
 clean:
 	dune clean

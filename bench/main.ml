@@ -1,22 +1,13 @@
-(* The benchmark harness does two jobs:
+(* The micro-benchmark harness: Bechamel timings of the library's hot
+   paths - the kernels behind the paper's tables and figures, the
+   traffic generators, the obs primitives and the serving layer - so
+   performance regressions in the machinery itself are visible.
 
-   1. Regenerates every table and figure of the paper (Table 1,
-      Figs. 1-10) plus the ablation studies, printing the series and
-      writing CSVs to ./results.  Simulation scale is controlled with
-      CTS_FRAMES / CTS_REPS / CTS_SEED (defaults: 20000 / 3 / 1996; the
-      paper used 500000 / 60).
-
-   2. Runs Bechamel micro-benchmarks of the library's hot paths - one
-      per table/figure-generating computation plus the core generators -
-      so performance regressions in the machinery itself are visible.
-
-   Skip the (slow) simulated figures with CTS_BENCH_ANALYTIC_ONLY=1;
-   skip the micro-benchmarks with CTS_BENCH_NO_MICRO=1. *)
+   It regenerates no figure: that is `cts run <ids>` (or `cts run all`)
+   for every experiment and `cts analytic` for the analytic subset. *)
 
 open Bechamel
 open Toolkit
-
-let env_flag name = Sys.getenv_opt name = Some "1"
 
 (* {2 Micro-benchmarks} *)
 
@@ -278,18 +269,6 @@ let parse_json_path () =
 
 let () =
   let json_path = parse_json_path () in
-  Printf.printf "CTS reproduction bench harness\n";
-  Printf.printf "scale: CTS_FRAMES=%d CTS_REPS=%d CTS_SEED=%d\n%!"
-    (Experiments.Common.frames ()) (Experiments.Common.reps ())
-    (Experiments.Common.seed ());
-  let t0 = Obs.Clock.wall () in
-  if env_flag "CTS_BENCH_ANALYTIC_ONLY" then
-    Experiments.Registry.run_all ~include_simulated:false ()
-  else Experiments.Registry.run_all ();
-  Printf.printf "\nexperiments completed in %.1f s\n%!"
-    (Obs.Clock.wall () -. t0);
-  if not (env_flag "CTS_BENCH_NO_MICRO") then begin
-    let results = run_micro () in
-    report_cac_speedup ();
-    Option.iter (fun path -> write_json_results path results) json_path
-  end
+  let results = run_micro () in
+  report_cac_speedup ();
+  Option.iter (fun path -> write_json_results path results) json_path

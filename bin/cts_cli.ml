@@ -69,8 +69,8 @@ let obs_term =
   let trace_sample_arg =
     let doc =
       "Emit only every $(docv)-th completion of each span name to the \
-       $(b,--trace) sink (1 = every span).  Span histograms still see \
-       everything; dropped events tick $(b,obs.span.sampled_out)."
+       $(b,--trace) sink (1 = every span).  Dropped events tick \
+       $(b,obs.span.sampled_out)."
     in
     Arg.(
       value & opt (some int) None & info [ "trace-sample" ] ~docv:"N" ~doc)
@@ -194,10 +194,6 @@ let with_obs opts f =
     match opts.metrics with
     | None -> ()
     | Some fmt -> (
-        (* Publish the heap and GC gauges: outside the serving pool
-           nothing else samples them, and the main domain is this
-           process's only sampler here. *)
-        ignore (Obs.Runtime.sample ());
         let doc = Obs.Export.render fmt (Obs.Registry.snapshot ()) in
         match opts.metrics_out with
         | "-" -> print_string doc

@@ -10,8 +10,7 @@ let () =
   Obs.Registry.declare_counter "experiments.failures"
 
 (* Every experiment runs inside a span named [experiment.<id>], so a
-   trace sink shows per-experiment wall time and the registry grows a
-   [span.experiment.<id>.us] histogram. *)
+   trace sink shows per-experiment wall time. *)
 let run_entry e =
   Obs.Span.with_ ~name:("experiment." ^ e.id) (fun () ->
       Obs.Registry.incr "experiments.runs";

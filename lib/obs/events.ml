@@ -1,6 +1,6 @@
 (* GC-pause profiling over OCaml 5's runtime_events ring.
 
-   [Obs.Runtime] samples [Gc.quick_stat] gauges — heap size, counts —
+   [Obs.Runtime] reads [Gc.quick_stat] gauges — heap size, counts —
    but cannot say how long any collection stopped a domain, which is
    exactly what shapes the serving daemon's p99.  This module turns
    the ring into that profiler: a dedicated consumer domain subscribes
@@ -267,7 +267,6 @@ type t = {
   c_stop : bool Atomic.t;
   c_domain : unit Domain.t;
   c_pause_ns : int Atomic.t array;  (* cumulative, per ring *)
-  c_pause_count : int Atomic.t array;
   c_top : pause list ref;  (* guarded by c_top_mutex, length <= top_capacity *)
   c_top_mutex : Mutex.t;
   c_poll_interval_s : float;
@@ -280,16 +279,14 @@ let current : t option Atomic.t = Atomic.make None
 
 let running () = Atomic.get current <> None
 
-(* Record one pause: per-ring atomics for request attribution, the
-   registry for exports, the bounded top list for [debug_json].  Runs on
-   the consumer domain only. *)
-let record ~pause_ns ~pause_count ~top ~top_mutex p =
-  if p.p_domain >= 0 && p.p_domain < max_rings then begin
+(* Record one pause: the per-ring pause clock for request
+   attribution, the registry for exports, the bounded top list for
+   [debug_json].  Runs on the consumer domain only. *)
+let record ~pause_ns ~top ~top_mutex p =
+  if p.p_domain >= 0 && p.p_domain < max_rings then
     ignore
       (Atomic.fetch_and_add pause_ns.(p.p_domain)
          (Int64.to_int p.p_dur_ns));
-    ignore (Atomic.fetch_and_add pause_count.(p.p_domain) 1)
-  end;
   let labels =
     Labels.make
       [
@@ -325,7 +322,6 @@ let start ?(poll_interval_s = default_poll_interval_s) ?(bridge = false) () =
       Re.resume ();
       let stop_flag = Atomic.make false in
       let pause_ns = Array.init max_rings (fun _ -> Atomic.make 0) in
-      let pause_count = Array.init max_rings (fun _ -> Atomic.make 0) in
       let top = ref [] in
       let top_mutex = Mutex.create () in
       let domain =
@@ -339,7 +335,7 @@ let start ?(poll_interval_s = default_poll_interval_s) ?(bridge = false) () =
               let cursor = Re.create_cursor None in
               let tracker =
                 Tracker.create
-                  ~on_pause:(record ~pause_ns ~pause_count ~top ~top_mutex)
+                  ~on_pause:(record ~pause_ns ~top ~top_mutex)
                   ()
               in
               let callbacks =
@@ -373,7 +369,6 @@ let start ?(poll_interval_s = default_poll_interval_s) ?(bridge = false) () =
           c_stop = stop_flag;
           c_domain = domain;
           c_pause_ns = pause_ns;
-          c_pause_count = pause_count;
           c_top = top;
           c_top_mutex = top_mutex;
           c_poll_interval_s = poll_interval_s;
@@ -412,18 +407,6 @@ let domain_pause_ns ~domain =
 let cumulative_pause_ns () =
   with_consumer (fun _ -> domain_pause_ns ~domain:(my_ring ())) 0
 
-let domain_stats () =
-  with_consumer
-    (fun t ->
-      let out = ref [] in
-      for d = max_rings - 1 downto 0 do
-        let n = Atomic.get t.c_pause_count.(d) in
-        if n > 0 then
-          out := (d, n, Atomic.get t.c_pause_ns.(d)) :: !out
-      done;
-      !out)
-    []
-
 let top_pauses () =
   with_consumer
     (fun t -> Mutex.protect t.c_top_mutex (fun () -> !(t.c_top)))
@@ -454,17 +437,6 @@ let debug_json () =
           ("poll_interval_s", Json.Float t.c_poll_interval_s);
           ("span_bridge", Json.Bool t.c_bridge);
           ("ring_file", Json.String (ring_file ()));
-          ( "domains",
-            Json.List
-              (List.map
-                 (fun (d, n, ns) ->
-                   Json.Obj
-                     [
-                       ("domain", Json.Int d);
-                       ("pauses", Json.Int n);
-                       ("pause_ns", Json.Int ns);
-                     ])
-                 (domain_stats ())) );
           ("top_pauses", Json.List (List.map pause_json (top_pauses ())));
         ])
     (Json.Obj [ ("running", Json.Bool false) ])

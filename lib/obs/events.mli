@@ -86,11 +86,9 @@ val cumulative_pause_ns : unit -> int
     callers clamp deltas to [>= 0]. *)
 
 val domain_pause_ns : domain:int -> int
-(** Same, for an explicit ring index. *)
-
-val domain_stats : unit -> (int * int * int) list
-(** [(domain, pauses, cumulative_pause_ns)] for every ring that has
-    recorded at least one pause, sorted by ring index. *)
+(** Same, for an explicit ring index.  Per-domain totals for export
+    are the [runtime.ev.gc.pauses{domain,phase}] and
+    [runtime.ev.gc.pause_ns{domain}] counters. *)
 
 val top_pauses : unit -> pause list
 (** The longest pauses seen since {!start} (at most 32), longest
@@ -98,8 +96,7 @@ val top_pauses : unit -> pause list
 
 val debug_json : unit -> Json.t
 (** The [/debug/vars] section: running flag, poll interval, bridge
-    flag, ring file path, per-domain totals ([domains]) and the
-    longest pauses ([top_pauses]). *)
+    flag, ring file path and the longest pauses ([top_pauses]). *)
 
 val ring_file : unit -> string
 (** Where this process's ring lives:

@@ -348,14 +348,6 @@ let sorted_bindings merge tbl_of_shard declared zero shard_list =
   Hashtbl.fold (fun k v l -> (k, v) :: l) acc []
   |> List.sort (fun (a, _) (b, _) -> compare_key a b)
 
-(* Wall time of the last completed [snapshot]; negative = never.
-   Lets /healthz report how stale the exported view is. *)
-let last_snapshot_wall = Atomic.make (-1.0)
-
-let snapshot_age_s () =
-  let last = Atomic.get last_snapshot_wall in
-  if last < 0.0 then None else Some (Float.max 0.0 (Clock.wall () -. last))
-
 let snapshot () =
   (* Snapshots are intended between or after parallel sections: value
      reads are atomic per cell, but racing with instrument *creation*
@@ -384,6 +376,13 @@ let snapshot () =
         out)
       declared_g (fun _ -> 0.0) shard_list
   in
+  (* The GC figures are polled here rather than stored, so every
+     snapshot carries fresh ones whichever domain takes it. *)
+  let gauges =
+    List.map (fun (name, v) -> ((name, Labels.empty), v)) (Runtime.gauges ())
+    @ gauges
+    |> List.sort (fun (a, _) (b, _) -> compare_key a b)
+  in
   let zero_hist name =
     let { lo; hi; bins } =
       match Hashtbl.find_opt specs name with Some s -> s | None -> default_spec
@@ -407,7 +406,6 @@ let snapshot () =
         out)
       declared_h zero_hist shard_list
   in
-  Atomic.set last_snapshot_wall (Clock.wall ());
   { counters; gauges; histograms }
 
 (* Linear interpolation inside the bin holding the q-th observation.

@@ -127,11 +127,8 @@ type snapshot = {
 (** All lists sorted by (name, labels) for deterministic exports. *)
 
 val snapshot : unit -> snapshot
-
-val snapshot_age_s : unit -> float option
-(** Seconds since the last completed {!snapshot} anywhere in the
-    process, or [None] if one was never taken.  [/healthz] uses this
-    to report how stale the exported view is. *)
+(** Also polls the GC: the gauges carry the eight [runtime.*] figures
+    of {!Runtime.gauges}, read at this call. *)
 
 val histogram_quantile : histogram_snapshot -> q:float -> float option
 (** The [q]-quantile of a binned histogram by linear interpolation

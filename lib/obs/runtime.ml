@@ -1,93 +1,26 @@
-(* Runtime introspection: GC and heap figures from [Gc.quick_stat]
-   mirrored into registry gauges and exposed raw for /debug/vars.
+(* Runtime introspection: the GC and heap figures of one
+   [Gc.quick_stat] poll, read by [Registry.snapshot] each time one is
+   taken.  Nothing is stored, so there is no sampler to keep alive and
+   no single-writer rule: any domain may take a snapshot. *)
 
-   Gauges merge across domain shards by SUMMATION, so [sample] must
-   have a single writer — the serving pool calls it from the accept
-   loop only; the CLI calls it from the main domain.  Read-only
-   consumers ([/debug/vars], tests) use [read], which touches no
-   registry state. *)
-
-type stats = {
-  minor_collections : int;
-  major_collections : int;
-  compactions : int;
-  minor_words : float;
-  promoted_words : float;
-  major_words : float;
-  heap_words : int;
-  top_heap_words : int;
-  stack_size : int;
-}
-
-let read () =
-  let g = Gc.quick_stat () in
-  {
-    minor_collections = g.Gc.minor_collections;
-    major_collections = g.Gc.major_collections;
-    compactions = g.Gc.compactions;
-    minor_words = g.Gc.minor_words;
-    promoted_words = g.Gc.promoted_words;
-    major_words = g.Gc.major_words;
-    heap_words = g.Gc.heap_words;
-    top_heap_words = g.Gc.top_heap_words;
-    stack_size = g.Gc.stack_size;
-  }
-
-(* Declared up front so /metrics carries the schema even before the
-   first [sample]. *)
-let g_minor = Registry.Gauge.v "runtime.gc.minor_collections"
-let g_major = Registry.Gauge.v "runtime.gc.major_collections"
-let g_compactions = Registry.Gauge.v "runtime.gc.compactions"
-let g_minor_words = Registry.Gauge.v "runtime.gc.minor_words"
-let g_promoted_words = Registry.Gauge.v "runtime.gc.promoted_words"
-let g_major_words = Registry.Gauge.v "runtime.gc.major_words"
-let g_heap_words = Registry.Gauge.v "runtime.heap_words"
-let g_top_heap_words = Registry.Gauge.v "runtime.top_heap_words"
-
-(* (wall time, stats) of the last [sample]; None = collector never
-   ran, which /healthz reports as [never]. *)
-let last_sample : (float * stats) option Atomic.t = Atomic.make None
-
-let sample () =
-  let s0 = read () in
+let gauges () =
+  let g0 = Gc.quick_stat () in
   (* OCaml 5 [Gc.quick_stat] aggregates per-domain figures that are
      only refreshed at stop-the-world points.  A daemon whose worker
      domains sit blocked in [select]/[accept] may never reach one, so
      the aggregate stays frozen at its pre-spawn value — observable as
-     an all-zero heap on /metrics and /debug/vars.  When the sampler
-     sees that unflushed state it forces one minor collection (~1 ms,
-     STW) to flush every domain's counters; once flushed, heap_words
-     never reads zero again, so this fires at most a handful of times
-     at startup. *)
-  let s = if s0.heap_words = 0 then ( Gc.minor (); read () ) else s0 in
-  Registry.Gauge.set g_minor (float_of_int s.minor_collections);
-  Registry.Gauge.set g_major (float_of_int s.major_collections);
-  Registry.Gauge.set g_compactions (float_of_int s.compactions);
-  Registry.Gauge.set g_minor_words s.minor_words;
-  Registry.Gauge.set g_promoted_words s.promoted_words;
-  Registry.Gauge.set g_major_words s.major_words;
-  Registry.Gauge.set g_heap_words (float_of_int s.heap_words);
-  Registry.Gauge.set g_top_heap_words (float_of_int s.top_heap_words);
-  Atomic.set last_sample (Some (Clock.wall (), s));
-  s
-
-let last () = Atomic.get last_sample
-
-let sample_age_s () =
-  match Atomic.get last_sample with
-  | None -> None
-  | Some (wall, _) -> Some (Float.max 0.0 (Clock.wall () -. wall))
-
-let json_of_stats s =
-  Json.Obj
-    [
-      ("minor_collections", Json.Int s.minor_collections);
-      ("major_collections", Json.Int s.major_collections);
-      ("compactions", Json.Int s.compactions);
-      ("minor_words", Json.Float s.minor_words);
-      ("promoted_words", Json.Float s.promoted_words);
-      ("major_words", Json.Float s.major_words);
-      ("heap_words", Json.Int s.heap_words);
-      ("top_heap_words", Json.Int s.top_heap_words);
-      ("stack_size", Json.Int s.stack_size);
-    ]
+     an all-zero heap on /metrics.  When the poll sees that unflushed
+     state it forces one minor collection (~1 ms, STW) to flush every
+     domain's counters; once flushed, heap_words never reads zero
+     again, so this fires at most a handful of times at startup. *)
+  let g = if g0.Gc.heap_words = 0 then ( Gc.minor (); Gc.quick_stat ()) else g0 in
+  [
+    ("runtime.gc.minor_collections", float_of_int g.Gc.minor_collections);
+    ("runtime.gc.major_collections", float_of_int g.Gc.major_collections);
+    ("runtime.gc.compactions", float_of_int g.Gc.compactions);
+    ("runtime.gc.minor_words", g.Gc.minor_words);
+    ("runtime.gc.promoted_words", g.Gc.promoted_words);
+    ("runtime.gc.major_words", g.Gc.major_words);
+    ("runtime.heap_words", float_of_int g.Gc.heap_words);
+    ("runtime.top_heap_words", float_of_int g.Gc.top_heap_words);
+  ]

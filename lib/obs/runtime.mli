@@ -1,45 +1,21 @@
-(** Runtime introspection: OCaml GC and heap figures as registry
-    gauges and raw values for [/debug/vars].
+(** Runtime introspection: OCaml GC and heap figures as the eight
+    [runtime.*] gauges.
 
-    {b Single-writer discipline}: registry gauges merge across domain
-    shards by summation, so {!sample} must only ever be called from
-    one domain per process (the serving pool's accept loop, or the CLI
-    main domain).  Everything else reads via {!read} / {!last}, which
-    touch no registry state. *)
+    Nothing stores these gauges.  {!Registry.snapshot} calls {!gauges}
+    once per snapshot, so every export — a [/metrics] scrape, a CLI
+    [--metrics] document — carries a fresh poll, and no domain has to
+    run a sampler. *)
 
-type stats = {
-  minor_collections : int;
-  major_collections : int;
-  compactions : int;
-  minor_words : float;
-  promoted_words : float;
-  major_words : float;
-  heap_words : int;  (** current major-heap size, words *)
-  top_heap_words : int;  (** high-water mark, words *)
-  stack_size : int;  (** current stack depth, words *)
-}
+val gauges : unit -> (string * float) list
+(** One [Gc.quick_stat] poll as [runtime.gc.minor_collections],
+    [runtime.gc.major_collections], [runtime.gc.compactions],
+    [runtime.gc.minor_words], [runtime.gc.promoted_words],
+    [runtime.gc.major_words], [runtime.heap_words] and
+    [runtime.top_heap_words].  Safe from any domain.
 
-val read : unit -> stats
-(** One [Gc.quick_stat] poll.  No side effects — safe from any
-    domain.  On OCaml 5 the figures are aggregated from per-domain
-    samples refreshed at stop-the-world points, so they can lag the
-    true totals (by minutes on an idle multi-domain process); they are
-    never ahead. *)
-
-val sample : unit -> stats
-(** Polls and mirrors the figures into the [runtime.gc.*] /
-    [runtime.heap_words] / [runtime.top_heap_words] gauges, and
-    records the sample for {!last} / {!sample_age_s}.  If the poll
-    reads an unflushed zero heap (possible before the first
-    stop-the-world point after worker domains spawn), it forces one
-    minor collection so the published gauges are never the zero
-    block.  Single writer only — see the module note. *)
-
-val last : unit -> (float * stats) option
-(** Wall time and value of the most recent {!sample}, if any. *)
-
-val sample_age_s : unit -> float option
-(** Seconds since the last {!sample}; [None] if the collector never
-    ran.  [/healthz] uses this as the collector-liveness signal. *)
-
-val json_of_stats : stats -> Json.t
+    On OCaml 5 the figures are aggregated from per-domain samples
+    refreshed at stop-the-world points, so they can lag the true
+    totals; they are never ahead.  If the poll reads an unflushed zero
+    heap (possible before the first stop-the-world point after worker
+    domains spawn), it forces one minor collection and polls again, so
+    the published heap is never the zero block. *)

@@ -29,8 +29,8 @@ let set_ring_bridge f = Atomic.set ring_bridge f
 (* {2 Sampling}
 
    Trace emission can be thinned so [--trace] stays usable on
-   million-request replays: registry histograms always see every span;
-   sampling only gates the per-span trace event.  The policy is
+   million-request replays: sampling gates the per-span trace event
+   (spans write no registry series).  The policy is
    process-wide (an Atomic, like the sink); the 1-in-N counts it
    drives are per-domain DLS state, one per span name. *)
 
@@ -76,9 +76,6 @@ let current_depth () = List.length !(Domain.DLS.get stack)
 let current () = match !(Domain.DLS.get stack) with [] -> None | f :: _ -> Some f
 let current_name () = Option.map (fun f -> f.name) (current ())
 
-let duration_histogram_bins = (0.0, 1_000_000.0, 60)
-(* span durations: 0–1 s in µs, 60 bins; slower spans overflow. *)
-
 let enter name =
   let st = Domain.DLS.get stack in
   let sq = Domain.DLS.get seq in
@@ -111,15 +108,12 @@ let exit_ frame ~ok =
   (match Atomic.get ring_bridge with
   | None -> ()
   | Some f -> f frame.name false);
-  let dur_us = Clock.ns_to_us (Clock.elapsed_ns ~since:frame.start_mono) in
-  let wall_dur = Clock.wall () -. frame.start_wall in
-  let lo, hi, bins = duration_histogram_bins in
-  Registry.declare_histogram ~lo ~hi ~bins ("span." ^ frame.name ^ ".us");
-  Registry.observe ("span." ^ frame.name ^ ".us") dur_us;
   match Atomic.get trace_sink with
   | Sink.Null -> ()
   | sink when not (should_emit frame.name) -> ignore sink
   | sink ->
+      let dur_us = Clock.ns_to_us (Clock.elapsed_ns ~since:frame.start_mono) in
+      let wall_dur = Clock.wall () -. frame.start_wall in
       Sink.emit sink
         (Sink.event ~time:frame.start_wall ~kind:"span" ~name:frame.name
            [

@@ -1,16 +1,19 @@
-(** Nested span tracing.
+(** Nested span tracing: the trace tree.
 
     [with_ ~name fn] times [fn ()] (monotonic for the duration, wall
     clock for the timestamp), maintains a per-domain parent/child
-    stack, feeds the duration into the registry histogram
-    [span.<name>.us] (0–1 s range in microseconds, 60 bins), and — when
-    a trace sink is installed — emits one completion event per span
-    carrying its id, parent id, nesting depth, durations, and the
-    {!Trace} id active when the span was entered (so every span of one
-    served request shares a [trace] field in the JSONL sink).
+    stack, and — when a trace sink is installed — emits one completion
+    event per span carrying its id, parent id, nesting depth,
+    durations ([dur_us], [wall_dur_s]), and the {!Trace} id active
+    when the span was entered (so every span of one served request
+    shares a [trace] field in the JSONL sink).
 
-    With the default [Null] trace sink the cost is two clock reads and
-    one histogram update per span. *)
+    Spans write no registry series: a duration that needs a time
+    series has its own histogram where it is measured
+    ([srv.http.latency_us{route}] for served requests,
+    [cac.sweep.task_us{worker}] for sweep tasks).  With the default
+    [Null] trace sink the cost is two clock reads, the span id and the
+    stack bookkeeping. *)
 
 val with_ : name:string -> (unit -> 'a) -> 'a
 (** Exceptions propagate; the span is closed (with [ok=false]) first. *)
@@ -31,10 +34,9 @@ val set_ring_bridge : (string -> bool -> unit) option -> unit
 (** {1 Sampling}
 
     Thins {e trace emission} so [--trace] stays usable on
-    million-request replays and under the serving daemon.  Registry
-    histograms are unaffected — every span is still timed and
-    recorded; sampling only decides which completions reach the trace
-    sink.  Dropped completions tick [obs.span.sampled_out]. *)
+    million-request replays and under the serving daemon: sampling
+    decides which completions reach the trace sink.  Dropped
+    completions tick [obs.span.sampled_out]. *)
 
 type sampling =
   | Always

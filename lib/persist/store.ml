@@ -9,9 +9,7 @@
    (via the caller-supplied [with_engine]), then writes the checkpoint
    outside any lock. *)
 
-let () =
-  Obs.Registry.declare_counter "persist.store.journaled";
-  Obs.Registry.declare_counter "persist.snapshot.compacted"
+let () = Obs.Registry.declare_counter "persist.snapshot.compacted"
 
 type t = {
   dir : string;
@@ -83,10 +81,7 @@ let journal t op =
   Resilience.Guard.protect ~label:"persist.store.journal"
     ~fallback:(fun _ -> ())
     (fun () ->
-      if Wal.append t.wal (Codec.encode_op op) then begin
-        Atomic.incr t.appended;
-        Obs.Registry.incr "persist.store.journaled"
-      end)
+      if Wal.append t.wal (Codec.encode_op op) then Atomic.incr t.appended)
 
 let barrier t = Wal.barrier t.wal
 

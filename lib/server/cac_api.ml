@@ -156,18 +156,6 @@ let release t req =
   | exception Invalid_argument _ ->
       Http.json_error ~status:404 (Printf.sprintf "unknown connection %d" conn)
 
-(* The runtime collector is "live" while its last sample is younger
-   than this; the pool samples every accept-loop tick (≤ 0.25 s), so
-   5 s of silence means the sampling domain is wedged or gone. *)
-let runtime_live_threshold_s = 5.0
-
-let opt_age = function Some a -> Obs.Json.Float a | None -> Obs.Json.Null
-
-let runtime_collector_status () =
-  match Obs.Runtime.sample_age_s () with
-  | None -> "never"
-  | Some age -> if age <= runtime_live_threshold_s then "live" else "stale"
-
 let healthz t _req =
   let links, connections =
     with_engine t (fun e ->
@@ -184,14 +172,6 @@ let healthz t _req =
          ("uptime_s", Obs.Json.Float (Obs.Clock.wall () -. t.started_wall));
          ("links", Obs.Json.List links);
          ("connections", Obs.Json.Int connections);
-         (* Health is more than engine reachability: how stale is the
-            exported registry view, and is the runtime collector
-            alive?  ("never" is normal before the first /metrics
-            scrape or outside the serving pool.) *)
-         ("snapshot_age_s", opt_age (Obs.Registry.snapshot_age_s ()));
-         ( "runtime_collector",
-           Obs.Json.String (runtime_collector_status ()) );
-         ("runtime_sample_age_s", opt_age (Obs.Runtime.sample_age_s ()));
        ])
 
 let breaker_json (b : Cac.Engine.breaker_snapshot) =
@@ -221,16 +201,6 @@ let debug_vars t _req =
        ([
           ("uptime_s", Obs.Json.Float (Obs.Clock.wall () -. t.started_wall));
           ("clock_source", Obs.Json.String (Obs.Clock.source ()));
-          (* [read], not [sample]: /debug/vars may be hit from any
-             worker domain, and runtime gauges are single-writer.  GC
-             counters are domain-local in OCaml 5, so [gc] is the
-             answering worker's view; [gc_sampled] is the accept-loop
-             collector's latest poll. *)
-          ("gc", Obs.Runtime.json_of_stats (Obs.Runtime.read ()));
-          ( "gc_sampled",
-            match Obs.Runtime.last () with
-            | Some (_, s) -> Obs.Runtime.json_of_stats s
-            | None -> Obs.Json.Null );
           (* Every (link, class) circuit breaker that has seen a
              kernel evaluation, with its state. *)
           ("breakers", Obs.Json.List (List.map breaker_json breakers));
@@ -273,10 +243,12 @@ let metrics _req =
    raise through deep call chains (a kernel [invalid_arg], a TOCTOU
    race on a link removed between parse and dispatch, a histogram
    shape mismatch in the registry) — that must become a structured
-   500, not a torn connection and a dead worker domain. *)
+   500, not a torn connection and a dead worker domain.  The pool's
+   boundary uses the same fallback, so the 500 counts once in
+   [srv.http.handler_errors] whichever boundary catches the raise. *)
 let protected h req =
   Resilience.Guard.protect ~label:"srv.api.handler"
-    ~fallback:(fun _ -> Http.json_error ~status:500 "internal error")
+    ~fallback:Router.internal_error
     (fun () -> h req)
 
 let router t =

@@ -14,30 +14,31 @@
     - [GET /metrics] — Prometheus text exposition of the whole
       {!Obs.Registry} (the OpenMetrics scrape endpoint), including
       trace-id exemplars on histogram [+Inf] buckets.
-    - [GET /healthz] — liveness: status, [state] (always ["ready"]:
-      the daemon binds only after recovery), uptime, link ids, active
-      connection count, registry snapshot age, and runtime-collector
-      liveness ([live]/[stale]/[never]; stale after 5 s without an
-      {!Obs.Runtime.sample}).
+    - [GET /healthz] — liveness: exactly [status], [state] (always
+      ["ready"]: the daemon binds only after recovery), [uptime_s],
+      [links] (ids) and [connections] (active count).  A wedged accept
+      loop shows as a probe that gets no answer.
     - [GET /debug/vars] — JSON introspection: uptime, monotonic clock
-      source, a fresh [Gc.quick_stat] poll ([gc], the answering
-      domain's view) plus the runtime collector's last sample
-      ([gc_sampled]), [breakers] (every (link, class) circuit breaker
-      that has seen a kernel evaluation, with its state, from
+      source, [breakers] (every (link, class) circuit breaker that has
+      seen a kernel evaluation, with its state, from
       {!Cac.Engine.breakers}), and any sections registered via
-      {!add_debug_provider}.  Counts and sums of every timed leg
-      (handler, queue wait, GC-pause overlap, spans) are on
-      [/metrics], not repeated here.
+      {!add_debug_provider}.  GC and heap figures ([runtime.*]) and
+      the counts and sums of every timed leg (handler, queue wait,
+      GC-pause overlap) are on [/metrics], not repeated here.
     - [GET /heatmap], [GET /heatmap.csv] — the per-buffer
       [cts.m_star] distributions ({!Obs.Heatmap}) as a self-contained
       HTML view / long-format CSV.
 
     [decide]/[admit]/[release] run inside [cac.api.*] spans, so a
     traced request produces a span tree under the pool's
-    [srv.http.request] root.
+    [srv.http.request] root; their time series is the pool's
+    [srv.http.latency_us{route}].
 
     Malformed JSON answers [400]; missing or mistyped fields answer
-    [422]; unknown links, classes and connections answer [404]. *)
+    [422]; unknown links, classes and connections answer [404].  A
+    handler that raises (the barrier included) answers
+    {!Router.internal_error}'s [500], counted in
+    [srv.http.handler_errors]. *)
 
 type t
 

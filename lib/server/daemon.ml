@@ -146,7 +146,6 @@ let add_debug_providers c api pool ~domains persist =
         [
           ("domains", Obs.Json.Int domains);
           ("queue_capacity", Obs.Json.Int c.queue_capacity);
-          ("queue_length", Obs.Json.Int (Pool.queue_length pool));
           ("accepting", Obs.Json.Bool (Pool.accepting pool));
           ( "breaker_cooldown_s",
             match c.breaker_cooldown_s with

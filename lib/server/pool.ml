@@ -38,10 +38,8 @@ let () =
   Obs.Registry.declare_counter "srv.http.connections";
   Obs.Registry.declare_counter "srv.http.shed";
   Obs.Registry.declare_counter "srv.http.parse_errors";
-  Obs.Registry.declare_counter "srv.http.handler_errors";
   Obs.Registry.declare_gauge "srv.http.in_flight";
   Obs.Registry.declare_gauge "srv.http.queue_depth";
-  Obs.Registry.declare_gauge "srv.http.queue_occupancy";
   Obs.Registry.set_histogram_spec ~lo:0.0 ~hi:1_000_000.0 ~bins:60
     "srv.http.latency_us";
   Obs.Registry.set_histogram_spec ~lo:0.0 ~hi:1_000_000.0 ~bins:60
@@ -167,7 +165,8 @@ let access_log_line sink ~ctx ~req ~status ~us ~queue_wait_us ~gc_pause_us =
 (* Dispatch one parsed request: the [srv.http.handler] fault point
    fires first (chaos testing of the serving path itself), then the
    handler runs under [Guard.protect] so an exception degrades to a
-   500 for this request instead of killing the worker domain.
+   counted 500 ([Router.internal_error]) for this request instead of
+   killing the worker domain.
 
    The whole dispatch runs under the request's trace context — parsed
    from the peer's [traceparent] header, generated otherwise — so the
@@ -195,9 +194,7 @@ let handle_request t ~queue_wait_us req =
   let resp =
     Obs.Span.with_ ~name:"srv.http.request" @@ fun () ->
     Resilience.Guard.protect ~label:"srv.http.handler"
-      ~fallback:(fun _exn ->
-        Obs.Registry.incr "srv.http.handler_errors";
-        Http.json_error ~status:500 "internal error")
+      ~fallback:Router.internal_error
       (fun () ->
         Resilience.Fault.inject "srv.http.handler";
         snd (Router.dispatch t.router req))
@@ -334,20 +331,12 @@ let serve t listen_fd =
   in
   Atomic.set t.accepting true;
   (* Accept-loop housekeeping, run once per select tick (≤ 0.25 s
-     apart): mirror queue depth/occupancy and poll the GC into the
-     registry.  The accept loop is the process's single
-     [Obs.Runtime.sample] writer — gauges merge by summation across
-     shards, so a second sampling domain would double-count. *)
+     apart): mirror the queue depth into the registry.  The accept
+     loop is the gauge's single writer — gauges merge by summation
+     across shards, so a second writing domain would double-count. *)
   let observe_tick () =
-    let depth = queue_depth t.work in
-    Obs.Registry.set_gauge "srv.http.queue_depth" (float_of_int depth);
-    (* 0/0 on an idle zero-capacity queue would poison the gauge. *)
-    let occupancy =
-      float_of_int depth /. float_of_int t.config.queue_capacity
-    in
-    if Float.is_finite occupancy then
-      Obs.Registry.set_gauge "srv.http.queue_occupancy" occupancy;
-    ignore (Obs.Runtime.sample ());
+    Obs.Registry.set_gauge "srv.http.queue_depth"
+      (float_of_int (queue_depth t.work));
     (* Daemon housekeeping (periodic snapshots, signal-driven log
        rotation) rides the same tick; it must never kill the accept
        loop. *)

@@ -14,24 +14,22 @@
     caps, and a {!Resilience.Guard.Budget} of
     [config.max_conn_requests] keep-alive requests.  Handler
     exceptions are contained by {!Resilience.Guard.protect} — the
-    request answers [500] and the worker survives.  The
-    [srv.http.handler] fault point fires before every dispatch, so
-    chaos specs cover the serving path.
+    request answers {!Router.internal_error}'s counted [500] and the
+    worker survives.  The [srv.http.handler] fault point fires before
+    every dispatch, so chaos specs cover the serving path.
 
     {2 Telemetry}
 
     [srv.http.requests] (total and per
-    [{route,method,status}]), [srv.http.latency_us] and
-    [srv.http.queue_wait.us] per route, [srv.http.in_flight],
-    [srv.http.queue_depth], [srv.http.queue_occupancy] (depth /
-    capacity), [srv.http.connections], [srv.http.shed],
+    [{route,method,status}]), [srv.http.latency_us] per route (the
+    one handler-time figure), [srv.http.queue_wait.us] per route,
+    [srv.http.in_flight], [srv.http.queue_depth] (set each poll
+    tick), [srv.http.connections], [srv.http.shed],
     [srv.http.parse_errors], [srv.http.handler_errors], plus the
-    [srv.http.request] span.  When an {!Obs.Events} consumer runs,
-    each request's GC overlap — the delta of
+    [srv.http.request] span (trace only).  When an {!Obs.Events}
+    consumer runs, each request's GC overlap — the delta of
     {!Obs.Events.cumulative_pause_ns} across its dispatch — is
-    recorded as [srv.http.gc_pause.us] per route.  The accept loop
-    additionally runs {!Obs.Runtime.sample} once per poll tick (it is
-    the process's single runtime-gauge writer).
+    recorded as [srv.http.gc_pause.us] per route.
 
     {2 Trace correlation}
 
@@ -48,7 +46,7 @@
     {2 Housekeeping tick}
 
     [config.tick], when set, runs on the accept-loop domain once per
-    poll tick (~250 ms), after {!Obs.Runtime.sample}, inside
+    poll tick (~250 ms), after the queue-depth update, inside
     {!Resilience.Guard.protect} — a throwing tick is counted and
     dropped, never fatal.  The daemon hangs periodic work off it:
     signal-flag polling, snapshot scheduling.

@@ -65,3 +65,12 @@ let dispatch t req =
           (Obs.Json.to_string
              (Obs.Json.Obj [ ("error", Obs.Json.String "method not allowed") ])
           ^ "\n") )
+
+let () = Obs.Registry.declare_counter "srv.http.handler_errors"
+
+(* The one "answer 500 and count it" fallback: the pool's dispatch
+   boundary and Cac_api's per-route guard both use it, so a raising
+   handler is counted exactly once, by whichever boundary catches it. *)
+let internal_error _exn =
+  Obs.Registry.incr "srv.http.handler_errors";
+  Http.json_error ~status:500 "internal error"

@@ -28,3 +28,9 @@ val label : t -> Http.request -> string
 
 val dispatch : t -> Http.request -> string * Http.response
 (** [(route_label, response)]. *)
+
+val internal_error : exn -> Http.response
+(** The answer to a handler that raised: a JSON [500], counted in
+    [srv.http.handler_errors].  The fallback of every handler boundary
+    ({!Pool}'s dispatch, {!Cac_api}'s per-route guard), so a raise is
+    counted once, by whichever boundary catches it. *)

@@ -59,11 +59,14 @@ let test_pause_soak () =
       check_true "top pause has positive duration"
         (Int64.compare p.Obs.Events.p_dur_ns 0L > 0)
   | [] -> ());
-  let stats = Obs.Events.domain_stats () in
-  check_true "domain stats cover this domain"
-    (List.exists
-       (fun (d, n, ns) -> d = (Domain.self () :> int) && n > 0 && ns > 0)
-       stats);
+  let this_domain =
+    Obs.Labels.make [ ("domain", string_of_int (Domain.self () :> int)) ]
+  in
+  spin
+    (fun () ->
+      Obs.Registry.counter_value ~labels:this_domain "runtime.ev.gc.pause_ns"
+      > 0)
+    "runtime.ev.gc.pause_ns{domain} never covered this domain";
   Obs.Events.stop t;
   check_true "stopped consumer reports not running"
     (not (Obs.Events.running ()))

@@ -137,12 +137,9 @@ let test_span_nesting () =
       Obs.Span.with_ ~name:"test.inner" (fun () ->
           seen := (Obs.Span.current_depth (), Obs.Span.current_name ()) :: !seen));
   check_int "stack drained" 0 (Obs.Span.current_depth ());
-  (match !seen with
+  match !seen with
   | [ (2, Some "test.inner"); (1, Some "test.outer") ] -> ()
-  | _ -> Alcotest.fail "span stack did not nest as outer > inner");
-  match Obs.Registry.histogram_snapshot "span.test.outer.us" with
-  | Some s -> check_true "outer span recorded a duration" (s.count >= 1)
-  | None -> Alcotest.fail "span histogram missing"
+  | _ -> Alcotest.fail "span stack did not nest as outer > inner"
 
 let test_span_exception_closes () =
   (match
@@ -237,11 +234,7 @@ let test_span_sampling_one_in () =
   check_int "1-in-3 over 9 completions" 3
     (emitted_under (Obs.Span.One_in 3) ~name:"test.sampled_one_in" ~spans:9);
   check_int "six completions dropped" (dropped_before + 6)
-    (Obs.Registry.counter_value "obs.span.sampled_out");
-  (* sampling gates the trace sink only: every span is still timed *)
-  match Obs.Registry.histogram_snapshot "span.test.sampled_one_in.us" with
-  | Some s -> check_true "histogram saw all 9 spans" (s.count >= 9)
-  | None -> Alcotest.fail "sampled span histogram missing"
+    (Obs.Registry.counter_value "obs.span.sampled_out")
 
 let test_span_sampling_reset_and_no_sink () =
   (* spans with no sink installed never consult the sampler *)
@@ -453,10 +446,27 @@ let test_prometheus_exemplar () =
   check_true "finite buckets stay exemplar-free"
     (contains_substring out "test_ex_us_bucket{le=\"10\"} 1\n")
 
-(* {2 Runtime collector} *)
+(* {2 Runtime gauges} *)
+
+let runtime_gauges =
+  [
+    "runtime.gc.minor_collections";
+    "runtime.gc.major_collections";
+    "runtime.gc.compactions";
+    "runtime.gc.minor_words";
+    "runtime.gc.promoted_words";
+    "runtime.gc.major_words";
+    "runtime.heap_words";
+    "runtime.top_heap_words";
+  ]
+
+let gauge (snap : Obs.Registry.snapshot) name =
+  match List.assoc_opt (name, Obs.Labels.empty) snap.gauges with
+  | Some v -> v
+  | None -> Alcotest.failf "%s gauge missing from the snapshot" name
 
 let test_runtime_read_monotonic () =
-  let a = Obs.Runtime.read () in
+  let a = Obs.Registry.snapshot () in
   (* allocate enough boxed values to move the GC counters *)
   let junk = ref [] in
   for i = 1 to 10_000 do
@@ -464,52 +474,36 @@ let test_runtime_read_monotonic () =
   done;
   Gc.minor ();
   check_true "allocation kept" (List.length !junk = 10_000);
-  let b = Obs.Runtime.read () in
-  check_true "minor_words grows with allocation"
-    (b.Obs.Runtime.minor_words > a.Obs.Runtime.minor_words);
+  let b = Obs.Registry.snapshot () in
+  let grew name = gauge b name > gauge a name
+  and kept name = gauge b name >= gauge a name in
+  check_true "minor_words grows with allocation" (grew "runtime.gc.minor_words");
   check_true "minor_collections never decreases"
-    (b.Obs.Runtime.minor_collections >= a.Obs.Runtime.minor_collections);
-  check_true "major_words never decreases"
-    (b.Obs.Runtime.major_words >= a.Obs.Runtime.major_words);
-  check_true "heap is non-empty" (b.Obs.Runtime.heap_words > 0);
+    (kept "runtime.gc.minor_collections");
+  check_true "major_words never decreases" (kept "runtime.gc.major_words");
+  check_true "heap is non-empty" (gauge b "runtime.heap_words" > 0.0);
   check_true "high-water mark bounds the heap"
-    (b.Obs.Runtime.top_heap_words >= b.Obs.Runtime.heap_words)
+    (gauge b "runtime.top_heap_words" >= gauge b "runtime.heap_words")
 
-let test_runtime_sample () =
-  let s = Obs.Runtime.sample () in
-  (match Obs.Runtime.last () with
-  | Some (_, s') -> check_true "last returns the sampled stats" (s' = s)
-  | None -> Alcotest.fail "sample did not record itself");
-  (match Obs.Runtime.sample_age_s () with
-  | Some age -> check_true "age is non-negative" (age >= 0.0)
-  | None -> Alcotest.fail "sample_age_s empty after a sample");
-  let s' = Obs.Runtime.sample () in
-  check_true "counters are monotone across samples"
-    (s'.Obs.Runtime.minor_collections >= s.Obs.Runtime.minor_collections
-    && s'.Obs.Runtime.minor_words >= s.Obs.Runtime.minor_words);
-  (* sample never publishes the unflushed zero block (it forces a
-     minor collection if quick_stat has not seen a stop-the-world
-     point since worker domains spawned) *)
-  check_true "sampled heap is never zero" (s'.Obs.Runtime.heap_words > 0);
-  let snap = Obs.Registry.snapshot () in
+(* Nothing stores the GC figures: every snapshot polls them, so a
+   snapshot taken on any domain carries each gauge exactly once
+   (never summed across shards) and never the unflushed zero heap. *)
+let test_runtime_snapshot_gauges () =
+  let from_worker = Domain.join (Domain.spawn Obs.Registry.snapshot) in
   List.iter
-    (fun name ->
+    (fun (where, (snap : Obs.Registry.snapshot)) ->
+      List.iter
+        (fun name ->
+          check_int
+            (Printf.sprintf "%s exported once (%s)" name where)
+            1
+            (List.length
+               (List.filter (fun ((n, _), _) -> n = name) snap.gauges)))
+        runtime_gauges;
       check_true
-        (Printf.sprintf "%s gauge exported" name)
-        (List.mem_assoc (name, Obs.Labels.empty) snap.gauges))
-    [
-      "runtime.gc.minor_collections";
-      "runtime.gc.major_collections";
-      "runtime.gc.minor_words";
-      "runtime.heap_words";
-      "runtime.top_heap_words";
-    ];
-  (* json encoding carries every field *)
-  let doc = Obs.Runtime.json_of_stats s' in
-  List.iter
-    (fun f ->
-      check_true (Printf.sprintf "json has %s" f) (Obs.Json.member f doc <> None))
-    [ "minor_collections"; "major_collections"; "minor_words"; "heap_words" ]
+        (Printf.sprintf "heap is never zero (%s)" where)
+        (gauge snap "runtime.heap_words" > 0.0))
+    [ ("worker domain", from_worker); ("main domain", Obs.Registry.snapshot ()) ]
 
 (* {2 Heatmaps} *)
 
@@ -804,7 +798,8 @@ let suite =
       test_exemplar_stamping;
     case "exemplar: prometheus +Inf rendering" test_prometheus_exemplar;
     case "runtime: GC counters are monotone" test_runtime_read_monotonic;
-    case "runtime: sample mirrors into gauges" test_runtime_sample;
+    case "runtime: every snapshot carries the GC gauges"
+      test_runtime_snapshot_gauges;
     case "heatmap: ascii grid" test_heatmap_ascii;
     case "heatmap: csv golden" test_heatmap_csv;
     case "heatmap: self-contained html" test_heatmap_html;

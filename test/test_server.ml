@@ -392,7 +392,7 @@ let test_overload_sheds_503 () =
 
 (* {2 Trace correlation and introspection} *)
 
-let with_api ?(links = [ ("oc3", 16140.0, 20.0) ]) f =
+let with_api ?barrier ?(links = [ ("oc3", 16140.0, 20.0) ]) f =
   let engine = Cac.Engine.create () in
   List.iter
     (fun (id, capacity, buffer_msec) ->
@@ -402,7 +402,7 @@ let with_api ?(links = [ ("oc3", 16140.0, 20.0) ]) f =
       in
       ())
     links;
-  f (Cac_api.create engine)
+  f (Cac_api.create ?barrier engine)
 
 (* Run one connection's worth of raw bytes through the worker body and
    hand each response back through [read_response]. *)
@@ -419,6 +419,29 @@ let serve_bytes router ~requests =
               Io.write_string client bytes;
               read_response reader)
             requests))
+
+(* A raise inside a route handler is caught by Cac_api's per-route
+   guard, before the pool's boundary sees it; both boundaries answer
+   through the same counted fallback, so the 500 is counted once. *)
+let test_route_handler_raise_counted () =
+  with_api ~barrier:(fun () -> failwith "barrier bug") @@ fun api ->
+  let body = {|{"link": "oc3", "class": "dar1"}|} in
+  let before = Obs.Registry.counter_value "srv.http.handler_errors" in
+  let statuses =
+    List.map
+      (fun (st, _, _) -> st)
+      (serve_bytes (Cac_api.router api)
+         ~requests:
+           [
+             Printf.sprintf
+               "POST /v1/admit HTTP/1.1\r\nconnection: close\r\n\
+                content-length: %d\r\n\r\n%s"
+               (String.length body) body;
+           ])
+  in
+  check_true "one 500" (statuses = [ 500 ]);
+  check_int "srv.http.handler_errors up by exactly 1" (before + 1)
+    (Obs.Registry.counter_value "srv.http.handler_errors")
 
 let response_body resp =
   let s = Http.to_string ~keep_alive:false resp in
@@ -667,13 +690,6 @@ let test_debug_vars () =
         (match f "clock_source" with
         | Some (String s) -> String.length s > 0
         | _ -> false);
-      (match f "gc" with
-      | Some gc ->
-          check_true "gc stats carry collection counts"
-            (match Obs.Json.member "minor_collections" gc with
-            | Some (Int n) -> n >= 0
-            | _ -> false)
-      | None -> Alcotest.fail "no gc section");
       check_true "registered provider rendered"
         (match f "test_section" with
         | Some s -> Obs.Json.member "answer" s = Some (Obs.Json.Int 42)
@@ -722,7 +738,11 @@ let test_debug_vars_breakers_and_pauses () =
           check_true "top pauses carried"
             (match Obs.Json.member "top_pauses" events with
             | Some (List _) -> true
-            | _ -> false)
+            | _ -> false);
+          (* per-domain pause totals live on /metrics:
+             runtime.ev.gc.pauses{domain,phase}, .pause_ns{domain} *)
+          check_true "domains is not repeated here"
+            (Obs.Json.member "domains" events = None)
       | None -> Alcotest.fail "no events section");
       List.iter
         (fun gone ->
@@ -733,6 +753,9 @@ let test_debug_vars_breakers_and_pauses () =
           "runtime_collector";
           "runtime_sample_age_s";
           "registry_snapshot_age_s";
+          "snapshot_age_s";
+          "gc";
+          "gc_sampled";
         ]
 
 let test_folded_endpoints_gone () =
@@ -751,23 +774,54 @@ let test_folded_endpoints_gone () =
 
 let test_healthz_liveness_fields () =
   with_api @@ fun api ->
-  (* A snapshot has certainly been taken by now (metrics tests above),
-     so the age must be a number, not null. *)
-  ignore (Obs.Registry.snapshot ());
   let _, resp = Router.dispatch (Cac_api.router api) (req_for Http.GET "/healthz") in
   check_int "healthz answers" 200 (Http.status resp);
   match Obs.Json.of_string (response_body resp) with
-  | None -> Alcotest.fail "unparseable /healthz body"
-  | Some doc ->
-      let f name = Obs.Json.member name doc in
-      check_true "still reports ok" (f "status" = Some (String "ok"));
-      check_true "snapshot age reported"
-        (match f "snapshot_age_s" with Some (Float a) -> a >= 0.0 | _ -> false);
-      check_true "collector liveness reported"
-        (match f "runtime_collector" with
-        | Some (String s) -> List.mem s [ "never"; "live"; "stale" ]
-        | _ -> false);
-      check_true "collector age key present" (f "runtime_sample_age_s" <> None)
+  | Some (Obj fields) ->
+      check_true "exactly the five liveness fields"
+        (List.map fst fields
+        = [ "status"; "state"; "uptime_s"; "links"; "connections" ]);
+      check_true "reports ok" (List.assoc "status" fields = String "ok");
+      check_true "ready" (List.assoc "state" fields = String "ready");
+      check_true "links listed"
+        (List.assoc "links" fields = List [ String "oc3" ]);
+      check_true "no connections yet"
+        (List.assoc "connections" fields = Int 0)
+  | _ -> Alcotest.fail "unparseable /healthz body"
+
+(* The first scrape of a router no pool tick has touched: the GC
+   gauges come from the snapshot itself, and spans write no series
+   (their durations live in srv.http.latency_us{route}). *)
+let test_metrics_gc_without_tick () =
+  with_api @@ fun api ->
+  let _, resp = Router.dispatch (Cac_api.router api) (req_for Http.GET "/metrics") in
+  check_int "metrics answers" 200 (Http.status resp);
+  let lines = String.split_on_char '\n' (response_body resp) in
+  let value name =
+    List.find_map
+      (fun l ->
+        match String.split_on_char ' ' l with
+        | [ n; v ] when n = name -> float_of_string_opt v
+        | _ -> None)
+      lines
+  in
+  List.iter
+    (fun name ->
+      check_true (name ^ " exported") (value name <> None))
+    [
+      "runtime_gc_minor_collections";
+      "runtime_gc_major_collections";
+      "runtime_gc_compactions";
+      "runtime_gc_minor_words";
+      "runtime_gc_promoted_words";
+      "runtime_gc_major_words";
+      "runtime_heap_words";
+      "runtime_top_heap_words";
+    ];
+  check_true "runtime_heap_words > 0"
+    (match value "runtime_heap_words" with Some v -> v > 0.0 | None -> false);
+  check_true "no span_ series"
+    (not (List.exists (fun l -> String.starts_with ~prefix:"span_" l) lines))
 
 let test_heatmap_endpoints () =
   with_api ~links:[ ("oc3", 16140.0, 20.0); ("oc12", 64560.0, 120.0) ]
@@ -908,9 +962,11 @@ let test_daemon_restart_replays_nothing () =
       let health = get_json (Daemon.port d) "/healthz" in
       check_true "healthz reports every connection"
         (json_at health [ "connections" ] = Some (Obs.Json.Int n));
-      let recovery =
-        json_at (get_json (Daemon.port d) "/debug/vars") [ "persist"; "recovery" ]
-      in
+      let vars = get_json (Daemon.port d) "/debug/vars" in
+      check_true "queue depth is not repeated in the server section"
+        (json_at vars [ "server"; "queue_capacity" ] <> None
+        && json_at vars [ "server"; "queue_length" ] = None);
+      let recovery = json_at vars [ "persist"; "recovery" ] in
       let at path = Option.bind recovery (fun r -> json_at r path) in
       check_true "recovered from the shutdown snapshot"
         (at [ "snapshot"; "connections" ] = Some (Obs.Json.Int n));
@@ -996,6 +1052,8 @@ let suite =
       test_handler_exception_contained;
     slow_case "pool: overload sheds 503 from the accept loop"
       test_overload_sheds_503;
+    case "pool: a raising route handler is one counted 500"
+      test_route_handler_raise_counted;
     case "trace: traceparent echoed and generated"
       test_traceparent_round_trip;
     case "trace: one decide, one correlated span tree"
@@ -1003,12 +1061,14 @@ let suite =
     case "access log: one JSON line per request" test_access_log;
     case "gc attribution: handler pauses land in srv.http.gc_pause.us"
       test_gc_attribution;
-    case "debug vars: gc, clock and providers" test_debug_vars;
+    case "debug vars: clock and providers" test_debug_vars;
     case "debug vars: breakers and top pauses"
       test_debug_vars_breakers_and_pauses;
     case "router: /profile, /breakers are 404" test_folded_endpoints_gone;
-    case "healthz: snapshot age and collector liveness"
+    case "healthz: exactly the five liveness fields"
       test_healthz_liveness_fields;
+    case "metrics: GC gauges before any pool tick, no span series"
+      test_metrics_gc_without_tick;
     case "heatmap: per-buffer rows from live decides"
       test_heatmap_endpoints;
     slow_case "daemon: 10k-request loopback soak + metrics scrape"
