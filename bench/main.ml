@@ -61,6 +61,7 @@ let micro_tests () =
   let vg =
     Core.Variance_growth.create ~acf:z.Traffic.Process.acf
       ~variance:z.Traffic.Process.variance
+      ~tail:z.Traffic.Process.tail
   in
   let b_10ms = 134.5 in
   let rng = Numerics.Rng.create ~seed:9 in
@@ -75,7 +76,7 @@ let micro_tests () =
            (* fresh variance-growth cache so the scan cost is measured *)
            let vg' =
              Core.Variance_growth.create ~acf:acf_z
-               ~variance:z.Traffic.Process.variance
+               ~variance:z.Traffic.Process.variance ~tail:z.Traffic.Process.tail
            in
            Core.Cts.analyze vg' ~mu:500.0 ~c:538.0 ~b:b_10ms));
     Test.make ~name:"cts_analyze_memoized"

@@ -15,6 +15,7 @@ let admissible process ~buffer_msec ~target_clr =
   let vg =
     Core.Variance_growth.create ~acf:process.Traffic.Process.acf
       ~variance:process.Traffic.Process.variance
+      ~tail:process.Traffic.Process.tail
   in
   let total_buffer =
     Queueing.Units.buffer_cells_of_msec ~msec:buffer_msec

@@ -19,6 +19,7 @@ let required_bandwidth process ~delay_msec =
   let vg =
     Core.Variance_growth.create ~acf:process.Traffic.Process.acf
       ~variance:process.Traffic.Process.variance
+      ~tail:process.Traffic.Process.tail
   in
   (* The buffer in cells depends on the capacity we are solving for, so
      iterate the fixed point: B = capacity * delay; capacity =

@@ -33,6 +33,7 @@ let () =
   let vg =
     Core.Variance_growth.create ~acf:mix.Traffic.Process.acf
       ~variance:mix.Traffic.Process.variance
+      ~tail:mix.Traffic.Process.tail
   in
   Printf.printf "Link capacity %.0f cells/frame (93%% load)\n\n" capacity;
   Printf.printf "%-14s %-8s %-18s %-14s\n" "buffer (msec)" "m*_b"

@@ -20,6 +20,7 @@ let () =
   let vg =
     Core.Variance_growth.create ~acf:source.Traffic.Process.acf
       ~variance:source.Traffic.Process.variance
+      ~tail:source.Traffic.Process.tail
   in
 
   (* 3. Critical Time Scale: how many lags of the ACF actually matter? *)

@@ -10,7 +10,8 @@ let of_process process =
     process;
     vg =
       Core.Variance_growth.create ~acf:process.Traffic.Process.acf
-        ~variance:process.Traffic.Process.variance;
+        ~variance:process.Traffic.Process.variance
+        ~tail:process.Traffic.Process.tail;
   }
 
 let names =

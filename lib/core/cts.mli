@@ -20,29 +20,51 @@ type analysis = {
   m_star : int;  (** the Critical Time Scale *)
   rate : float;  (** I(c, b), the per-source decay rate *)
   scanned_up_to : int;
-      (** how far the certified search examined the objective *)
+      (** the last [m] the scan examined: where its stopping rule held,
+          or the hard cap [2_000_000] *)
 }
 
 val objective : Variance_growth.t -> mu:float -> c:float -> b:float -> int -> float
 (** [objective vg ~mu ~c ~b m] is [(b + m (c - mu))^2 / (2 V(m))]. *)
 
-val analyze :
-  ?margin:int -> Variance_growth.t -> mu:float -> c:float -> b:float -> analysis
+val analyze : Variance_growth.t -> mu:float -> c:float -> b:float -> analysis
 (** Computes [I(c,b)] and [m*_b].  Requires [c > mu] (stability with
-    positive spare capacity).  The scan continues until the index
-    exceeds [margin * argmin + 64] with the objective at twice the
-    running minimum (default [margin = 8]), or at [m = 2_000_000]; for
-    the monotone-ACF sources of interest the objective is unimodal and
-    this is a comfortable certificate.
+    positive spare capacity).
+
+    The scan stops on a certificate, the paper's finiteness argument
+    made exact.  After step [k], the table's tail bound
+    ({!Variance_growth.tail_bound}) caps every later lag, hence
+    [V(m)] for every [m > k] by a quadratic in [m], hence the objective
+    from below by a ratio whose infimum over [m > k] has a closed
+    form.  The scan stops once that infimum is at least the running
+    minimum (times [1 + 1e-9], for rounding): no later [m] can then
+    change [m*_b] or the rate.  A step whose bound quadratic is not
+    increasing from [k + 1] (a negatively correlated table) does not
+    test.
+
+    Where the tail gives no bound ([`Unknown] tails, or a
+    [`Decreasing] one past {!Variance_growth.monotone_ceiling}) the
+    scan keeps a heuristic: stop once the objective is twice its
+    running minimum and [m > 8 argmin + 64].  That is sound for the
+    unimodal objectives of monotone ACFs but misses a dip at long
+    lags.  Either way the scan ends by [m = 2_000_000].
 
     The scan is one loop over the table's prefix sums that allocates
     nothing per step: it fills the table exactly as far as
-    [scanned_up_to - 1], and its results are bit-identical to scanning
-    {!objective} with {!Numerics.Optimize.integer_argmin} under the
-    same stopping rule. *)
+    [scanned_up_to - 1].  Its [m*_b] and rate are bit-identical to
+    scanning {!objective} with {!Numerics.Optimize.integer_argmin}
+    over the same range. *)
+
+val certificate :
+  Variance_growth.t -> mu:float -> c:float -> b:float -> int -> float
+(** [certificate vg ~mu ~c ~b k] is the lower bound that {!analyze}
+    proves after step [k] on [objective vg ~mu ~c ~b m] for every
+    [m > k] (up to rounding), from lags [1 .. k-1] and the table's
+    tail bound; [neg_infinity] where it proves none.  The scan stops
+    at the first [k] where it reaches the running minimum.  Exposed so
+    the tests can hold the bound to the objective. *)
 
 val curve :
-  ?margin:int ->
   Variance_growth.t ->
   mu:float ->
   c:float ->

@@ -148,7 +148,7 @@ let emit fig =
 
 let variance_growth (p : Traffic.Process.t) =
   Core.Variance_growth.create ~acf:p.Traffic.Process.acf
-    ~variance:p.Traffic.Process.variance
+    ~variance:p.Traffic.Process.variance ~tail:p.Traffic.Process.tail
 
 let buffer_cells_per_source ~msec ~n ~c =
   let total =

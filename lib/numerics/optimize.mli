@@ -36,5 +36,5 @@ val integer_argmin :
 
     [Core.Cts.analyze] runs its Critical Time Scale scan as its own
     allocation-free loop; this function, fed [Core.Cts.objective] and
-    the same certificate, is the reference that loop is tested against
-    bit for bit. *)
+    the heuristic stop that loop keeps for ACFs with no declared tail,
+    is the reference it is tested against bit for bit. *)

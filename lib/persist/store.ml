@@ -147,7 +147,6 @@ let close t =
 
 let debug_json t =
   let s = Wal.stats t.wal in
-  let last = Atomic.get t.last_snapshot in
   let open Obs.Json in
   Obj
     [
@@ -159,6 +158,4 @@ let debug_json t =
       ("wal_written", Int s.Wal.written);
       ("wal_synced", Int s.Wal.synced);
       ("wal_segment", Int s.Wal.segment);
-      ( "snapshot_age_s",
-        if last > 0.0 then Float (Obs.Clock.wall () -. last) else Null );
     ]

@@ -179,6 +179,9 @@ let make ?name marginal params =
     variance = marginal.variance;
     acf = r;
     hurst = None;
+    (* [acf_table] computes r(k) = rho (w_1 r(k-1) + ...) for k >= p;
+       with one lag that is rho^k, non-increasing also as rounded. *)
+    tail = (if p = 1 then `Decreasing else `Recurrent p);
     spawn;
   }
 

@@ -51,7 +51,9 @@ val acf_fun : params -> int -> float
 
 val make : ?name:string -> marginal -> params -> Process.t
 (** The DAR(p) frame process with the given marginal and correlation
-    parameters.  Short-range dependent: [hurst = None]. *)
+    parameters.  Short-range dependent: [hurst = None].  Its tail is
+    [`Decreasing] for [p = 1] (r(k) = rho^k) and [`Recurrent p]
+    otherwise. *)
 
 val fit : target_acf:(int -> float) -> p:int -> params
 (** [fit ~target_acf ~p] solves the Yule–Walker system on the first [p]

@@ -56,5 +56,6 @@ let process ?(truncation = 2048) ~d ~mean ~variance () =
     variance;
     acf = acf ~d;
     hurst = Some (d +. 0.5);
+    tail = `Unknown;
     spawn;
   }

@@ -93,5 +93,12 @@ let process t ~ts =
     variance = frame_variance t ~ts;
     acf = frame_acf t ~ts;
     hurst = Some (hurst t);
+    (* [half_nabla2] forms its second difference by cancellation, so
+       far enough out the computed ACF rises again by a rounding step.
+       For alpha in [0.2, 0.9] the first such lag lies above 70,000,
+       clear of the 65,536-lag ceiling below which a [`Decreasing]
+       tail is used; as alpha nears 0 or 1 it falls to about 30,000,
+       so those exponents declare no tail. *)
+    tail = (if t.alpha >= 0.2 && t.alpha <= 0.9 then `Decreasing else `Unknown);
     spawn;
   }

@@ -62,4 +62,7 @@ val g_factor : params -> ts:float -> float
 
 val process : params -> ts:float -> Process.t
 (** The frame-size process: simulation by event-driven ON/OFF tracking
-    plus Poisson thinning per frame, analytic moments as above. *)
+    plus Poisson thinning per frame, analytic moments as above.  Its
+    tail is [`Decreasing] for [alpha] in [[0.2, 0.9]], where the
+    computed {!frame_acf} stays non-increasing through lag 65,536, and
+    [`Unknown] outside it. *)

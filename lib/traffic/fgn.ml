@@ -105,5 +105,6 @@ let process ?(block = 65536) ~h ~mean ~variance () =
     variance;
     acf = acf ~h;
     hurst = Some h;
+    tail = `Unknown;
     spawn;
   }

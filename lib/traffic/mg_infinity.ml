@@ -124,5 +124,6 @@ let process t =
     variance = frame_variance t;
     acf = acf t;
     hurst = Some (hurst t);
+    tail = `Unknown;
     spawn;
   }

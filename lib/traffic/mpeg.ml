@@ -75,5 +75,7 @@ let process t =
     variance = frame_variance t;
     acf = acf t;
     hurst = None;
+    (* GOP-periodic, with negative lags. *)
+    tail = `Unknown;
     spawn;
   }

@@ -1,4 +1,5 @@
 type generator = unit -> float
+type tail = [ `Decreasing | `Recurrent of int | `Unknown ]
 
 type t = {
   name : string;
@@ -6,6 +7,7 @@ type t = {
   variance : float;
   acf : int -> float;
   hurst : float option;
+  tail : tail;
   spawn : Numerics.Rng.t -> generator;
 }
 
@@ -58,6 +60,17 @@ let superpose ?name components =
         | Some a, Some b -> Some (Stdlib.max a b))
       None components
   in
+  (* A variance-weighted sum of non-negative, non-increasing ACFs is
+     one too, also as computed: rounding is monotone.  Mixed
+     recurrences obey no single recurrence. *)
+  let tail =
+    if
+      List.for_all
+        (fun c -> match c.tail with `Decreasing -> true | _ -> false)
+        components
+    then `Decreasing
+    else `Unknown
+  in
   let spawn rng =
     (* Give each component its own substream so adding a component
        does not change the draws of the others. *)
@@ -68,7 +81,7 @@ let superpose ?name components =
     in
     fun () -> List.fold_left (fun acc g -> acc +. g ()) 0.0 gens
   in
-  { name; mean; variance; acf; hurst; spawn }
+  { name; mean; variance; acf; hurst; tail; spawn }
 
 let replicate ?name t n =
   assert (n >= 1);
@@ -82,6 +95,7 @@ let replicate ?name t n =
     variance = nf *. t.variance;
     acf = t.acf;
     hurst = t.hurst;
+    tail = t.tail;
     spawn =
       (fun rng ->
         let gens =

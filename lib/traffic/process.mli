@@ -12,6 +12,20 @@ type generator = unit -> float
 (** Each call returns the next frame size (cells/frame).  Generators
     are stateful and must not be shared between threads. *)
 
+type tail = [ `Decreasing | `Recurrent of int | `Unknown ]
+(** What the model guarantees about its computed ACF beyond the lags
+    already seen: the envelope [Core.Variance_growth] turns into a
+    proof that the Critical Time Scale scan can stop (the same type
+    there, shared structurally so neither library depends on the
+    other).
+    - [`Decreasing]: [r k >= 0] and non-increasing in [k];
+    - [`Recurrent p]: for [k >= p],
+      [r k = rho (w_1 r (k-1) + ... + w_p r (k-p))] with [rho < 1] and
+      [w] a probability vector, so no lag exceeds the largest [|r|]
+      among the last [p];
+    - [`Unknown]: no envelope (periodic or negatively correlated
+      ACFs, and every model whose tail no test checks). *)
+
 type t = {
   name : string;
   mean : float;  (** E[X] in cells/frame *)
@@ -21,6 +35,7 @@ type t = {
   hurst : float option;
       (** analytic Hurst parameter when the model is LRD; [None] for
           short-range dependent models (H = 1/2) *)
+  tail : tail;  (** the ACF's declared envelope *)
   spawn : Numerics.Rng.t -> generator;
       (** [spawn rng] creates a fresh stationary generator drawing its
           randomness from [rng] *)
@@ -35,14 +50,15 @@ val acf_array : t -> max_lag:int -> float array
 
 val scale : t -> float -> t
 (** [scale t c] multiplies every frame by [c] (mean scales by [c],
-    variance by [c^2]; the ACF is unchanged). *)
+    variance by [c^2]; the ACF and its tail are unchanged). *)
 
 val superpose : ?name:string -> t list -> t
 (** Sum of independent processes: means and variances add and the ACF
     is the variance-weighted mixture of component ACFs (the paper's
     eq. 5).  The Hurst parameter of the sum is the maximum of the
     component Hurst parameters (power-law tails dominate geometric
-    ones).  The list must be non-empty. *)
+    ones).  The tail is [`Decreasing] when every component's is, and
+    [`Unknown] otherwise.  The list must be non-empty. *)
 
 val replicate : ?name:string -> t -> int -> t
 (** [replicate t n] is the superposition of [n] independent copies of

@@ -45,5 +45,13 @@ let smooth ?name (p : Process.t) ~window =
         pos := (!pos + 1) mod window;
         Numerics.Float_array.sum ring /. wf
     in
-    { Process.name; mean = p.Process.mean; variance; acf; hurst = p.Process.hurst; spawn }
+    {
+      Process.name;
+      mean = p.Process.mean;
+      variance;
+      acf;
+      hurst = p.Process.hurst;
+      tail = `Unknown;
+      spawn;
+    }
   end

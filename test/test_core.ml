@@ -1,7 +1,8 @@
 open Helpers
 
 let ar1_vg rho variance =
-  Core.Variance_growth.create ~variance ~acf:(fun k -> rho ** float_of_int k)
+  Core.Variance_growth.create ~variance ~tail:`Decreasing
+    ~acf:(fun k -> rho ** float_of_int k)
 
 let test_variance_growth_vs_naive () =
   let rho = 0.7 and variance = 5000.0 in
@@ -26,7 +27,9 @@ let test_variance_growth_v1 () =
   check_close "V(1) = sigma^2" 1234.0 (Core.Variance_growth.v vg 1)
 
 let test_variance_growth_iid () =
-  let vg = Core.Variance_growth.create ~variance:2.0 ~acf:(fun _ -> 0.0) in
+  let vg =
+    Core.Variance_growth.create ~variance:2.0 ~tail:`Decreasing ~acf:(fun _ -> 0.0)
+  in
   List.iter
     (fun m ->
       check_close
@@ -39,7 +42,7 @@ let test_variance_growth_lrd_asymptote () =
   (* For exact LRD, V(m) ~ g sigma^2 m^2H. *)
   let h = 0.9 and g = 0.9 in
   let acf k = if k = 0 then 1.0 else g *. Traffic.Fgn.acf ~h k in
-  let vg = Core.Variance_growth.create ~variance:1.0 ~acf in
+  let vg = Core.Variance_growth.create ~variance:1.0 ~tail:`Unknown ~acf in
   let ratio m = Core.Variance_growth.v vg m /. (g *. (float_of_int m ** (2.0 *. h))) in
   check_close ~tol:0.02 "LRD variance growth exponent" 1.0 (ratio 5000)
 
@@ -65,7 +68,7 @@ let test_cts_monotone_in_buffer () =
   let z = (Traffic.Models.z ~a:0.975).Traffic.Models.process in
   let vg =
     Core.Variance_growth.create ~acf:z.Traffic.Process.acf
-      ~variance:z.Traffic.Process.variance
+      ~variance:z.Traffic.Process.variance ~tail:z.Traffic.Process.tail
   in
   let prev = ref 0 in
   List.iter
@@ -93,7 +96,7 @@ let test_cts_lrd_constant () =
   (* For exact-LRD Gaussian, m* ~ H b / ((1-H)(c - mu)). *)
   let h = 0.86 in
   let acf k = if k = 0 then 1.0 else Traffic.Fgn.acf ~h k in
-  let vg = Core.Variance_growth.create ~variance:5000.0 ~acf in
+  let vg = Core.Variance_growth.create ~variance:5000.0 ~tail:`Unknown ~acf in
   let b = 1000.0 and c = 538.0 and mu = 500.0 in
   let a = Core.Cts.analyze vg ~mu ~c ~b in
   check_close_rel ~tol:0.05 "LRD CTS closed form"
@@ -112,7 +115,7 @@ let test_truncation_beyond_cts_is_free () =
   let z = (Traffic.Models.z ~a:0.975).Traffic.Models.process in
   let vg =
     Core.Variance_growth.create ~acf:z.Traffic.Process.acf
-      ~variance:z.Traffic.Process.variance
+      ~variance:z.Traffic.Process.variance ~tail:z.Traffic.Process.tail
   in
   let b = 134.5 (* 10 msec at c=538, per-source *) in
   let a = Core.Cts.analyze vg ~mu:500.0 ~c:538.0 ~b in
@@ -124,10 +127,14 @@ let test_truncation_beyond_cts_is_free () =
 
 (* {2 The CTS scan against its reference}
 
-   [reference_scan] is the scan [Cts.analyze] replaces: [Cts.objective]
-   (hence [Variance_growth.v]) under [Numerics.Optimize.integer_argmin],
-   with the certificate as a stop closure.  The single-loop scan must
-   reproduce it to the bit, on fresh tables that it grows itself. *)
+   [reference_scan] is the heuristic scan the certificate replaced:
+   [Cts.objective] (hence [Variance_growth.v]) under
+   [Numerics.Optimize.integer_argmin], stopping once the objective is
+   twice its running minimum past [margin * argmin + 64].  Where that
+   finds the true minimum, the certified scan must reproduce its m*
+   and rate to the bit, on fresh tables that it grows itself, and
+   look no further; on a table with no tail bound the scan is the
+   heuristic, step for step. *)
 let reference_scan ~margin vg ~mu ~c ~b =
   let argmin_so_far = ref 1 in
   let f m = Core.Cts.objective vg ~mu ~c ~b m in
@@ -141,42 +148,89 @@ let reference_scan ~margin vg ~mu ~c ~b =
       current > 2.0 *. best && at > (margin * !argmin_so_far) + 64)
     ()
 
+type scan_class = {
+  mu : float;
+  fresh : unit -> Core.Variance_growth.t;
+  reference : Core.Variance_growth.t;  (** one warm table per class... *)
+  reference_truncated : Core.Variance_growth.t;  (** ...and truncation *)
+  bounded : bool;  (** whether the tail bounds the later lags *)
+}
+
+(* Every CAC class, mpeg's [`Unknown] tail included, and a tabulated
+   ACF as [Core.Spectrum] scans one. *)
 let scan_classes =
   lazy
-    (Array.map
-       (fun name ->
-         let p = (Cac.Source_class.of_name_exn name).Cac.Source_class.process in
-         let fresh () =
+    (let of_class name =
+       let p = (Cac.Source_class.of_name_exn name).Cac.Source_class.process in
+       ( p.Traffic.Process.mean,
+         (fun () ->
            Core.Variance_growth.create ~acf:p.Traffic.Process.acf
-             ~variance:p.Traffic.Process.variance
-         in
-         (* One warm table per (class, truncation) for the reference. *)
+             ~variance:p.Traffic.Process.variance ~tail:p.Traffic.Process.tail),
+         match p.Traffic.Process.tail with `Unknown -> false | _ -> true )
+     in
+     let tabulated =
+       let z = (Traffic.Models.z ~a:0.9).Traffic.Models.process in
+       let acf = Traffic.Process.acf_array z ~max_lag:8192 in
+       ( z.Traffic.Process.mean,
+         (fun () ->
+           Core.Variance_growth.of_acf_array ~acf ~variance:z.Traffic.Process.variance),
+         true )
+     in
+     Array.map
+       (fun (mu, fresh, bounded) ->
          let reference = fresh () in
-         (p.Traffic.Process.mean, fresh, reference,
-          Core.Variance_growth.truncated reference ~at:10))
-       [| "z0.7"; "z0.975"; "l"; "dar1"; "dar3"; "mpeg" |])
+         {
+           mu;
+           fresh;
+           reference;
+           reference_truncated = Core.Variance_growth.truncated reference ~at:10;
+           bounded;
+         })
+       (Array.of_list (List.map of_class Cac.Source_class.names @ [ tabulated ])))
 
 let scan_case_gen =
   QCheck2.Gen.(
-    tup5 (int_range 0 5) bool (float_range 0.0 1.0) (float_range 0.0 5000.0)
-      (int_range 1 8))
+    tup4
+      (* the classes, then the tabulated ACF *)
+      (int_range 0 (List.length Cac.Source_class.names))
+      bool (float_range 0.0 1.0) (float_range 0.0 5000.0))
 
-let scan_matches_reference (cls, truncate, u, b, margin) =
-  let mu, fresh, reference, reference_truncated =
-    (Lazy.force scan_classes).(cls)
-  in
+let scan_matches_reference (cls, truncate, u, b) =
+  let s = (Lazy.force scan_classes).(cls) in
+  let mu = s.mu in
   let c = mu +. 20.0 +. (u *. ((2.0 *. mu) -. 20.0)) in
   let vg, ref_vg =
-    if truncate then (Core.Variance_growth.truncated (fresh ()) ~at:10, reference_truncated)
-    else (fresh (), reference)
+    if truncate then (Core.Variance_growth.truncated (s.fresh ()) ~at:10, s.reference_truncated)
+    else (s.fresh (), s.reference)
   in
-  let got = Core.Cts.analyze ~margin vg ~mu ~c ~b in
-  let want = reference_scan ~margin ref_vg ~mu ~c ~b in
+  let got = Core.Cts.analyze vg ~mu ~c ~b in
+  let want = reference_scan ~margin:8 ref_vg ~mu ~c ~b in
   got.Core.Cts.m_star = want.Numerics.Optimize.argmin
-  && got.Core.Cts.scanned_up_to = want.Numerics.Optimize.scanned_up_to
   && Int64.equal
        (Int64.bits_of_float got.Core.Cts.rate)
        (Int64.bits_of_float want.Numerics.Optimize.minimum)
+  &&
+  if s.bounded then got.Core.Cts.scanned_up_to <= want.Numerics.Optimize.scanned_up_to
+  else got.Core.Cts.scanned_up_to = want.Numerics.Optimize.scanned_up_to
+
+let test_cts_late_dip () =
+  (* No correlation except 0.9 at lags 200-399.  The objective's true
+     minimum lies past the block, at m = 602; the heuristic stops at
+     m = 105 with its minimum at m = 5, a rate 6x too high and so a
+     loss estimate that fails open.  The table's suffix maximum keeps
+     the certificate from stopping before lag 400. *)
+  let acf =
+    Array.init 400 (fun k -> if k = 0 then 1.0 else if k >= 200 then 0.9 else 0.0)
+  in
+  let table () = Core.Variance_growth.of_acf_array ~acf ~variance:5000.0 in
+  let a = Core.Cts.analyze (table ()) ~mu:500.0 ~c:520.0 ~b:100.0 in
+  check_int "certified m*" 602 a.Core.Cts.m_star;
+  check_close_rel ~tol:1e-5 "certified I(c,b)" 0.134591 a.Core.Cts.rate;
+  check_int "certified scan length" 602 a.Core.Cts.scanned_up_to;
+  let h = reference_scan ~margin:8 (table ()) ~mu:500.0 ~c:520.0 ~b:100.0 in
+  check_int "heuristic m*" 5 h.Numerics.Optimize.argmin;
+  check_close_rel ~tol:1e-12 "heuristic I(c,b)" 0.8 h.Numerics.Optimize.minimum;
+  check_int "heuristic scan length" 105 h.Numerics.Optimize.scanned_up_to
 
 let z975_process () = (Traffic.Models.z ~a:0.975).Traffic.Models.process
 
@@ -187,33 +241,135 @@ let test_cts_scan_acf_calls () =
   let calls = ref 0 in
   let vg =
     Core.Variance_growth.create ~variance:z.Traffic.Process.variance
-      ~acf:(fun k ->
+      ~tail:z.Traffic.Process.tail ~acf:(fun k ->
         incr calls;
         z.Traffic.Process.acf k)
   in
   let a = Core.Cts.analyze vg ~mu:500.0 ~c:520.0 ~b:2000.0 in
-  check_int "scan length (Z^0.975, c = 520, b = 2000)" 10_708
+  check_int "scan length (Z^0.975, c = 520, b = 2000)" 311
     a.Core.Cts.scanned_up_to;
   check_int "ACF calls = scanned_up_to - 1" (a.Core.Cts.scanned_up_to - 1) !calls;
   ignore (Core.Cts.analyze vg ~mu:500.0 ~c:520.0 ~b:2000.0);
-  check_int "a warm table calls the ACF no more" 10_707 !calls
+  check_int "a warm table calls the ACF no more" 310 !calls
 
 let test_cts_scan_allocation () =
-  (* Per-step allocation would cost ~6 words x 10,708 steps; what is
-     left is the result record and the scan's telemetry. *)
+  (* Per-step allocation would cost ~6 words a step; what is left is
+     the result record and the scan's telemetry.  The heuristic scan
+     (the same ACF declared [`Unknown]) spans thousands of steps, the
+     certified one hundreds. *)
   let z = z975_process () in
-  let vg =
-    Core.Variance_growth.create ~acf:z.Traffic.Process.acf
-      ~variance:z.Traffic.Process.variance
+  let warm_scan tail =
+    let vg =
+      Core.Variance_growth.create ~acf:z.Traffic.Process.acf
+        ~variance:z.Traffic.Process.variance ~tail
+    in
+    ignore (Core.Cts.analyze vg ~mu:500.0 ~c:520.0 ~b:2000.0);
+    let before = Gc.minor_words () in
+    let a = Core.Cts.analyze vg ~mu:500.0 ~c:520.0 ~b:2000.0 in
+    (a.Core.Cts.scanned_up_to, Gc.minor_words () -. before)
   in
-  ignore (Core.Cts.analyze vg ~mu:500.0 ~c:520.0 ~b:2000.0);
-  let before = Gc.minor_words () in
-  let a = Core.Cts.analyze vg ~mu:500.0 ~c:520.0 ~b:2000.0 in
-  let words = Gc.minor_words () -. before in
-  check_int "same scan" 10_708 a.Core.Cts.scanned_up_to;
-  check_true
-    (Printf.sprintf "warm 10,708-step scan allocates %.0f minor words (< 200)" words)
-    (words < 200.0)
+  List.iter
+    (fun (what, tail, steps) ->
+      let scanned, words = warm_scan tail in
+      check_int ("same " ^ what ^ " scan") steps scanned;
+      check_true
+        (Printf.sprintf "warm %d-step %s scan allocates %.0f minor words (< 200)"
+           steps what words)
+        (words < 200.0))
+    [ ("heuristic", `Unknown, 10_708); ("certified", z.Traffic.Process.tail, 311) ]
+
+(* {2 Declared tails, on the computed lags}
+
+   [(tail_bound vg).(k-1)] must be at least every computed lag from k
+   through [last], for each k up to [upto + 1]. *)
+let check_tail_bound what vg ~acf ~upto ~last =
+  Core.Variance_growth.ensure vg upto;
+  let bound = Core.Variance_growth.tail_bound vg in
+  let later = ref neg_infinity in
+  for i = last downto 1 do
+    let r = acf i in
+    if r > !later then later := r;
+    if i - 1 <= upto && not (bound.(i - 1) >= !later) then
+      Alcotest.failf "%s: bound after lag %d is %.17g, below a later lag's %.17g" what
+        (i - 1) bound.(i - 1) !later
+  done
+
+let test_decreasing_tails () =
+  (* FBNDP's ACF rises again by a rounding step from lag 81,573 (V^v),
+     86,682 (Z^a) and 87,226 (L); a ceiling past those fails here. *)
+  let ceiling = Core.Variance_growth.monotone_ceiling in
+  let fbndp alpha =
+    let p =
+      Traffic.Fbndp.process ~ts:Traffic.Models.ts
+        (Traffic.Fbndp.of_moments ~alpha ~mean:250.0 ~variance:2500.0 ~m:15
+           ~ts:Traffic.Models.ts)
+    in
+    (Printf.sprintf "FBNDP(alpha = %g)" alpha, p)
+  in
+  List.iter
+    (fun (what, (p : Traffic.Process.t)) ->
+      let vg =
+        Core.Variance_growth.create ~acf:p.Traffic.Process.acf
+          ~variance:p.Traffic.Process.variance ~tail:p.Traffic.Process.tail
+      in
+      check_tail_bound what vg ~acf:p.Traffic.Process.acf ~upto:(ceiling - 1)
+        ~last:2_000_000;
+      Core.Variance_growth.ensure vg ceiling;
+      check_true (what ^ ": no bound from the ceiling on")
+        (Float.is_nan (Core.Variance_growth.tail_bound vg).(ceiling)))
+    ([
+       ("Z^0.975", z975_process ());
+       ("V^1.5", (Traffic.Models.v ~v:1.5).Traffic.Models.process);
+       ("L", Traffic.Models.l ());
+     ]
+    @ List.map fbndp [ 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8; 0.9 ]);
+  List.iter
+    (fun alpha ->
+      let _, p = fbndp alpha in
+      check_true
+        (Printf.sprintf "FBNDP(alpha = %g) declares no tail" alpha)
+        (match p.Traffic.Process.tail with `Unknown -> true | _ -> false))
+    [ 0.1; 0.95 ]
+
+let test_recurrent_tails () =
+  List.iter
+    (fun p ->
+      let s = Traffic.Models.s ~a:0.975 ~p in
+      check_true
+        (Printf.sprintf "DAR(%d) declares `Recurrent %d" p p)
+        (match s.Traffic.Process.tail with `Recurrent q -> q = p | _ -> false);
+      check_tail_bound (Printf.sprintf "DAR(%d)" p)
+        (Core.Variance_growth.create ~acf:s.Traffic.Process.acf
+           ~variance:s.Traffic.Process.variance ~tail:s.Traffic.Process.tail)
+        ~acf:s.Traffic.Process.acf ~upto:65_535 ~last:200_000)
+    [ 2; 3 ]
+
+(* The certificate's floor is a lower bound on every later objective
+   value: random non-negative tables (so V(m) > 0) with their suffix
+   maximum as the tail, random k, every m in (k, k + 4096].  The
+   1e-12 headroom is rounding, well inside the scan's 1e-9. *)
+let certificate_gen =
+  QCheck2.Gen.(
+    tup5 (int_range 0 1_000_000) (int_range 1 600) (int_range 1 700)
+      (float_range 1.0 500.0) (float_range 0.0 2000.0))
+
+let certificate_is_a_floor (seed, n, k, spare, b) =
+  let rng = Random.State.make [| seed |] in
+  let density = Random.State.float rng 1.0 in
+  let acf =
+    Array.init n (fun i ->
+        if i = 0 then 1.0
+        else if Random.State.float rng 1.0 < density then Random.State.float rng 1.0
+        else 0.0)
+  in
+  let vg = Core.Variance_growth.of_acf_array ~acf ~variance:5000.0 in
+  let mu = 500.0 and c = 500.0 +. spare in
+  let floor = Core.Cts.certificate vg ~mu ~c ~b k in
+  let ok = ref true in
+  for m = k + 1 to k + 4096 do
+    if floor > Core.Cts.objective vg ~mu ~c ~b m *. (1.0 +. 1e-12) then ok := false
+  done;
+  !ok
 
 let m_star_count labels =
   match Obs.Registry.histogram_snapshot ~labels "cts.m_star" with
@@ -318,7 +474,7 @@ let test_weibull_vs_br_fgn () =
   let h = 0.86 in
   let src = { Core.Weibull_lrd.h; g = 1.0; mu = 500.0; variance = 5000.0 } in
   let acf k = if k = 0 then 1.0 else Traffic.Fgn.acf ~h k in
-  let vg = Core.Variance_growth.create ~variance:5000.0 ~acf in
+  let vg = Core.Variance_growth.create ~variance:5000.0 ~tail:`Unknown ~acf in
   List.iter
     (fun b ->
       let closed = Core.Weibull_lrd.rate src ~c:538.0 ~b in
@@ -350,7 +506,7 @@ let test_admission_monotone () =
   let z = (Traffic.Models.z ~a:0.975).Traffic.Models.process in
   let vg =
     Core.Variance_growth.create ~acf:z.Traffic.Process.acf
-      ~variance:z.Traffic.Process.variance
+      ~variance:z.Traffic.Process.variance ~tail:z.Traffic.Process.tail
   in
   let capacity = 16140.0 in
   let n_strict =
@@ -370,7 +526,7 @@ let test_admission_feasibility_boundary () =
   let z = (Traffic.Models.z ~a:0.975).Traffic.Models.process in
   let vg =
     Core.Variance_growth.create ~acf:z.Traffic.Process.acf
-      ~variance:z.Traffic.Process.variance
+      ~variance:z.Traffic.Process.variance ~tail:z.Traffic.Process.tail
   in
   let capacity = 16140.0 and buffer = 4035.0 and target = 1e-6 in
   let n =
@@ -579,10 +735,18 @@ let suite =
         a.Core.Cts.m_star >= 1 && a.Core.Cts.rate > 0.0);
     case "CTS scan: ACF called once per lag scanned" test_cts_scan_acf_calls;
     case "CTS scan: no allocation per step" test_cts_scan_allocation;
-    case "B-R: m* series per total buffer" test_bahadur_rao_buffer_series;
-    (* A fixed seed, so every run checks the same 200 cases. *)
+    case "CTS scan: a dip at long lags" test_cts_late_dip;
+    slow_case "tails: `Decreasing holds on the computed lags" test_decreasing_tails;
+    case "tails: `Recurrent holds on the computed lags" test_recurrent_tails;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 1996 |])
-      (QCheck2.Test.make ~count:200 ~name:"CTS scan bit-identical to integer_argmin"
+      (QCheck2.Test.make ~count:200 ~name:"CTS certificate bounds the later objective"
+         ~print:QCheck2.Print.(tup5 int int int float float)
+         certificate_gen certificate_is_a_floor);
+    case "B-R: m* series per total buffer" test_bahadur_rao_buffer_series;
+    (* A fixed seed, so every run checks the same 1000 cases. *)
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 1996 |])
+      (QCheck2.Test.make ~count:1000 ~name:"CTS scan bit-identical to integer_argmin"
+         ~print:QCheck2.Print.(tup4 int bool float float)
          scan_case_gen scan_matches_reference);
     qcheck ~count:30 "stronger correlations inflate V(m)"
       QCheck2.Gen.(int_range 2 500)

@@ -121,7 +121,7 @@ let test_admission_required_capacity_bracket () =
   let vg =
     Core.Variance_growth.create
       ~acf:(fun k -> 0.8 ** float_of_int k)
-      ~variance:5000.0
+      ~variance:5000.0 ~tail:`Decreasing
   in
   let c =
     Core.Admission.required_capacity vg ~mu:500.0 ~n:10 ~total_buffer:1000.0

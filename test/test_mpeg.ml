@@ -69,6 +69,7 @@ let test_cts_analysis_works () =
   let vg =
     Core.Variance_growth.create ~acf:process.Traffic.Process.acf
       ~variance:process.Traffic.Process.variance
+      ~tail:process.Traffic.Process.tail
   in
   let a = Core.Cts.analyze vg ~mu:500.0 ~c:538.0 ~b:134.5 in
   check_true "finite CTS" (a.Core.Cts.m_star >= 1);

@@ -966,6 +966,9 @@ let test_daemon_restart_replays_nothing () =
       check_true "queue depth is not repeated in the server section"
         (json_at vars [ "server"; "queue_capacity" ] <> None
         && json_at vars [ "server"; "queue_length" ] = None);
+      check_true "checkpoint age is the persist.snapshot.age_s gauge only"
+        (json_at vars [ "persist"; "dir" ] <> None
+        && json_at vars [ "persist"; "snapshot_age_s" ] = None);
       let recovery = json_at vars [ "persist"; "recovery" ] in
       let at path = Option.bind recovery (fun r -> json_at r path) in
       check_true "recovered from the shutdown snapshot"

@@ -75,6 +75,7 @@ let test_cts_of_smoothed_source () =
     let vg =
       Core.Variance_growth.create ~acf:p.Traffic.Process.acf
         ~variance:p.Traffic.Process.variance
+        ~tail:p.Traffic.Process.tail
     in
     (Core.Bahadur_rao.evaluate vg ~mu:500.0 ~c:538.0 ~b:134.5 ~n:30)
       .Core.Bahadur_rao.log10_bop
