@@ -46,7 +46,8 @@ type t = {
   (* The durability hook: called with each completed mutation, inside
      whatever critical section the caller runs the engine under.  Must
      not raise and must not block (Persist.Store pushes to an
-     in-memory ring; a flusher domain does the I/O). *)
+     in-memory queue; the ack's barrier, outside the lock, does the
+     I/O). *)
   mutable journal : (op -> unit) option;
 }
 

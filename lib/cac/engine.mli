@@ -61,8 +61,9 @@
     that receives each completed {!op} (link added/removed, connection
     admitted/released) inside whatever critical section the caller
     runs the engine under.  The hook must not raise and must not block
-    — [Persist.Store] satisfies both by pushing to an in-memory ring
-    drained by a dedicated flusher domain.  {!apply} is the replay
+    — [Persist.Store] satisfies both by pushing to an in-memory queue
+    that the ack's durability barrier writes, outside the critical
+    section.  {!apply} is the replay
     inverse: it re-executes an [op] on a cold engine without
     re-deciding it (no admission test, no admit/reject counters), and
     {!export}/{!restore} move whole-engine snapshots for

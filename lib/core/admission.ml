@@ -8,7 +8,15 @@ let capacity_margin vg ~mu ~n ~total_buffer ~target_clr =
   fun capacity ->
     let c = capacity /. nf in
     if c <= mu then infinity
-    else (Bahadur_rao.evaluate vg ~mu ~c ~b ~n).Bahadur_rao.log10_bop -. log10_target
+    else begin
+      let r = Bahadur_rao.evaluate_bound vg ~mu ~c ~b ~n in
+      let g = r.Bahadur_rao.log10_bop -. log10_target in
+      (* A capped scan can prove a capacity inadmissible, never
+         admissible. *)
+      if r.Bahadur_rao.cts.Cts.capped && not (g > 0.0) then
+        raise (Resilience.Guard.Non_finite "core.cts.capped");
+      g
+    end
 
 let max_admissible vg ~mu ~total_capacity ~total_buffer ~target_clr =
   assert (target_clr > 0.0 && target_clr < 1.0);

@@ -67,7 +67,10 @@ val capacity_margin :
   float
 (** [capacity_margin vg ~mu ~n ~total_buffer ~target_clr capacity] is
     [log10 BOP - log10 target_clr] for [n] sources on [capacity] (one
-    Bahadur–Rao evaluation), or [infinity] when [capacity / n <= mu]. *)
+    Bahadur–Rao evaluation), or [infinity] when [capacity / n <= mu].
+    A CTS scan cut off by its step cap still answers when its lower
+    bound on the BOP misses the target ({!Bahadur_rao.evaluate_bound});
+    otherwise the margin raises [Resilience.Guard.Non_finite]. *)
 
 val reference_capacity_search :
   mean_load:float -> margin:(float -> float) -> float

@@ -44,7 +44,7 @@ let m_star_series_of ~b ~n =
       Hashtbl.replace series key h;
       h
 
-let evaluate vg ~mu ~c ~b ~n =
+let evaluate_bound vg ~mu ~c ~b ~n =
   assert (n >= 1);
   let t0 = Obs.Clock.monotonic_ns () in
   let cts = Cts.analyze vg ~mu ~c ~b in
@@ -64,6 +64,14 @@ let evaluate vg ~mu ~c ~b ~n =
   in
   let log10_bop = exponent_nats *. log10_e in
   { log10_bop; bop = exp exponent_nats; cts }
+
+(* A scan cut off by the step cap has not found the minimum: its rate
+   may be overstated, which would understate the loss.  Fail closed
+   through the same path as a NaN. *)
+let evaluate vg ~mu ~c ~b ~n =
+  let r = evaluate_bound vg ~mu ~c ~b ~n in
+  if r.cts.Cts.capped then raise (Resilience.Guard.Non_finite "core.cts.capped");
+  r
 
 let evaluate_total vg ~mu ~total_capacity ~total_buffer ~n =
   assert (n >= 1);

@@ -16,7 +16,15 @@ type result = {
 val evaluate :
   Variance_growth.t -> mu:float -> c:float -> b:float -> n:int -> result
 (** Per-source parameterisation: [b] and [c] are buffer and bandwidth
-    per source. *)
+    per source.  Raises [Resilience.Guard.Non_finite] when the CTS scan
+    hits its step cap ({!Cts.analysis}'s [capped]). *)
+
+val evaluate_bound :
+  Variance_growth.t -> mu:float -> c:float -> b:float -> n:int -> result
+(** {!evaluate}, except that a capped scan is priced too.  Its rate is
+    then only an upper bound on [I(c,b)], so [log10_bop] is a lower
+    bound on the estimate: enough to prove a target missed, never to
+    prove it met. *)
 
 val evaluate_total :
   Variance_growth.t ->

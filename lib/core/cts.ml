@@ -1,4 +1,4 @@
-type analysis = { m_star : int; rate : float; scanned_up_to : int }
+type analysis = { m_star : int; rate : float; scanned_up_to : int; capped : bool }
 
 (* Telemetry: the infimum search behind the Bahadur–Rao rate function
    is the numeric hot path of the whole admission stack, so its scan
@@ -126,7 +126,7 @@ let analyze vg ~mu ~c ~b =
   Obs.Registry.Counter.incr c_searches;
   Obs.Registry.Counter.incr ~by:scanned_up_to c_iterations;
   Obs.Registry.Histogram.observe h_m_star (float_of_int m_star);
-  { m_star; rate = !best; scanned_up_to }
+  { m_star; rate = !best; scanned_up_to; capped = not !stopped }
 
 let curve vg ~mu ~c ~buffers =
   Array.map (fun b -> (b, analyze vg ~mu ~c ~b)) buffers

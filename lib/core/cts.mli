@@ -22,6 +22,10 @@ type analysis = {
   scanned_up_to : int;
       (** the last [m] the scan examined: where its stopping rule held,
           or the hard cap [2_000_000] *)
+  capped : bool;
+      (** the scan reached the hard cap before its stopping rule held:
+          [m_star] and [rate] are the best of the scanned range only,
+          so the rate may be overstated *)
 }
 
 val objective : Variance_growth.t -> mu:float -> c:float -> b:float -> int -> float
@@ -47,7 +51,9 @@ val analyze : Variance_growth.t -> mu:float -> c:float -> b:float -> analysis
     scan keeps a heuristic: stop once the objective is twice its
     running minimum and [m > 8 argmin + 64].  That is sound for the
     unimodal objectives of monotone ACFs but misses a dip at long
-    lags.  Either way the scan ends by [m = 2_000_000].
+    lags.  Either way the scan ends by [m = 2_000_000]; a scan that
+    ends there without its rule holding reports [capped], and
+    {!Bahadur_rao.evaluate} refuses to price it.
 
     The scan is one loop over the table's prefix sums that allocates
     nothing per step: it fills the table exactly as far as

@@ -1,7 +1,7 @@
 (* Small file-I/O helpers shared by the WAL writer and the snapshot
    writer.  Everything here blocks; callers must never hold a lock
-   (ctslint L1 — the flusher domain and the snapshot path both run
-   lock-free). *)
+   (ctslint L1 — the WAL writes between its lock sections and the
+   snapshot path runs lock-free). *)
 
 let write_all fd s pos len =
   let b = Bytes.unsafe_of_string s in

@@ -76,7 +76,9 @@ let policy t = Wal.policy t.wal
 let wal_stats t = Wal.stats t.wal
 
 (* The engine hook.  Must never raise (the engine has already
-   mutated); must never block (it runs under the engine mutex). *)
+   mutated); must never block (it runs under the engine mutex).  A
+   record the WAL refuses has failed the journal, so the barrier that
+   follows raises instead of acking. *)
 let journal t op =
   Resilience.Guard.protect ~label:"persist.store.journal"
     ~fallback:(fun _ -> ())

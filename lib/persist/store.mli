@@ -26,14 +26,18 @@ val open_ :
     owned. *)
 
 val journal : t -> Cac.Engine.op -> unit
-(** The engine journal hook: encode, push to the WAL ring, return.
+(** The engine journal hook: encode, push to the WAL queue, return.
     Never raises, never blocks — safe inside the engine critical
-    section. *)
+    section.  A refused record fails the journal, and {!barrier}
+    reports it. *)
 
 val barrier : t -> unit
 (** Block until the fsync policy's durability watermark covers every
-    op journaled before this call.  Call {e outside} the engine lock,
-    after a successful mutation, before acking the client. *)
+    op journaled before this call, writing the WAL queue on the
+    calling domain if no other caller is ({!Wal.barrier}).  Call {e
+    outside} the engine lock, after a successful mutation, before
+    acking the client.  Raises [Failure] once the journal has failed:
+    the mutation must not be acked. *)
 
 val snapshot :
   t ->
@@ -57,7 +61,8 @@ val maybe_snapshot :
     since the last cut. *)
 
 val close : t -> unit
-(** Drain and close the WAL (final fsync, flusher joined).  Does not
+(** Drain and close the WAL (final fsync) and release the directory
+    lock.  Does not
     snapshot — callers decide whether a shutdown checkpoint is wanted
     first. *)
 

@@ -17,35 +17,49 @@
     mismatch or an implausible length is {e interior corruption},
     which fails closed.
 
-    {2 Write path}
+    {2 Write path: caller-runs group commit}
 
     {!append} is non-blocking and safe to call under a lock: it frames
-    the payload and pushes it onto a bounded in-memory ring.  A
-    dedicated flusher domain drains the ring and performs every
-    [write]/[fsync] — no blocking I/O ever runs under the caller's
-    critical section (ctslint L1 checks this, with
-    [Unix.fsync]/[Unix.single_write] in its blocking vocabulary).  A
-    full ring {e drops} the record (counted in [persist.wal.dropped])
-    rather than block the engine.
+    the payload and pushes it onto a bounded in-memory queue.  The I/O
+    is done by {!barrier}'s callers.  When no caller holds the writer
+    role, a barrier that needs its record written takes the role,
+    writes the whole queue in id order with no lock held, fsyncs as
+    the policy asks, publishes the watermarks and wakes the waiters;
+    callers that arrive meanwhile wait for that writer.  No blocking
+    I/O ever runs under a lock (ctslint L1 checks this, with
+    [Unix.fsync]/[Unix.single_write] in its blocking vocabulary), and
+    the journal runs no domain of its own.
 
     {2 Durability barrier}
 
-    Records take dense ids; the flusher publishes how far the journal
+    Records take dense ids; the writer publishes how far the journal
     has {e written} (handed to the OS — survives SIGKILL) and {e
-    synced} (fsynced — survives power loss).  {!barrier} blocks until
+    synced} (fsynced — survives power loss).  {!barrier} returns once
     the policy's watermark covers every append issued before the call:
-    [Always] waits for synced, [Every _] for written, [Never] returns
-    immediately.  Loss windows on SIGKILL: 0 records for [Always] and
-    [Every _] (acked writes are at least in the page cache), unbounded
-    for [Never]; on power loss [Every n] may lose up to [n] acked
-    records and [Never] is unbounded.
+    [Always] waits for synced, [Every n] for written (and fsyncs once
+    [n] records are unsynced), [Never] writes the queue if no one else
+    is writing and never waits.  Loss windows on SIGKILL: 0 records
+    for [Always] and [Every _] (acked writes are at least in the page
+    cache), unbounded for [Never]; on power loss [Every n] may lose up
+    to [n] acked records and [Never] is unbounded.
+
+    {2 Failure}
+
+    A journal that cannot write {e fails}: when a writer raises (a
+    segment that cannot be opened, a write or a retried fsync the OS
+    refuses) or a record is refused while the journal is open (full
+    queue).  A failed journal refuses appends, and every later
+    {!barrier} raises [Failure], so no mutation is acknowledged
+    without its record.
 
     Fault points: [persist.wal.append] (raise / latency / short-write
     / torn-write) decides each record write's fate; [persist.wal.fsync]
-    (raise / latency) fires before each fsync.  A fired torn-write
-    severs the current segment exactly as a crash would — the WAL
-    rotates and re-appends the record cleanly, leaving a real torn
-    tail behind for recovery to digest. *)
+    (raise / latency) fires before each fsync.  These model disk
+    damage that recovery must catch, not a failed journal: a record
+    lost to one counts in [persist.wal.lost] and still advances the
+    watermarks.  A fired torn-write severs the current segment exactly
+    as a crash would — the writer rotates and re-appends the record
+    cleanly, leaving a real torn tail behind for recovery to digest. *)
 
 type policy = Always | Every of int | Never
 
@@ -57,31 +71,36 @@ val policy_name : policy -> string
 type t
 
 val create : ?capacity:int -> dir:string -> policy:policy -> seq:int -> unit -> t
-(** Open a journal writing segment [seq] (always a fresh file — the
+(** Open a journal on a new segment [seq] (always a fresh file — the
     writer never appends to a previous process's segment; recovery
     supplies a [seq] past every existing one).  [capacity] (default
-    65536) bounds the in-memory ring.  Spawns the flusher domain. *)
+    65536) bounds the in-memory queue.  Raises [Unix.Unix_error] when
+    the segment cannot be opened. *)
 
 val append : t -> string -> bool
-(** Queue one record.  Non-blocking; returns [false] (and counts a
-    drop) when the ring is full or the journal is closed.  Safe to
-    call under a lock. *)
+(** Queue one record.  Non-blocking; returns [false] when the journal
+    is closed or failed, and when the queue is full, which counts a
+    drop and fails the journal.  Safe to call under a lock. *)
 
 val barrier : t -> unit
-(** Block until the policy's durability watermark covers every record
-    appended before this call.  Returns immediately under [Never] and
-    whenever the journal is closed. *)
+(** Return once the policy's durability watermark covers every record
+    appended before this call, writing the queue if no other caller
+    is.  Never call it under a lock.  Under [Never] it never waits.
+    After a clean {!close} it returns at once.  Raises [Failure] once
+    the journal has failed. *)
 
 val rotate : t -> int
-(** Close the current segment (after an fsync, policy permitting) and
-    start the next; returns the sequence number of the {e covered}
+(** Queue a cut to the next segment, which the next writer (or
+    {!close}) applies in queue order after an fsync, policy
+    permitting; returns the sequence number of the {e covered}
     segment — a snapshot taken atomically with this call covers every
     record up to and including that segment.  Non-blocking. *)
 
 val close : t -> unit
-(** Drain the ring, fsync whatever the policy left unsynced (a clean
-    shutdown leaves nothing volatile, even under [Never]), close the
-    segment and join the flusher domain. *)
+(** Wait for any active writer, write the queue, fsync whatever is
+    unsynced (a clean shutdown leaves nothing volatile, even under
+    [Never]) and close the segment.  A failed journal just closes its
+    segment.  Never raises. *)
 
 type stats = {
   appended : int;  (** records accepted by {!append} *)

@@ -4,7 +4,9 @@
     state directory into a cold engine (interior corruption fails
     closed), open the store and install its journal hook, add the
     configured links the recovered state lacks, checkpoint, arm the
-    per-ack durability barrier, and bind the socket last, so a client
+    per-ack durability barrier (which writes the journal on the worker
+    domain that needs it; a failed journal makes admits and releases
+    answer 500), and bind the socket last, so a client
     can connect only once the connection table is whole.  {!serve}
     runs until {!stop}, then drains: every worker joins, the shutdown
     snapshot is cut, the store closes and the log sinks are retired.
@@ -38,8 +40,8 @@ type t
 
 val start : config -> (t, string) result
 (** Boot and bind.  On [Error] everything acquired is released: log
-    files closed, the store closed (its lock and flusher domain gone),
-    no socket bound. *)
+    files closed, the store closed (its lock released), no socket
+    bound. *)
 
 val port : t -> int
 val domains : t -> int

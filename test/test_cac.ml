@@ -290,6 +290,48 @@ let test_engine_decide_verdicts_pinned () =
   check_int "Bahadur-Rao evaluations" 157 (evaluations () - evaluations0);
   check_int "CTS scan steps" 4_886 (scan_steps () - scan_steps0)
 
+(* A table whose scan never proves a minimum: an [`Unknown] tail and
+   r(k) = 0.5 at every lag, so V(m) grows like m^2 and the objective
+   keeps falling.  The scan runs to its step cap; the kernel must
+   refuse to price that, and the engine must decide degraded. *)
+let test_capped_scan_degrades () =
+  let flat =
+    Cac.Source_class.of_process
+      {
+        Traffic.Process.name = "flat-acf";
+        mean = 500.0;
+        variance = 5000.0;
+        acf = (fun k -> if k = 0 then 1.0 else 0.5);
+        hurst = None;
+        tail = `Unknown;
+        spawn = (fun _ () -> 500.0);
+      }
+  in
+  let vg = flat.Cac.Source_class.vg in
+  let a = Core.Cts.analyze vg ~mu:500.0 ~c:538.0 ~b:100.0 in
+  check_int "the scan ran to the cap" 2_000_000 a.Core.Cts.scanned_up_to;
+  check_true "and says so" a.Core.Cts.capped;
+  (match Core.Bahadur_rao.evaluate vg ~mu:500.0 ~c:538.0 ~b:100.0 ~n:1 with
+  | exception Resilience.Guard.Non_finite _ -> ()
+  | _ -> Alcotest.fail "a capped scan was priced");
+  (* Its overstated rate still bounds the BOP from below: enough for the
+     effective-bandwidth search to prove a target missed, never met. *)
+  let margin target_clr =
+    Core.Admission.capacity_margin vg ~mu:500.0 ~n:1 ~total_buffer:100.0
+      ~target_clr 538.0
+  in
+  check_true "a capped scan proves CLR 1e-6 missed" (margin 1e-6 > 0.0);
+  (match margin 0.9 with
+  | exception Resilience.Guard.Non_finite _ -> ()
+  | _ -> Alcotest.fail "a capped scan proved CLR 0.9 met");
+  let engine = Cac.Engine.create ~cache_capacity:0 () in
+  ignore
+    (Cac.Engine.add_link engine ~id:"flat" ~capacity:538.0 ~buffer:100.0
+       ~target_clr:1e-6);
+  let v = Cac.Engine.evaluate engine ~link:"flat" ~cls:flat in
+  check_true "degraded" v.Cac.Engine.degraded;
+  check_true "no BOP from a capped scan" (Option.is_none v.Cac.Engine.log10_bop)
+
 let latency_observations () =
   match Obs.Registry.histogram_snapshot "cac.engine.decision_latency_us" with
   | Some h -> h.Obs.Registry.count
@@ -498,6 +540,7 @@ let suite =
     case "verdict stable across repeats" test_engine_verdict_stable_across_repeats;
     case "heterogeneous mix" test_engine_heterogeneous_mix;
     case "decide verdicts pinned (cache off, 0.5-30 ms)" test_engine_decide_verdicts_pinned;
+    case "capped CTS scan decides degraded" test_capped_scan_degrades;
     case "metrics consistency" test_engine_metrics_consistency;
     case "engine memory bounded under churn" test_engine_memory_bounded;
     case "workload mean latency via sum delta" test_workload_mean_latency;

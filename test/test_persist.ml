@@ -482,6 +482,129 @@ let test_fsync_fault_keeps_barrier_honest () =
   check_true "fsync errors counted"
     (Obs.Registry.counter_value "persist.wal.fsync_errors" >= 1)
 
+(* {2 Group commit under concurrent callers}
+
+   Four domains append and barrier at once, so the writer role changes
+   hands under contention: each barrier must return with its caller's
+   record covered, and the segment must hold every record exactly
+   once, each domain's in its own order. *)
+
+let test_group_commit_concurrent () =
+  let domains = 4 and per_domain = 500 in
+  List.iter
+    (fun policy ->
+      with_tmp_dir @@ fun dir ->
+      let name = Persist.Wal.policy_name policy in
+      let wal = Persist.Wal.create ~dir ~policy ~seq:0 () in
+      let covered (s : Persist.Wal.stats) =
+        match policy with
+        | Persist.Wal.Always -> s.Persist.Wal.synced
+        | Persist.Wal.Every _ | Persist.Wal.Never -> s.Persist.Wal.written
+      in
+      let worker k () =
+        let refused = ref 0 and uncovered = ref 0 in
+        for i = 0 to per_domain - 1 do
+          if not (Persist.Wal.append wal (Printf.sprintf "d%d-%d" k i)) then
+            incr refused;
+          (* The caller's record has an id below this count. *)
+          let upto = (Persist.Wal.stats wal).Persist.Wal.appended in
+          Persist.Wal.barrier wal;
+          if covered (Persist.Wal.stats wal) < upto then incr uncovered
+        done;
+        (!refused, !uncovered)
+      in
+      let results =
+        List.init domains (fun k -> Domain.spawn (worker k))
+        |> List.map Domain.join
+      in
+      check_int (name ^ ": no append refused") 0
+        (List.fold_left (fun acc (r, _) -> acc + r) 0 results);
+      check_int (name ^ ": every barrier covered its caller's record") 0
+        (List.fold_left (fun acc (_, u) -> acc + u) 0 results);
+      Persist.Wal.close wal;
+      let s = Persist.Wal.stats wal in
+      check_int (name ^ ": appended") (domains * per_domain) s.Persist.Wal.appended;
+      check_int (name ^ ": synced = appended after close") s.Persist.Wal.appended
+        s.Persist.Wal.synced;
+      match Persist.Wal.segments dir with
+      | [ (_, path) ] -> (
+          match Persist.Wal.read_file path with
+          | Ok (records, Persist.Wal.Tail_clean) ->
+              check_int (name ^ ": records on disk") (domains * per_domain)
+                (List.length records);
+              for k = 0 to domains - 1 do
+                let prefix = Printf.sprintf "d%d-" k in
+                Alcotest.(check (list string))
+                  (Printf.sprintf "%s: domain %d's records once, in order" name k)
+                  (List.init per_domain (Printf.sprintf "d%d-%d" k))
+                  (List.filter (String.starts_with ~prefix) records)
+              done
+          | _ -> Alcotest.failf "%s: close left a dirty segment" name)
+      | segs ->
+          Alcotest.failf "%s: expected one segment, found %d" name
+            (List.length segs))
+    [ Persist.Wal.Always; Persist.Wal.Every 4 ]
+
+(* {2 A journal that cannot write fails closed}
+
+   The state directory vanishes under a live journal, so the segment
+   the next snapshot's rotation asks for cannot be opened.  From then
+   on no admit or release may be acknowledged: each answers 500. *)
+
+let api_post path body =
+  {
+    Srv.Http.meth = Srv.Http.POST;
+    target = path;
+    path;
+    query = [];
+    version = Srv.Http.Http_1_1;
+    headers = [];
+    body;
+  }
+
+let test_failed_journal_fails_closed () =
+  with_tmp_dir @@ fun root ->
+  let dir = Filename.concat root "state" in
+  let store =
+    Persist.Store.open_ ~dir ~policy:(Persist.Wal.Every 1_000_000)
+      ~snapshot_every:0 ~next_seq:0
+  in
+  let engine = Cac.Engine.create () in
+  ignore
+    (Cac.Engine.add_link_msec engine ~id:"oc3" ~capacity:16140.0
+       ~buffer_msec:20.0 ~target_clr:1e-6);
+  Cac.Engine.set_journal engine (Some (Persist.Store.journal store));
+  let api =
+    Srv.Cac_api.create ~barrier:(fun () -> Persist.Store.barrier store) engine
+  in
+  let router = Srv.Cac_api.router api in
+  let status path body =
+    Srv.Http.status (snd (Srv.Router.dispatch router (api_post path body)))
+  in
+  let admit () = status "/v1/admit" {|{"link":"oc3","class":"z0.975"}|} in
+  check_int "a healthy journal acks" 200 (admit ());
+  check_int "a second ack" 200 (admit ());
+  let acked =
+    match (Cac.Engine.export engine).Cac.Engine.s_conns with
+    | c :: _ -> c.Cac.Engine.c_conn
+    | [] -> Alcotest.fail "no connection admitted"
+  in
+  rm_rf dir;
+  (match
+     Persist.Store.snapshot store ~with_engine:(Srv.Cac_api.with_engine api)
+   with
+  | Ok _ -> Alcotest.fail "a snapshot into a missing directory succeeded"
+  | Error _ -> ());
+  for i = 1 to 3 do
+    check_int (Printf.sprintf "admit %d on a failed journal" i) 500 (admit ())
+  done;
+  check_int "release on a failed journal" 500
+    (status "/v1/release" (Printf.sprintf {|{"conn":%d}|} acked));
+  (match Persist.Store.barrier store with
+  | exception Failure _ -> ()
+  | () -> Alcotest.fail "the barrier returned on a failed journal");
+  Persist.Store.close store
+
 (* {2 The admit-racing-drain regression}
 
    An admit in flight while the pool drains must either be fully
@@ -899,6 +1022,9 @@ let suite =
       test_short_write_fault_is_interior_corruption;
     case "injected fsync failure retries for real"
       test_fsync_fault_keeps_barrier_honest;
+    case "group commit under concurrent callers" test_group_commit_concurrent;
+    case "a journal that cannot write fails closed"
+      test_failed_journal_fails_closed;
     slow_case "admit racing drain is never lost" test_admit_racing_drain;
     slow_case "kill -9 crash recovery harness" test_crash_recovery_harness;
     slow_case "crash recovery under torn-write faults"
