@@ -42,8 +42,6 @@ type obs_opts = {
   trace : string option;
   trace_sample : int option;
   events : bool;
-  events_spans : bool;
-  events_dir : string option;
 }
 
 let obs_term =
@@ -82,46 +80,18 @@ let obs_term =
        ($(b,runtime.ev.gc.pause.us{domain,phase})) into the registry and \
        backs per-request attribution ($(b,srv.http.gc_pause.us), the \
        $(b,gc_pause_us) access-log field, the $(b,events) section of \
-       $(b,GET /debug/vars) with its longest pauses)."
+       $(b,GET /debug/vars) with its longest pauses).  The runtime \
+       itself writes the ring to $(i,PID).events in \
+       OCAML_RUNTIME_EVENTS_DIR (default: the current directory), where \
+       external eventring tools can read it."
     in
     Arg.(value & flag & info [ "events" ] ~doc)
   in
-  let events_spans_arg =
-    let doc =
-      "Additionally re-emit every span begin/end into the ring as the \
-       $(b,cts.span) user event (implies $(b,--events)), so external \
-       eventring tools — $(b,cts events tail) — see spans interleaved with \
-       GC phases.  Costs a ring write per span transition, so it is a \
-       separate opt-in from $(b,--events)."
-    in
-    Arg.(value & flag & info [ "events-spans" ] ~doc)
-  in
-  let events_dir_arg =
-    let doc =
-      "Directory to expose the runtime-events ring file in \
-       ($(i,PID).events).  The runtime itself creates the ring where \
-       OCAML_RUNTIME_EVENTS_DIR pointed at process startup (default: the \
-       current directory); this flag links it into $(docv) so the path \
-       can be handed to $(b,cts events tail) regardless.  Default: no \
-       link."
-    in
-    Arg.(
-      value & opt (some string) None & info [ "events-dir" ] ~docv:"DIR" ~doc)
-  in
   Term.(
-    const (fun metrics metrics_out trace trace_sample events events_spans
-               events_dir ->
-        {
-          metrics;
-          metrics_out;
-          trace;
-          trace_sample;
-          events = events || events_spans;
-          events_spans;
-          events_dir;
-        })
+    const (fun metrics metrics_out trace trace_sample events ->
+        { metrics; metrics_out; trace; trace_sample; events })
     $ metrics_arg $ metrics_out_arg $ trace_arg $ trace_sample_arg
-    $ events_arg $ events_spans_arg $ events_dir_arg)
+    $ events_arg)
 
 (* A bad --trace/--metrics-out path is a usage problem, not an
    internal error: report it cleanly instead of letting Sys_error
@@ -131,9 +101,6 @@ let open_out_or_die ~flag path =
   with Sys_error msg ->
     Printf.eprintf "cts: cannot open %s file: %s\n%!" flag msg;
     exit 1
-
-let abs_path p =
-  if Filename.is_relative p then Filename.concat (Sys.getcwd ()) p else p
 
 let with_obs opts f =
   (match opts.trace_sample with
@@ -148,42 +115,8 @@ let with_obs opts f =
   (match trace_oc with
   | Some oc -> Obs.Span.set_trace_sink (Obs.Sink.Jsonl oc)
   | None -> ());
-  let events =
-    if opts.events then
-      Some (Obs.Events.start ~bridge:opts.events_spans ())
-    else None
-  in
-  (* The runtime decides where the ring file goes when it reads
-     OCAML_RUNTIME_EVENTS_DIR at process startup — far before flag
-     parsing — so [--events-dir] cannot move it.  Link the ring into
-     the requested directory instead (hard link, symlink on EXDEV);
-     external consumers open by path and see the same inode. *)
-  let events_link =
-    match (opts.events_dir, events) with
-    | Some dir, Some _ ->
-        let actual = Obs.Events.ring_file () in
-        let wanted = Filename.concat dir (Filename.basename actual) in
-        if
-          Sys.file_exists actual
-          && not (String.equal wanted actual)
-          && not (Sys.file_exists wanted)
-        then begin
-          (try Unix.link actual wanted
-           with Unix.Unix_error _ -> (
-             try Unix.symlink (abs_path actual) wanted
-             with Unix.Unix_error (e, _, _) ->
-               Printf.eprintf "cts: cannot link ring file into %s: %s\n%!" dir
-                 (Unix.error_message e);
-               exit 1));
-          Some wanted
-        end
-        else None
-    | _ -> None
-  in
+  let events = if opts.events then Some (Obs.Events.start ()) else None in
   let finish () =
-    (match events_link with
-    | Some path -> ( try Sys.remove path with Sys_error _ -> ())
-    | None -> ());
     (match events with None -> () | Some t -> Obs.Events.stop t);
     if opts.trace_sample <> None then Obs.Span.reset_sampling ();
     (match trace_oc with
@@ -1044,12 +977,6 @@ let serve_cmd =
               Obs.Sink.printf
                 "cts serve: POST /v1/decide /v1/admit /v1/release, GET \
                  /metrics /healthz /debug/vars /heatmap /heatmap.csv\n";
-              (if obs_opts.events then
-                 let ring = Obs.Events.ring_file () in
-                 Obs.Sink.printf "cts serve: runtime events ring at %s\n"
-                   (match obs_opts.events_dir with
-                   | Some dir -> Filename.concat dir (Filename.basename ring)
-                   | None -> ring));
               Srv.Daemon.serve daemon;
               let count = Obs.Registry.counter_value in
               Obs.Sink.printf
@@ -1121,187 +1048,6 @@ let obs_cmd =
        ~doc:"Telemetry: instrument schema and exposition formats")
     [ obs_export_cmd; obs_list_cmd ]
 
-(* {2 The events command group}
-
-   Cross-process eventring tooling: attach to the ring file of a live
-   process started with --events (DIR/PID.events) and either stream
-   its pauses and bridged spans as JSON lines (tail) or summarize a
-   sampling window (stat). *)
-
-let events_pid_arg =
-  let doc = "Process id of the target (its ring is $(i,DIR)/$(docv).events)." in
-  Arg.(required & pos 0 (some int) None & info [] ~docv:"PID" ~doc)
-
-let events_dir_arg =
-  let doc =
-    "Directory holding the ring file — the target's $(b,--events-dir) \
-     (default: the current directory)."
-  in
-  Arg.(value & pos 1 string "." & info [] ~docv:"DIR" ~doc)
-
-(* Poll-drain-sleep until [duration] elapses (0 = until SIGINT). *)
-let events_pump remote ~duration =
-  let stop = Atomic.make false in
-  (try
-     Sys.set_signal Sys.sigint
-       (Sys.Signal_handle (fun _ -> Atomic.set stop true))
-   with Invalid_argument _ -> ());
-  let t0 = Obs.Clock.wall () in
-  let rec loop () =
-    if
-      Atomic.get stop
-      || (duration > 0.0 && Obs.Clock.wall () -. t0 >= duration)
-    then ()
-    else begin
-      if Obs.Events.poll remote = 0 then Unix.sleepf 0.02;
-      loop ()
-    end
-  in
-  loop ()
-
-let events_tail_cmd =
-  let duration_arg =
-    let doc = "Stop after $(docv) seconds (0 = run until interrupted)." in
-    Arg.(value & opt float 0.0 & info [ "duration" ] ~docv:"SECONDS" ~doc)
-  in
-  let run pid dir duration =
-    let emit j =
-      print_string (Obs.Json.to_string j);
-      print_newline ()
-    in
-    let on_pause p = emit (Obs.Events.pause_json p) in
-    let on_span ~ring ~name ~enter =
-      emit
-        (Obs.Json.Obj
-           [
-             ("kind", Obs.Json.String "span");
-             ("domain", Obs.Json.Int ring);
-             ("name", Obs.Json.String name);
-             ("enter", Obs.Json.Bool enter);
-           ])
-    in
-    let on_lost ring n =
-      Printf.eprintf "cts events: ring %d overwrote %d unread events\n%!" ring
-        n
-    in
-    match Obs.Events.attach ~dir ~pid ~on_pause ~on_span ~on_lost () with
-    | Error msg -> `Error (false, msg)
-    | Ok remote ->
-        events_pump remote ~duration;
-        Obs.Events.detach remote;
-        `Ok ()
-  in
-  Cmd.v
-    (Cmd.info "tail"
-       ~doc:
-         "Attach to a live process's runtime-events ring and stream its GC \
-          pauses (and, with --events-spans on the target, its spans) as JSON \
-          lines")
-    Term.(ret (const run $ events_pid_arg $ events_dir_arg $ duration_arg))
-
-let events_stat_cmd =
-  let duration_arg =
-    let doc = "Length of the sampling window in seconds." in
-    Arg.(value & opt float 1.0 & info [ "duration" ] ~docv:"SECONDS" ~doc)
-  in
-  let json_arg =
-    let doc = "Print the summary as one JSON document." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
-  let run pid dir duration json =
-    let pauses = ref 0
-    and total_ns = ref 0L
-    and max_ns = ref 0L
-    and minor = ref 0
-    and major = ref 0
-    and other = ref 0
-    and span_events = ref 0
-    and lost = ref 0 in
-    let per_domain : (int, int) Hashtbl.t = Hashtbl.create 8 in
-    let on_pause (p : Obs.Events.pause) =
-      incr pauses;
-      total_ns := Int64.add !total_ns p.Obs.Events.p_dur_ns;
-      if p.Obs.Events.p_dur_ns > !max_ns then max_ns := p.Obs.Events.p_dur_ns;
-      (match p.Obs.Events.p_phase with
-      | Obs.Events.Minor -> incr minor
-      | Obs.Events.Major -> incr major
-      | Obs.Events.Other -> incr other);
-      Hashtbl.replace per_domain p.Obs.Events.p_domain
-        (1
-        + Option.value ~default:0
-            (Hashtbl.find_opt per_domain p.Obs.Events.p_domain))
-    in
-    let on_span ~ring:_ ~name:_ ~enter:_ = incr span_events in
-    let on_lost _ring n = lost := !lost + n in
-    match Obs.Events.attach ~dir ~pid ~on_pause ~on_span ~on_lost () with
-    | Error msg -> `Error (false, msg)
-    | Ok remote ->
-        events_pump remote ~duration;
-        Obs.Events.detach remote;
-        let domains =
-          List.sort
-            (fun (a, _) (b, _) -> Int.compare a b)
-            (Hashtbl.fold (fun d n acc -> (d, n) :: acc) per_domain [])
-        in
-        if json then
-          print_endline
-            (Obs.Json.to_string
-               (Obs.Json.Obj
-                  [
-                    ("pid", Obs.Json.Int pid);
-                    ("window_s", Obs.Json.Float duration);
-                    ("pauses", Obs.Json.Int !pauses);
-                    ("minor", Obs.Json.Int !minor);
-                    ("major", Obs.Json.Int !major);
-                    ("other", Obs.Json.Int !other);
-                    ( "pause_ns_total",
-                      Obs.Json.Int (Int64.to_int !total_ns) );
-                    ("pause_ns_max", Obs.Json.Int (Int64.to_int !max_ns));
-                    ("span_events", Obs.Json.Int !span_events);
-                    ("lost_events", Obs.Json.Int !lost);
-                    ( "domains",
-                      Obs.Json.Obj
-                        (List.map
-                           (fun (d, n) ->
-                             (string_of_int d, Obs.Json.Int n))
-                           domains) );
-                  ]))
-        else begin
-          Printf.printf "cts events stat: pid %d, %.1f s window\n" pid
-            duration;
-          Printf.printf "  pauses      %d (minor %d, major %d, other %d)\n"
-            !pauses !minor !major !other;
-          Printf.printf "  pause time  %.3f ms total, max %.1f us\n"
-            (Int64.to_float !total_ns /. 1e6)
-            (Int64.to_float !max_ns /. 1e3);
-          Printf.printf "  span events %d\n" !span_events;
-          Printf.printf "  lost        %d\n" !lost;
-          if domains <> [] then
-            Printf.printf "  domains     %s\n"
-              (String.concat " "
-                 (List.map
-                    (fun (d, n) -> Printf.sprintf "%d:%d" d n)
-                    domains))
-        end;
-        `Ok ()
-  in
-  Cmd.v
-    (Cmd.info "stat"
-       ~doc:
-         "Attach to a live process's runtime-events ring for a sampling \
-          window and print a pause summary")
-    Term.(
-      ret
-        (const run $ events_pid_arg $ events_dir_arg $ duration_arg $ json_arg))
-
-let events_cmd =
-  Cmd.group
-    (Cmd.info "events"
-       ~doc:
-         "Cross-process GC-pause tooling over the OCaml runtime-events ring \
-          (attach to a live daemon started with --events)")
-    [ events_tail_cmd; events_stat_cmd ]
-
 let main =
   let doc =
     "Reproduction of Ryu & Elwalid (SIGCOMM '96): LRD of VBR video in ATM \
@@ -1319,7 +1065,6 @@ let main =
       cac_cmd;
       serve_cmd;
       obs_cmd;
-      events_cmd;
     ]
 
 let () = exit (Cmd.eval main)

@@ -76,38 +76,6 @@ let pause_json p =
       ("wall", Json.Float p.p_wall);
     ]
 
-(* {2 The span bridge}
-
-   One registered user event, "cts.span", carrying (phase, name) so
-   every span name shares a single slot of the ring's 8192-event user
-   registry.  External viewers that link this library decode it by
-   name; foreign tools still see begin/end byte payloads. *)
-
-type span_event = { sp_enter : bool; sp_name : string }
-
-let encode_span buf { sp_enter; sp_name } =
-  let n = Stdlib.min (String.length sp_name) 255 in
-  Bytes.set buf 0 (if sp_enter then 'B' else 'E');
-  Bytes.blit_string sp_name 0 buf 1 n;
-  n + 1
-
-let decode_span buf len =
-  {
-    sp_enter = len > 0 && Bytes.get buf 0 = 'B';
-    sp_name = (if len <= 1 then "" else Bytes.sub_string buf 1 (len - 1));
-  }
-
-let span_type : span_event Re.Type.t =
-  Re.Type.register ~encode:encode_span ~decode:decode_span
-
-type Re.User.tag += Cts_span
-
-let span_user : span_event Re.User.t =
-  Re.User.register "cts.span" Cts_span span_type
-
-let write_span ~name ~enter =
-  Re.User.write span_user { sp_enter = enter; sp_name = name }
-
 (* {2 Ring resolution}
 
    Events are keyed by ring buffer index, and the runtime recycles
@@ -169,9 +137,8 @@ let my_ring () =
 
 (* {2 Pause tracking}
 
-   Shared by the in-process consumer and the cross-process CLI
-   tooling: per-ring nesting depth, outermost begin timestamp, and
-   the classification of the phase that opened it.  A consumer that
+   Per-ring nesting depth, outermost begin timestamp, and the
+   classification of the phase that opened it.  A consumer that
    attaches mid-phase sees an unmatched end; depth stays at zero and
    the partial interval is dropped rather than mis-measured. *)
 
@@ -229,19 +196,9 @@ module Tracker = struct
           end
         end
 
-  let callbacks ?on_span ?on_lost t =
-    let base =
-      Re.Callbacks.create ~runtime_begin:(phase_begin t)
-        ~runtime_end:(phase_end t)
-        ?lost_events:on_lost ()
-    in
-    match on_span with
-    | None -> base
-    | Some f ->
-        Re.Callbacks.add_user_event span_type
-          (fun ring _ts _ev payload ->
-            f ~ring ~name:payload.sp_name ~enter:payload.sp_enter)
-          base
+  let callbacks ~on_lost t =
+    Re.Callbacks.create ~runtime_begin:(phase_begin t)
+      ~runtime_end:(phase_end t) ~lost_events:on_lost ()
 end
 
 (* {2 Registry schema}
@@ -270,7 +227,6 @@ type t = {
   c_top : pause list ref;  (* guarded by c_top_mutex, length <= top_capacity *)
   c_top_mutex : Mutex.t;
   c_poll_interval_s : float;
-  c_bridge : bool;
 }
 
 let top_capacity = 32
@@ -312,7 +268,7 @@ let record ~pause_ns ~top ~top_mutex p =
 
 let default_poll_interval_s = 0.005
 
-let start ?(poll_interval_s = default_poll_interval_s) ?(bridge = false) () =
+let start ?(poll_interval_s = default_poll_interval_s) () =
   if not (Float.is_finite poll_interval_s && poll_interval_s > 0.0) then
     invalid_arg "Obs.Events.start: poll_interval_s must be finite and > 0";
   match Atomic.get current with
@@ -372,17 +328,13 @@ let start ?(poll_interval_s = default_poll_interval_s) ?(bridge = false) () =
           c_top = top;
           c_top_mutex = top_mutex;
           c_poll_interval_s = poll_interval_s;
-          c_bridge = bridge;
         }
       in
-      if bridge then
-        Span.set_ring_bridge (Some (fun name enter -> write_span ~name ~enter));
       Atomic.set current (Some t);
       t
 
 let stop t =
   if not (Atomic.exchange t.c_stop true) then begin
-    if t.c_bridge then Span.set_ring_bridge None;
     Domain.join t.c_domain;
     Atomic.set current None;
     (* Leave the ring allocated (start is sticky in the runtime) but
@@ -393,40 +345,21 @@ let stop t =
 let with_consumer f default =
   match Atomic.get current with None -> default | Some t -> f t
 
-let domain_pause_ns ~domain =
-  with_consumer
-    (fun t ->
-      if domain >= 0 && domain < max_rings then
-        Atomic.get t.c_pause_ns.(domain)
-      else 0)
-    0
-
 (* Short-circuit before [my_ring]: with no consumer there is nobody
    to answer the handshake, and the off path should cost one atomic
    load, not a DLS lookup plus a dead ring write. *)
 let cumulative_pause_ns () =
-  with_consumer (fun _ -> domain_pause_ns ~domain:(my_ring ())) 0
+  with_consumer
+    (fun t ->
+      let ring = my_ring () in
+      if ring >= 0 && ring < max_rings then Atomic.get t.c_pause_ns.(ring)
+      else 0)
+    0
 
 let top_pauses () =
   with_consumer
     (fun t -> Mutex.protect t.c_top_mutex (fun () -> !(t.c_top)))
     []
-
-(* The runtime snapshots OCAML_RUNTIME_EVENTS_DIR at process startup
-   — a later [Unix.putenv] changes what [Sys.getenv] answers but not
-   where the ring went.  Prefer whichever candidate actually exists
-   so the reported path matches the file on disk. *)
-let ring_file () =
-  let name = string_of_int (Unix.getpid ()) ^ ".events" in
-  let candidates =
-    (match Sys.getenv_opt "OCAML_RUNTIME_EVENTS_DIR" with
-    | Some d when d <> "" -> [ Filename.concat d name ]
-    | _ -> [])
-    @ [ Filename.concat Filename.current_dir_name name ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some path -> path
-  | None -> List.hd candidates
 
 let debug_json () =
   with_consumer
@@ -435,35 +368,6 @@ let debug_json () =
         [
           ("running", Json.Bool true);
           ("poll_interval_s", Json.Float t.c_poll_interval_s);
-          ("span_bridge", Json.Bool t.c_bridge);
-          ("ring_file", Json.String (ring_file ()));
           ("top_pauses", Json.List (List.map pause_json (top_pauses ())));
         ])
     (Json.Obj [ ("running", Json.Bool false) ])
-
-(* {2 Cross-process attachment}
-
-   [cts events tail|stat] consume a live daemon's [PID.events] file
-   without restarting it: same tracker, a cursor over someone else's
-   ring.  The CLI owns pacing and printing; this module owns decoding. *)
-
-type remote = { r_cursor : Re.cursor; r_callbacks : Re.Callbacks.t }
-
-let attach ~dir ~pid ?on_pause ?on_span ?on_lost () =
-  let on_pause = match on_pause with Some f -> f | None -> fun _ -> () in
-  match Re.create_cursor (Some (dir, pid)) with
-  | cursor ->
-      let tracker = Tracker.create ~on_pause () in
-      Ok
-        {
-          r_cursor = cursor;
-          r_callbacks = Tracker.callbacks ?on_span ?on_lost tracker;
-        }
-  | exception e ->
-      Error
-        (Printf.sprintf "cannot attach to %s/%d.events: %s" dir pid
-           (Printexc.to_string e))
-
-let poll remote = Re.read_poll remote.r_cursor remote.r_callbacks None
-
-let detach remote = Re.free_cursor remote.r_cursor

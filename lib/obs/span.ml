@@ -19,13 +19,6 @@ let trace_sink = Atomic.make Sink.Null
 let set_trace_sink s = Atomic.set trace_sink s
 let current_trace_sink () = Atomic.get trace_sink
 
-(* Ring bridge: when installed (by Obs.Events with the span bridge
-   enabled), every span enter/exit is re-emitted as a runtime_events
-   user event so external eventring tools see our spans.  The default
-   costs one atomic read and a match per transition. *)
-let ring_bridge : (string -> bool -> unit) option Atomic.t = Atomic.make None
-let set_ring_bridge f = Atomic.set ring_bridge f
-
 (* {2 Sampling}
 
    Trace emission can be thinned so [--trace] stays usable on
@@ -95,7 +88,6 @@ let enter name =
     }
   in
   st := frame :: !st;
-  (match Atomic.get ring_bridge with None -> () | Some f -> f name true);
   frame
 
 let exit_ frame ~ok =
@@ -105,9 +97,6 @@ let exit_ frame ~ok =
   | _ ->
       (* Unbalanced exit (an inner span escaped): just remove the frame. *)
       st := List.filter (fun f -> not (f == frame)) !st);
-  (match Atomic.get ring_bridge with
-  | None -> ()
-  | Some f -> f frame.name false);
   match Atomic.get trace_sink with
   | Sink.Null -> ()
   | sink when not (should_emit frame.name) -> ignore sink

@@ -24,13 +24,6 @@ val set_trace_sink : Sink.t -> unit
 
 val current_trace_sink : unit -> Sink.t
 
-val set_ring_bridge : (string -> bool -> unit) option -> unit
-(** Install (or remove, with [None]) the runtime-events ring bridge:
-    [f name true] fires on every span enter, [f name false] on every
-    exit, from the span's own domain.  Installed by
-    [Obs.Events.start ~bridge:true]; with [None] (the default) the
-    cost is one atomic read per transition. *)
-
 (** {1 Sampling}
 
     Thins {e trace emission} so [--trace] stays usable on

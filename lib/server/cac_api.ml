@@ -132,8 +132,14 @@ let admit t req =
   | Cac.Engine.Admitted conn ->
       (* Ack only once the journal's fsync policy covers the admit:
          the barrier runs outside the engine mutex so slow storage
-         never serializes decisions. *)
-      t.barrier ();
+         never serializes decisions.  A barrier that raises refuses
+         the admit, so the engine gives the bandwidth back: the client
+         never learns [conn] and could not release it. *)
+      (match t.barrier () with
+      | () -> ()
+      | exception exn ->
+          with_engine t (fun e -> Cac.Engine.release e ~conn);
+          raise exn);
       Http.json
         (Obs.Json.Obj
            [ ("admitted", Obs.Json.Bool true); ("conn", Obs.Json.Int conn) ])

@@ -1,8 +1,7 @@
 open Helpers
 
 (* The runtime-events profiler: pause histograms fill under
-   allocation pressure, the span bridge round-trips through a second
-   in-process cursor, and the consumer stops cleanly (no lost-wakeup
+   allocation pressure, and the consumer stops cleanly (no lost-wakeup
    hang).  All tests stop the consumer they start — other suites must
    not inherit a running one. *)
 
@@ -71,46 +70,6 @@ let test_pause_soak () =
   check_true "stopped consumer reports not running"
     (not (Obs.Events.running ()))
 
-let test_bridge_roundtrip () =
-  let t = Obs.Events.start ~poll_interval_s:0.001 ~bridge:true () in
-  let seen = ref [] in
-  let tracker = Obs.Events.Tracker.create ~on_pause:(fun _ -> ()) () in
-  let callbacks =
-    Obs.Events.Tracker.callbacks
-      ~on_span:(fun ~ring:_ ~name ~enter -> seen := (name, enter) :: !seen)
-      tracker
-  in
-  (* A second cursor over our own ring: each cursor has its own read
-     position, so this coexists with the running consumer domain. *)
-  let cursor = Runtime_events.create_cursor None in
-  Fun.protect
-    ~finally:(fun () ->
-      Runtime_events.free_cursor cursor;
-      Obs.Events.stop t)
-    (fun () ->
-      Obs.Span.with_ ~name:"events.bridge.probe" (fun () ->
-          ignore (Sys.opaque_identity (List.init 10 Fun.id)));
-      spin
-        (fun () ->
-          ignore (Runtime_events.read_poll cursor callbacks None);
-          List.mem ("events.bridge.probe", true) !seen
-          && List.mem ("events.bridge.probe", false) !seen)
-        "bridged span begin/end never reached the second cursor";
-      (* Ring order: begin before end (list is accumulated reversed). *)
-      let probe =
-        List.rev
-          (List.filter (fun (n, _) -> n = "events.bridge.probe") !seen)
-      in
-      match probe with
-      | (_, true) :: rest ->
-          check_true "exit follows enter" (List.mem ("events.bridge.probe", false) rest)
-      | _ -> Alcotest.fail "span enter did not arrive first");
-  (* Bridge uninstalled with the consumer: spans no longer reach the
-     ring (write_span would need a live Runtime_events session; the
-     hook must be gone regardless). *)
-  Obs.Span.with_ ~name:"events.bridge.after" (fun () -> ());
-  check_true "consumer stopped" (not (Obs.Events.running ()))
-
 let test_stop_is_prompt_and_idempotent () =
   let t = Obs.Events.start ~poll_interval_s:0.05 () in
   churn ();
@@ -148,36 +107,32 @@ let test_start_validation_and_idempotency () =
   Obs.Events.stop a;
   check_true "shared handle stops both" (not (Obs.Events.running ()))
 
-let test_ring_file_and_debug_json () =
-  let file = Obs.Events.ring_file () in
-  check_true "ring file is pid-named"
-    (contains_substring file (string_of_int (Unix.getpid ()) ^ ".events"));
-  (match Obs.Events.debug_json () with
-  | Obs.Json.Obj fields ->
-      check_true "idle debug json reports not running"
-        (List.assoc_opt "running" fields = Some (Obs.Json.Bool false))
-  | _ -> Alcotest.fail "debug_json is not an object");
+(* The /debug/vars section is pinned to its fields, idle and live;
+   per-domain totals live on /metrics, not here. *)
+let test_debug_json () =
+  let fields () =
+    match Obs.Events.debug_json () with
+    | Obs.Json.Obj fields -> fields
+    | _ -> Alcotest.fail "debug_json is not an object"
+  in
+  let idle = fields () in
+  check_true "idle: exactly running" (List.map fst idle = [ "running" ]);
+  check_true "idle debug json reports not running"
+    (List.assoc "running" idle = Obs.Json.Bool false);
   let t = Obs.Events.start () in
-  (match Obs.Events.debug_json () with
-  | Obs.Json.Obj fields ->
-      check_true "live debug json reports running"
-        (List.assoc_opt "running" fields = Some (Obs.Json.Bool true));
-      check_true "live debug json names the ring file"
-        (match List.assoc_opt "ring_file" fields with
-        | Some (Obs.Json.String s) -> s = file
-        | _ -> false)
-  | _ -> Alcotest.fail "debug_json is not an object");
-  Obs.Events.stop t
+  Fun.protect ~finally:(fun () -> Obs.Events.stop t) @@ fun () ->
+  let live = fields () in
+  check_true "live: exactly running, poll_interval_s, top_pauses"
+    (List.map fst live = [ "running"; "poll_interval_s"; "top_pauses" ]);
+  check_true "live debug json reports running"
+    (List.assoc "running" live = Obs.Json.Bool true)
 
 let suite =
   [
     case "pauses: histograms fill under allocation soak" test_pause_soak;
-    case "bridge: spans round-trip through a second cursor"
-      test_bridge_roundtrip;
     case "stop: prompt, idempotent, restartable"
       test_stop_is_prompt_and_idempotent;
     case "start: validation and idempotency"
       test_start_validation_and_idempotency;
-    case "introspection: ring file and debug json"
-      test_ring_file_and_debug_json;
+    case "introspection: debug json" test_debug_json;
   ]

@@ -549,7 +549,8 @@ let test_group_commit_concurrent () =
 
    The state directory vanishes under a live journal, so the segment
    the next snapshot's rotation asks for cannot be opened.  From then
-   on no admit or release may be acknowledged: each answers 500. *)
+   on no admit or release may be acknowledged: each answers 500, and a
+   refused admit gives its bandwidth back. *)
 
 let api_post path body =
   {
@@ -603,6 +604,8 @@ let test_failed_journal_fails_closed () =
   (match Persist.Store.barrier store with
   | exception Failure _ -> ()
   | () -> Alcotest.fail "the barrier returned on a failed journal");
+  check_int "refused admits hold no bandwidth" 1
+    (Cac.Engine.active_connections engine);
   Persist.Store.close store
 
 (* {2 The admit-racing-drain regression}
