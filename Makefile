@@ -17,7 +17,8 @@ lint:
 	dune build @lint
 
 # Typed backend over dune's .cmt typedtrees: real float types for
-# N1/N2 plus the F1/L1/E1 flow rules.  Builds @check first.
+# N1/N2, the F1/L1/E1 flow rules and U1 (dead library exports).
+# Builds @check first.
 lint-typed:
 	dune build @lint-typed
 

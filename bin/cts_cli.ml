@@ -177,13 +177,6 @@ let with_faults opts k =
           Resilience.Fault.configure ~seed:opts.fault_seed rules;
           Fun.protect ~finally:Resilience.Fault.clear k)
 
-let max_retries_arg =
-  let doc =
-    "Kernel-evaluation retries inside the engine before a decision \
-     degrades to the peak-rate fallback."
-  in
-  Arg.(value & opt int 1 & info [ "max-retries" ] ~docv:"N" ~doc)
-
 let frames_arg =
   let doc = "Frames per simulation replication (default 20000)." in
   Arg.(value & opt (some int) None & info [ "frames" ] ~docv:"N" ~doc)
@@ -459,76 +452,77 @@ let cac_decide_cmd =
     let doc = "Connections of the class already admitted on the link." in
     Arg.(value & opt int 0 & info [ "n" ] ~docv:"N" ~doc)
   in
-  let run model capacity buffer_msec target_clr existing max_retries fault_opts
-      obs_opts =
+  let run model capacity buffer_msec target_clr existing fault_opts obs_opts =
     with_obs obs_opts @@ fun () ->
     with_faults fault_opts @@ fun () ->
     match Cac.Source_class.of_name model with
     | None ->
         `Error
           (false, Printf.sprintf "unknown class %S (try %s)" model class_names_doc)
-    | Some cls ->
-        let engine = Cac.Engine.create ~max_retries () in
-        let link =
+    | Some cls -> (
+        let engine = Cac.Engine.create () in
+        match
           Cac.Engine.add_link_msec engine ~id:"link" ~capacity ~buffer_msec
             ~target_clr
-        in
-        let rec preload k =
-          k = 0
-          ||
-          match Cac.Engine.admit engine ~link:"link" ~cls with
-          | Cac.Engine.Admitted _ -> preload (k - 1)
-          | Cac.Engine.Rejected _ -> false
-        in
-        if existing < 0 then `Error (false, "--n must be non-negative")
-        else if not (preload existing) then
-          `Error
-            ( false,
-              Printf.sprintf
-                "the pre-existing load of %d connections is itself inadmissible"
-                existing )
-        else begin
-          let time f =
-            let t0 = Obs.Clock.wall () in
-            let v = f () in
-            (v, 1e6 *. (Obs.Clock.wall () -. t0))
-          in
-          let verdict, cold_us =
-            time (fun () -> Cac.Engine.evaluate engine ~link:"link" ~cls)
-          in
-          let _, warm_us =
-            time (fun () -> Cac.Engine.evaluate engine ~link:"link" ~cls)
-          in
-          Printf.printf "link           %g cells/frame, buffer %g msec (%.0f cells), CLR <= %g\n"
-            capacity buffer_msec (Cac.Link.buffer link) target_clr;
-          Printf.printf "admitted       %d x %s (utilization %.1f%%)\n" existing
-            model
-            (100.0 *. Cac.Link.utilization link);
-          Printf.printf "decision       %s%s\n"
-            (if verdict.Cac.Engine.admissible then "ADMIT"
-             else
-               match verdict.Cac.Engine.reason with
-               | Some Cac.Engine.Unstable -> "REJECT (mean load at capacity)"
-               | _ when verdict.Cac.Engine.degraded ->
-                   "REJECT (peak-rate allocation exceeds capacity)"
-               | _ -> "REJECT (CLR target exceeded)")
-            (if verdict.Cac.Engine.degraded then
-               " [degraded: kernel failed, fail-closed peak-rate fallback]"
-             else "");
-          (match verdict.Cac.Engine.log10_bop with
-          | Some bop -> Printf.printf "log10 BOP      %.3f (target %.3f)\n" bop (log10 target_clr)
-          | None -> ());
-          (match verdict.Cac.Engine.required_bw with
-          | Some bw ->
-              Printf.printf "%-14s %.1f of %g cells/frame\n"
-                (if verdict.Cac.Engine.degraded then "peak-rate bw"
-                 else "effective bw")
-                bw capacity
-          | None -> ());
-          Printf.printf "latency        %.1f us cold, %.1f us cached\n" cold_us
-            warm_us;
-          `Ok ()
-        end
+        with
+        | exception Invalid_argument msg -> `Error (false, msg)
+        | link ->
+            let rec preload k =
+              k = 0
+              ||
+              match Cac.Engine.admit engine ~link:"link" ~cls with
+              | Cac.Engine.Admitted _ -> preload (k - 1)
+              | Cac.Engine.Rejected _ -> false
+            in
+            if existing < 0 then `Error (false, "--n must be non-negative")
+            else if not (preload existing) then
+              `Error
+                ( false,
+                  Printf.sprintf
+                    "the pre-existing load of %d connections is itself inadmissible"
+                    existing )
+            else begin
+              let time f =
+                let t0 = Obs.Clock.wall () in
+                let v = f () in
+                (v, 1e6 *. (Obs.Clock.wall () -. t0))
+              in
+              let verdict, cold_us =
+                time (fun () -> Cac.Engine.evaluate engine ~link:"link" ~cls)
+              in
+              let _, warm_us =
+                time (fun () -> Cac.Engine.evaluate engine ~link:"link" ~cls)
+              in
+              Printf.printf "link           %g cells/frame, buffer %g msec (%.0f cells), CLR <= %g\n"
+                capacity buffer_msec (Cac.Link.buffer link) target_clr;
+              Printf.printf "admitted       %d x %s (utilization %.1f%%)\n" existing
+                model
+                (100.0 *. Cac.Link.utilization link);
+              Printf.printf "decision       %s%s\n"
+                (if verdict.Cac.Engine.admissible then "ADMIT"
+                 else
+                   match verdict.Cac.Engine.reason with
+                   | Some Cac.Engine.Unstable -> "REJECT (mean load at capacity)"
+                   | _ when verdict.Cac.Engine.degraded ->
+                       "REJECT (peak-rate allocation exceeds capacity)"
+                   | _ -> "REJECT (CLR target exceeded)")
+                (if verdict.Cac.Engine.degraded then
+                   " [degraded: kernel failed, fail-closed peak-rate fallback]"
+                 else "");
+              (match verdict.Cac.Engine.log10_bop with
+              | Some bop -> Printf.printf "log10 BOP      %.3f (target %.3f)\n" bop (log10 target_clr)
+              | None -> ());
+              (match verdict.Cac.Engine.required_bw with
+              | Some bw ->
+                  Printf.printf "%-14s %.1f of %g cells/frame\n"
+                    (if verdict.Cac.Engine.degraded then "peak-rate bw"
+                     else "effective bw")
+                    bw capacity
+              | None -> ());
+              Printf.printf "latency        %.1f us cold, %.1f us cached\n" cold_us
+                warm_us;
+              `Ok ()
+            end)
   in
   Cmd.v
     (Cmd.info "decide"
@@ -536,7 +530,7 @@ let cac_decide_cmd =
     Term.(
       ret
         (const run $ cac_class_arg $ cac_capacity_arg $ buffer_arg $ cac_clr_arg
-       $ existing_arg $ max_retries_arg $ fault_term $ obs_term))
+       $ existing_arg $ fault_term $ obs_term))
 
 let cac_replay_cmd =
   let mix_arg =
@@ -568,7 +562,7 @@ let cac_replay_cmd =
     Arg.(value & opt int 1996 & info [ "seed" ] ~docv:"SEED" ~doc)
   in
   let run mix_s capacity buffer_msec target_clr requests rate holding seed
-      max_retries fault_opts obs_opts =
+      fault_opts obs_opts =
     with_obs obs_opts @@ fun () ->
     with_faults fault_opts @@ fun () ->
     match parse_mix mix_s with
@@ -577,62 +571,64 @@ let cac_replay_cmd =
           ( false,
             Printf.sprintf "bad mix %S (classes: %s, weights > 0)" mix_s
               class_names_doc )
-    | Some mix ->
+    | Some mix -> (
         let make_engine () =
-          let engine = Cac.Engine.create ~max_retries () in
+          let engine = Cac.Engine.create () in
           ignore
             (Cac.Engine.add_link_msec engine ~id:"link" ~capacity ~buffer_msec
                ~target_clr);
           engine
         in
-        let arrival_rate =
-          match rate with
-          | Some r -> r
-          | None ->
-              let scratch = make_engine () in
-              let n_max =
-                Cac.Engine.fill scratch ~link:"link" ~cls:(fst (List.hd mix))
-              in
-              1.1 *. float_of_int (Stdlib.max 1 n_max) /. holding
-        in
-        let spec =
-          Cac.Workload.spec ~mean_holding:holding ~arrival_rate ~requests ~mix
-            ()
-        in
-        let engine = make_engine () in
-        let t0 = Obs.Clock.wall () in
-        let result =
-          Cac.Workload.run engine ~link:"link" spec
-            (Numerics.Rng.create ~seed)
-        in
-        let elapsed = Obs.Clock.wall () -. t0 in
-        Printf.printf
-          "replayed %d connection attempts (%.2f Erlangs offered) in %.2f s\n"
-          result.Cac.Workload.offered
-          (Cac.Workload.offered_load spec)
-          elapsed;
-        Printf.printf "admitted       %d\n" result.Cac.Workload.admitted;
-        Printf.printf "rejected       %d\n" result.Cac.Workload.rejected;
-        if result.Cac.Workload.errors > 0 || result.Cac.Workload.degraded > 0
-        then
-          Printf.printf
-            "resilience     %d engine errors (fail-closed), %d degraded \
-             peak-rate decisions\n"
-            result.Cac.Workload.errors result.Cac.Workload.degraded;
-        Printf.printf "blocking       %.4f overall, %.4f steady-state\n"
-          result.Cac.Workload.blocking result.Cac.Workload.steady_blocking;
-        Printf.printf "occupancy      %.1f mean, %d peak, %d at end\n"
-          result.Cac.Workload.mean_occupancy result.Cac.Workload.peak_occupancy
-          result.Cac.Workload.final_occupancy;
-        Printf.printf "cache          %.1f%% hits overall, %.1f%% steady-state\n"
-          (100.0 *. result.Cac.Workload.cache_hit_rate)
-          (100.0 *. result.Cac.Workload.steady_cache_hit_rate);
-        Printf.printf "latency        %.2f us mean per decision\n"
-          result.Cac.Workload.mean_latency_us;
-        let stats = Cac.Engine.cache_stats engine in
-        Printf.printf "cache entries  %d (%d evictions)\n"
-          stats.Cac.Decision_cache.entries stats.Cac.Decision_cache.evictions;
-        `Ok ()
+        match make_engine () with
+        | exception Invalid_argument msg -> `Error (false, msg)
+        | scratch ->
+            let arrival_rate =
+              match rate with
+              | Some r -> r
+              | None ->
+                  let n_max =
+                    Cac.Engine.fill scratch ~link:"link" ~cls:(fst (List.hd mix))
+                  in
+                  1.1 *. float_of_int (Stdlib.max 1 n_max) /. holding
+            in
+            let spec =
+              Cac.Workload.spec ~mean_holding:holding ~arrival_rate ~requests ~mix
+                ()
+            in
+            let engine = make_engine () in
+            let t0 = Obs.Clock.wall () in
+            let result =
+              Cac.Workload.run engine ~link:"link" spec
+                (Numerics.Rng.create ~seed)
+            in
+            let elapsed = Obs.Clock.wall () -. t0 in
+            Printf.printf
+              "replayed %d connection attempts (%.2f Erlangs offered) in %.2f s\n"
+              result.Cac.Workload.offered
+              (Cac.Workload.offered_load spec)
+              elapsed;
+            Printf.printf "admitted       %d\n" result.Cac.Workload.admitted;
+            Printf.printf "rejected       %d\n" result.Cac.Workload.rejected;
+            if result.Cac.Workload.errors > 0 || result.Cac.Workload.degraded > 0
+            then
+              Printf.printf
+                "resilience     %d engine errors (fail-closed), %d degraded \
+                 peak-rate decisions\n"
+                result.Cac.Workload.errors result.Cac.Workload.degraded;
+            Printf.printf "blocking       %.4f overall, %.4f steady-state\n"
+              result.Cac.Workload.blocking result.Cac.Workload.steady_blocking;
+            Printf.printf "occupancy      %.1f mean, %d peak, %d at end\n"
+              result.Cac.Workload.mean_occupancy result.Cac.Workload.peak_occupancy
+              result.Cac.Workload.final_occupancy;
+            Printf.printf "cache          %.1f%% hits overall, %.1f%% steady-state\n"
+              (100.0 *. result.Cac.Workload.cache_hit_rate)
+              (100.0 *. result.Cac.Workload.steady_cache_hit_rate);
+            Printf.printf "latency        %.2f us mean per decision\n"
+              result.Cac.Workload.mean_latency_us;
+            let stats = Cac.Engine.cache_stats engine in
+            Printf.printf "cache entries  %d (%d evictions)\n"
+              stats.Cac.Decision_cache.entries stats.Cac.Decision_cache.evictions;
+            `Ok ())
   in
   Cmd.v
     (Cmd.info "replay"
@@ -640,8 +636,8 @@ let cac_replay_cmd =
     Term.(
       ret
         (const run $ mix_arg $ cac_capacity_arg $ buffer_arg $ cac_clr_arg
-       $ requests_arg $ rate_arg $ holding_arg $ seed_replay_arg
-       $ max_retries_arg $ fault_term $ obs_term))
+       $ requests_arg $ rate_arg $ holding_arg $ seed_replay_arg $ fault_term
+       $ obs_term))
 
 let cac_sweep_cmd =
   let models_arg =
@@ -816,7 +812,8 @@ let parse_link_spec s =
         String.split_on_char ':' rhs |> List.map float_of_string_opt
       with
       | [ Some capacity; Some buffer_msec; Some target_clr ]
-        when id <> "" && capacity > 0.0 && buffer_msec > 0.0
+        when id <> "" && Float.is_finite capacity && capacity > 0.0
+             && Float.is_finite buffer_msec && buffer_msec > 0.0
              && target_clr > 0.0 && target_clr < 1.0 ->
           Some (id, capacity, buffer_msec, target_clr)
       | _ -> None)
@@ -908,7 +905,7 @@ let serve_cmd =
       value & opt (some string) None & info [ "access-log" ] ~docv:"PATH" ~doc)
   in
   let run host port domains queue read_timeout max_body links cache_capacity
-      max_retries breaker_cooldown_s state_dir fsync_policy snapshot_every
+      breaker_cooldown_s state_dir fsync_policy snapshot_every
       access_log quiet fault_opts obs_opts =
     (* The daemon owns the --trace file: SIGHUP reopens it. *)
     with_obs { obs_opts with trace = None } @@ fun () ->
@@ -945,7 +942,6 @@ let serve_cmd =
                 max_body;
                 links = List.filter_map Fun.id parsed;
                 cache_capacity;
-                max_retries;
                 breaker_cooldown_s;
                 state_dir;
                 fsync_policy;
@@ -996,7 +992,7 @@ let serve_cmd =
       ret
         (const run $ host_arg $ port_arg $ domains_arg $ queue_arg
        $ read_timeout_arg $ max_body_arg $ links_arg $ cache_arg
-       $ max_retries_arg $ breaker_cooldown_s_arg $ state_dir_arg
+       $ breaker_cooldown_s_arg $ state_dir_arg
        $ fsync_policy_arg $ snapshot_every_arg $ access_log_file_arg
        $ quiet_arg $ fault_term $ obs_term))
 

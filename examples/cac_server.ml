@@ -101,10 +101,8 @@ let () =
     (100.0 *. Cac.Decision_cache.hit_rate stats);
   if Resilience.Fault.active () then begin
     Printf.printf
-      "guard:  %d faults injected, %d retries, %d peak-rate fallbacks, %d \
-       breaker trips\n"
+      "guard:  %d faults injected, %d peak-rate fallbacks, %d breaker trips\n"
       (Resilience.Fault.injected_total ())
-      (Obs.Registry.counter_value "cac.guard.retries")
       (Resilience.Guard.fallbacks ())
       (Obs.Registry.counter_value "cac.guard.breaker_trips");
     List.iter

@@ -98,10 +98,6 @@ let find_or_add t key ~compute =
       end;
       value
 
-let mem t key = Hashtbl.mem t.table key
-let length t = Hashtbl.length t.table
-let capacity t = t.cap
-
 type stats = {
   hits : int;
   misses : int;
@@ -128,14 +124,3 @@ let diff ~before ~after =
     evictions = after.evictions - before.evictions;
     entries = after.entries;
   }
-
-let reset_counters (t : (_, _) t) =
-  t.hits <- 0;
-  t.misses <- 0;
-  t.evictions <- 0
-
-let clear t =
-  Hashtbl.reset t.table;
-  t.head <- None;
-  t.tail <- None;
-  reset_counters t

@@ -29,12 +29,6 @@ val find_or_add : ('k, 'v) t -> 'k -> compute:(unit -> 'v) -> 'v
     computing and inserting it (possibly evicting the LRU entry) on a
     miss.  The entry becomes most-recently-used either way. *)
 
-val mem : ('k, 'v) t -> 'k -> bool
-(** Membership test; does not touch recency or counters. *)
-
-val length : ('k, 'v) t -> int
-val capacity : ('k, 'v) t -> int
-
 type stats = {
   hits : int;
   misses : int;
@@ -50,9 +44,3 @@ val hit_rate : stats -> float
 val diff : before:stats -> after:stats -> stats
 (** Counter deltas between two snapshots of the same cache — used to
     report the steady-state hit rate after a warm-up window. *)
-
-val reset_counters : ('k, 'v) t -> unit
-(** Zero the hit/miss/eviction counters, keeping the entries. *)
-
-val clear : ('k, 'v) t -> unit
-(** Drop all entries and zero the counters. *)

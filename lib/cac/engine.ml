@@ -37,7 +37,6 @@ type t = {
   (* One circuit breaker per (link, class) pair, created on first
      kernel failure path use; see [breaker]. *)
   breakers : (string, Guard.Breaker.t) Hashtbl.t;
-  max_retries : int;
   breaker_threshold : int;
   breaker_cooldown : int;
   breaker_cooldown_s : float option;
@@ -63,9 +62,8 @@ type verdict = {
   degraded : bool;
 }
 
-let create ?(cache_capacity = 4096) ?(clock = Obs.Clock.wall) ?(max_retries = 1)
+let create ?(cache_capacity = 4096) ?(clock = Obs.Clock.wall)
     ?(breaker_threshold = 5) ?(breaker_cooldown = 32) ?breaker_cooldown_s () =
-  if max_retries < 0 then invalid_arg "Engine.create: max_retries < 0";
   if breaker_threshold < 1 then invalid_arg "Engine.create: breaker_threshold < 1";
   if breaker_cooldown < 0 then invalid_arg "Engine.create: breaker_cooldown < 0";
   (match breaker_cooldown_s with
@@ -80,7 +78,6 @@ let create ?(cache_capacity = 4096) ?(clock = Obs.Clock.wall) ?(max_retries = 1)
     metrics = Metrics.create ();
     clock;
     breakers = Hashtbl.create 16;
-    max_retries;
     breaker_threshold;
     breaker_cooldown;
     breaker_cooldown_s;
@@ -92,7 +89,19 @@ let set_journal t hook = t.journal <- hook
 let journaled t = Option.is_some t.journal
 let emit t op = match t.journal with None -> () | Some hook -> hook op
 
+(* A link's dimensions go into the journal as JSON numbers, and JSON
+   has no inf or nan: refuse them here, before any unit conversion
+   (which asserts on a non-positive capacity). *)
+let check_dimensions ~fn ~capacity ~buffer =
+  if not (Float.is_finite capacity && capacity > 0.0) then
+    invalid_arg
+      (Printf.sprintf "Engine.%s: capacity %g is not finite and > 0" fn capacity);
+  if not (Float.is_finite buffer && buffer >= 0.0) then
+    invalid_arg
+      (Printf.sprintf "Engine.%s: buffer %g is not finite and >= 0" fn buffer)
+
 let add_link t ~id ~capacity ~buffer ~target_clr =
+  check_dimensions ~fn:"add_link" ~capacity ~buffer;
   if Hashtbl.mem t.links id then
     invalid_arg (Printf.sprintf "Engine.add_link: duplicate link id %S" id);
   let link = Link.create ~id ~capacity ~buffer ~target_clr in
@@ -109,6 +118,7 @@ let add_link t ~id ~capacity ~buffer ~target_clr =
   link
 
 let add_link_msec t ~id ~capacity ~buffer_msec ~target_clr =
+  check_dimensions ~fn:"add_link_msec" ~capacity ~buffer:buffer_msec;
   let buffer =
     Queueing.Units.buffer_cells_of_msec ~msec:buffer_msec
       ~service_cells_per_frame:capacity ~ts:Traffic.Models.ts
@@ -165,8 +175,8 @@ let remove_link t id =
 
 (* The finiteness check lives {e inside} the compute closure: a kernel
    returning NaN/inf raises before [find_or_add] can insert the entry,
-   so numeric corruption can never poison the cache — a retry
-   recomputes instead of replaying the bad value. *)
+   so numeric corruption can never poison the cache — the next
+   decision recomputes instead of replaying the bad value. *)
 let cached_log10_bop t (cls : Source_class.t) ~b ~c ~n =
   Decision_cache.find_or_add t.cache
     (Bop { cls = cls.Source_class.name; b; c; n })
@@ -186,11 +196,12 @@ let cached_eff_bw t (cls : Source_class.t) ~total_buffer ~target_clr ~n =
 
 (* {2 Containment}
 
-   Every kernel evaluation runs behind the (link, class) circuit
-   breaker, with bounded retry inside it and a finiteness check on the
-   result: a kernel that raises, stalls out its retries, or returns
-   NaN/inf registers as a breaker failure, and the decision falls back
-   to peak-rate allocation — fail-closed, never fail-open. *)
+   Every kernel evaluation runs once, behind the (link, class) circuit
+   breaker, with a finiteness check on the result: a kernel that
+   raises or returns NaN/inf registers as a breaker failure, and the
+   decision falls back to peak-rate allocation — fail-closed, never
+   fail-open.  The kernel is a pure function of its inputs, so running
+   it again could only return the same answer. *)
 
 let breaker t ~link_id ~(cls : Source_class.t) =
   let key = link_id ^ "/" ^ cls.Source_class.name in
@@ -234,8 +245,7 @@ let breaker_state t ~link:link_id ~cls =
 
 let kernel_value t ~link_id ~cls f =
   Guard.Breaker.call (breaker t ~link_id ~cls) (fun () ->
-      Guard.retry ~max_retries:t.max_retries ~label:"cac.engine.kernel"
-        (fun () -> Guard.finite ~label:"cac.engine.kernel" (f ())))
+      Guard.finite ~label:"cac.engine.kernel" (f ()))
 
 (* The fail-closed fallback: price every connection of the candidate
    mix at its class's peak-rate proxy.  Deliberately independent of
@@ -339,8 +349,6 @@ let evaluate t ~link:link_id ~cls =
         | None -> degraded_verdict link counts)
   end
 
-let would_admit t ~link ~cls = (evaluate t ~link ~cls).admissible
-
 let admit t ~link:link_id ~cls =
   let started = t.clock () in
   let verdict = evaluate t ~link:link_id ~cls in
@@ -395,7 +403,6 @@ let release t ~conn =
       | None -> ());
       emit t (Op_release conn)
 
-let connection t conn = Hashtbl.find_opt t.conns conn
 let active_connections t = Hashtbl.length t.conns
 
 let fill t ~link ~cls =

@@ -34,16 +34,18 @@
     engine's reachable state space is small and heavily revisited,
     steady-state decisions are O(1) hash lookups.  A kernel result
     that is NaN or infinite is {e never} inserted — the failed compute
-    raises first, so retries recompute instead of replaying corruption.
+    raises first, so the next decision recomputes instead of replaying
+    corruption.
 
     {2 Fail-closed degradation}
 
     Admission at CLR <= 1e-6 is a safety property: the test must never
     silently fail {e open}.  Every kernel evaluation therefore runs
-    behind a per-(link, class) {!Resilience.Guard.Breaker} with
-    bounded retry inside it.  A kernel that raises, exhausts its
-    retries, or returns a non-finite value counts as a breaker
-    failure, and the decision {e degrades} to peak-rate allocation:
+    once, behind a per-(link, class) {!Resilience.Guard.Breaker}; the
+    kernel is pure, so a second run could only repeat the answer.  A
+    kernel that raises or returns a non-finite value counts as a
+    breaker failure, and the decision {e degrades} to peak-rate
+    allocation:
     the candidate mix is admitted only if
     [sum n_k * peak_k <= C], with [peak_k] the class's
     {!Source_class.peak} proxy — cruder and strictly more conservative
@@ -113,7 +115,6 @@ type verdict = {
 val create :
   ?cache_capacity:int ->
   ?clock:(unit -> float) ->
-  ?max_retries:int ->
   ?breaker_threshold:int ->
   ?breaker_cooldown:int ->
   ?breaker_cooldown_s:float ->
@@ -121,8 +122,7 @@ val create :
   t
 (** [cache_capacity] bounds the decision cache (default 4096; 0
     disables caching).  [clock] supplies wall-clock seconds for latency
-    metrics (default {!Obs.Clock.wall}).  [max_retries] (default 1)
-    bounds kernel re-attempts per decision; [breaker_threshold]
+    metrics (default {!Obs.Clock.wall}).  [breaker_threshold]
     (default 5) is the consecutive-failure trip point and
     [breaker_cooldown] (default 32) the number of fast-failed
     decisions before a half-open probe.  [breaker_cooldown_s] switches
@@ -132,7 +132,9 @@ val create :
 
 val add_link :
   t -> id:string -> capacity:float -> buffer:float -> target_clr:float -> Link.t
-(** Register a link.  Raises [Invalid_argument] if the id is taken. *)
+(** Register a link.  Raises [Invalid_argument] if the id is taken,
+    the capacity is not finite and positive, the buffer is not finite
+    and non-negative, or the CLR target is outside (0, 1). *)
 
 val add_link_msec :
   t ->
@@ -164,8 +166,6 @@ val evaluate : t -> link:string -> cls:Source_class.t -> verdict
     does} advance resilience state: breaker counters, and the
     [cac.guard.*] / [cac.fault.*] telemetry. *)
 
-val would_admit : t -> link:string -> cls:Source_class.t -> bool
-
 val admit : t -> link:string -> cls:Source_class.t -> decision
 (** Decide, record metrics (including decision latency and degraded
     fallbacks), and on success establish the connection.
@@ -174,8 +174,6 @@ val admit : t -> link:string -> cls:Source_class.t -> decision
 
 val release : t -> conn:int -> unit
 (** Raises [Invalid_argument] for unknown connection ids. *)
-
-val connection : t -> int -> (Link.t * Source_class.t) option
 
 val active_connections : t -> int
 
@@ -186,6 +184,8 @@ val fill : t -> link:string -> cls:Source_class.t -> int
 
 val breaker_state :
   t -> link:string -> cls:Source_class.t -> Resilience.Guard.Breaker.state option
+[@@lint.allow "U1"]
+(* observed by resilience "engine breaker opens and recovers" *)
 (** The (link, class) circuit breaker's state; [None] until the pair's
     first kernel evaluation. *)
 
@@ -205,9 +205,6 @@ val set_journal : t -> (op -> unit) option -> unit
 (** Install (or clear) the journal hook.  The hook is called with each
     completed mutation, after the engine state has moved; it must not
     raise and must not block (see the module preamble). *)
-
-val journaled : t -> bool
-(** Whether a journal hook is installed. *)
 
 val apply : t -> op -> unit
 (** Re-execute a journaled mutation during recovery: mutates link and

@@ -8,8 +8,6 @@ type t = {
 }
 
 let create ~id ~capacity ~buffer ~target_clr =
-  if not (capacity > 0.0) then invalid_arg "Link.create: capacity <= 0";
-  if not (buffer >= 0.0) then invalid_arg "Link.create: negative buffer";
   if not (target_clr > 0.0 && target_clr < 1.0) then
     invalid_arg "Link.create: target_clr outside (0, 1)";
   { id; capacity; buffer; target_clr; by_class = Hashtbl.create 8; total = 0 }

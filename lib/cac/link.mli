@@ -9,17 +9,14 @@ type t
 
 val create :
   id:string -> capacity:float -> buffer:float -> target_clr:float -> t
-(** [capacity] in cells/frame, [buffer] in cells,
-    [target_clr] in (0, 1).  Raises [Invalid_argument] on
-    non-positive capacity/buffer or an out-of-range target. *)
+(** [capacity] in cells/frame, [buffer] in cells (both validated by
+    {!Engine.add_link}), [target_clr] in (0, 1).  Raises
+    [Invalid_argument] on an out-of-range target. *)
 
 val id : t -> string
 val capacity : t -> float
 val buffer : t -> float
 val target_clr : t -> float
-
-val count : t -> cls:Source_class.t -> int
-(** Admitted connections of one class (0 when none). *)
 
 val counts : t -> (Source_class.t * int) list
 (** All classes with at least one admitted connection. *)

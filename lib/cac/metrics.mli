@@ -25,8 +25,13 @@ val record_fallback : t -> unit
     {!Resilience.Guard} at the decision site. *)
 
 val admits : t -> int
+[@@lint.allow "U1"] (* observed by cac "metrics consistency" *)
+
 val rejects : t -> int
+[@@lint.allow "U1"] (* observed by cac "metrics consistency" *)
+
 val releases : t -> int
+[@@lint.allow "U1"] (* observed by cac "engine memory bounded under churn" *)
 
 val fallbacks : t -> int
 (** Degraded decisions recorded on this instance. *)

@@ -216,12 +216,3 @@ let run engine ~link s rng =
          /. float_of_int decided);
     duration = !now;
   }
-
-let replicate ~seed ~reps ~make_engine s =
-  let results =
-    Queueing.Replication.runs ~seed ~reps (fun rng ->
-        let engine, link = make_engine () in
-        run engine ~link s rng)
-  in
-  let blocking = Array.map (fun r -> r.steady_blocking) results in
-  (results, Stats.Ci.mean_ci blocking)

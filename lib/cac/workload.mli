@@ -65,13 +65,3 @@ val run : Engine.t -> link:string -> spec -> Numerics.Rng.t -> result
     continues — only [Out_of_memory]/[Stack_overflow] (or a failure
     outside the per-request decision, e.g. an unknown [link])
     propagate. *)
-
-val replicate :
-  seed:int ->
-  reps:int ->
-  make_engine:(unit -> Engine.t * string) ->
-  spec ->
-  result array * Stats.Ci.interval
-(** Independent replications, one fresh engine and RNG substream each;
-    returns the per-replication results and a Student-t interval on
-    the steady-state blocking probability. *)

@@ -77,6 +77,3 @@ let evaluate_total vg ~mu ~total_capacity ~total_buffer ~n =
   assert (n >= 1);
   let nf = float_of_int n in
   evaluate vg ~mu ~c:(total_capacity /. nf) ~b:(total_buffer /. nf) ~n
-
-let curve vg ~mu ~c ~n ~buffers =
-  Array.map (fun b -> (b, evaluate vg ~mu ~c ~b ~n)) buffers

@@ -33,13 +33,5 @@ val evaluate_total :
   total_buffer:float ->
   n:int ->
   result
+[@@lint.allow "U1"] (* test-only: core "total vs per-source forms" *)
 (** Link-level parameterisation: [B = N b], [C = N c]. *)
-
-val curve :
-  Variance_growth.t ->
-  mu:float ->
-  c:float ->
-  n:int ->
-  buffers:float array ->
-  (float * result) array
-(** BOP along a per-source buffer sweep — one paper figure series. *)

@@ -128,9 +128,6 @@ let analyze vg ~mu ~c ~b =
   Obs.Registry.Histogram.observe h_m_star (float_of_int m_star);
   { m_star; rate = !best; scanned_up_to; capped = not !stopped }
 
-let curve vg ~mu ~c ~buffers =
-  Array.map (fun b -> (b, analyze vg ~mu ~c ~b)) buffers
-
 let lrd_closed_form ~h ~mu ~c ~b =
   assert (h > 0.0 && h < 1.0 && c > mu && b >= 0.0);
   h *. b /. ((1.0 -. h) *. (c -. mu))

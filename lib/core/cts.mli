@@ -29,6 +29,8 @@ type analysis = {
 }
 
 val objective : Variance_growth.t -> mu:float -> c:float -> b:float -> int -> float
+[@@lint.allow "U1"]
+(* oracle for core "CTS scan bit-identical to integer_argmin" *)
 (** [objective vg ~mu ~c ~b m] is [(b + m (c - mu))^2 / (2 V(m))]. *)
 
 val analyze : Variance_growth.t -> mu:float -> c:float -> b:float -> analysis
@@ -63,20 +65,14 @@ val analyze : Variance_growth.t -> mu:float -> c:float -> b:float -> analysis
 
 val certificate :
   Variance_growth.t -> mu:float -> c:float -> b:float -> int -> float
+[@@lint.allow "U1"]
+(* oracle for core "CTS certificate bounds the later objective" *)
 (** [certificate vg ~mu ~c ~b k] is the lower bound that {!analyze}
     proves after step [k] on [objective vg ~mu ~c ~b m] for every
     [m > k] (up to rounding), from lags [1 .. k-1] and the table's
     tail bound; [neg_infinity] where it proves none.  The scan stops
     at the first [k] where it reaches the running minimum.  Exposed so
     the tests can hold the bound to the objective. *)
-
-val curve :
-  Variance_growth.t ->
-  mu:float ->
-  c:float ->
-  buffers:float array ->
-  (float * analysis) array
-(** [m*_b] and [I(c,b)] along a buffer sweep (paper Fig. 4). *)
 
 val lrd_closed_form : h:float -> mu:float -> c:float -> b:float -> float
 (** The Appendix's continuous approximation of the CTS for an exact-LRD

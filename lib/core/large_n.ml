@@ -11,6 +11,3 @@ let evaluate vg ~mu ~c ~b ~n =
   let cts = Cts.analyze vg ~mu ~c ~b in
   let exponent_nats = -.float_of_int n *. cts.Cts.rate in
   { log10_bop = exponent_nats *. log10_e; bop = exp exponent_nats; cts }
-
-let curve vg ~mu ~c ~n ~buffers =
-  Array.map (fun b -> (b, evaluate vg ~mu ~c ~b ~n)) buffers

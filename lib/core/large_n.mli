@@ -11,11 +11,3 @@ type result = {
 
 val evaluate :
   Variance_growth.t -> mu:float -> c:float -> b:float -> n:int -> result
-
-val curve :
-  Variance_growth.t ->
-  mu:float ->
-  c:float ->
-  n:int ->
-  buffers:float array ->
-  (float * result) array

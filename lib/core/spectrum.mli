@@ -29,6 +29,7 @@ val psd : t -> float -> float
     Kahan compensation. *)
 
 val total_power : t -> float
+[@@lint.allow "U1"] (* test-only: spectrum "total power" *)
 (** [sigma^2] — equals the integral of the PSD over [-pi, pi] divided
     by [2 pi]. *)
 

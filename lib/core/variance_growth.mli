@@ -87,6 +87,7 @@ val of_acf_array : acf:float array -> variance:float -> t
     floored at 0, computed once. *)
 
 val truncated : t -> at:int -> t
+[@@lint.allow "U1"] (* oracle for core "truncating ACF beyond m* is free" *)
 (** [truncated t ~at] is the source with correlations beyond lag [at]
     set to zero — the "keep only the first m correlations" surgery used
     to demonstrate the CTS effect directly.  It keeps [t]'s tail, which

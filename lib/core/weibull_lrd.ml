@@ -33,7 +33,3 @@ let log10_bop src ~c ~b ~n =
   let j = j src ~c ~b ~n in
   assert (j > 0.0);
   ((-.j) -. (0.5 *. log (4.0 *. pi *. j))) *. log10_e
-
-(* 10^x with x <= 0 here: underflows to 0.0 for deep tails, never
-   overflows. *)
-let[@lint.allow "N2"] bop src ~c ~b ~n = 10.0 ** log10_bop src ~c ~b ~n

@@ -29,8 +29,6 @@ val j : source -> c:float -> b:float -> n:int -> float
 
 val log10_bop : source -> c:float -> b:float -> n:int -> float
 
-val bop : source -> c:float -> b:float -> n:int -> float
-
 val rate : source -> c:float -> b:float -> float
 (** The per-source rate [I(c,b) = J / N]:
     [(c - mu)^(2H) b^(2-2H) / (2 g sigma^2 kappa(H)^2)]. *)

@@ -47,13 +47,6 @@ type figure = {
 
 let series ~label points = { label; points; ci_half_width = None }
 
-let series_ci ~label points =
-  {
-    label;
-    points = Array.map (fun (x, ci) -> (x, ci.Stats.Ci.point)) points;
-    ci_half_width = Some (Array.map (fun (_, ci) -> ci.Stats.Ci.half_width) points);
-  }
-
 (* All experiment text goes through the process-wide human sink so
    [--quiet] silences it and a Jsonl sink captures it; lint rule H1
    keeps stdout printers out of library code. *)

@@ -31,7 +31,6 @@ val c_main : float
 (** Figs. 5–10 bandwidth per source: 538 cells/frame. *)
 
 val frames : unit -> int
-val reps : unit -> int
 val seed : unit -> int
 val results_dir : unit -> string
 
@@ -59,17 +58,12 @@ type figure = {
 }
 
 val series : label:string -> (float * float) array -> series
-val series_ci : label:string -> (float * Stats.Ci.interval) array -> series
 
 val printf : ('a, unit, string, unit) format4 -> 'a
 (** Formatted experiment output via {!Obs.Sink.printf} (the human
     sink): respects [--quiet], never touches stdout directly.
     Experiment modules must use this instead of [Printf.printf]
     (lint rule H1). *)
-
-val print_figure : figure -> unit
-(** Aligned table on stdout: one row per x value, one column per
-    series (series must share their x grid, which all of ours do). *)
 
 val save_figure_csv : figure -> unit
 (** Long-format CSV [series,x,y,ci_half_width] at

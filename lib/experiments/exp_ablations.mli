@@ -13,10 +13,4 @@
       (Section 6.1 discussion) — doubling sigma^2 at fixed correlations
       moves the operating point but not the smallness of the CTS. *)
 
-val figure_weibull : unit -> Common.figure
-val figure_cts_closed_form : unit -> Common.figure
-val fluid_vs_cell : unit -> (float * float * float) array
-(** (buffer msec, fluid CLR, cell-level CLR) triples. *)
-
-val figure_marginal : unit -> Common.figure
 val run : unit -> unit

@@ -7,8 +7,6 @@
     of admissible connections for LRD traces."  Each series gives the
     max connections on a fixed link vs buffer size, per model. *)
 
-val figure : target_clr:float -> Common.figure
-
 val max_count_gap : target_clr:float -> int
 (** Largest |N_model - N_Z| over DAR(p) models and practical buffers. *)
 

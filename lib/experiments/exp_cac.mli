@@ -2,7 +2,4 @@
     source models at 10/20/30 msec buffers (paper sec. 5.4 remark),
     with a replayed connection workload per grid cell. *)
 
-val outcomes : unit -> Cac.Sweep.outcome array
-(** The sweep behind the figure, at the current scale knobs. *)
-
 val run : unit -> unit

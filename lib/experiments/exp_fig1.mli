@@ -3,5 +3,4 @@
     geometric part, [v] moves the weight of the power-law tail. *)
 
 val figure_z : unit -> Common.figure
-val figure_v : unit -> Common.figure
 val run : unit -> unit

@@ -6,5 +6,4 @@
     Large-N; and both infinite-buffer asymptotics overshoot the
     finite-buffer CLR by about two orders of magnitude. *)
 
-val figure : unit -> Common.figure
 val run : unit -> unit

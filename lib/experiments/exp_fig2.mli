@@ -13,6 +13,5 @@ type summary = {
   hurst_var : float;  (** aggregated-variance estimate *)
 }
 
-val figure : unit -> Common.figure
 val summaries : unit -> summary list
 val run : unit -> unit

@@ -5,7 +5,4 @@
     (d) DAR(p) matched to Z^0.7. *)
 
 val figure_a : unit -> Common.figure
-val figure_b : unit -> Common.figure
-val figure_c : unit -> Common.figure
-val figure_d : unit -> Common.figure
 val run : unit -> unit

@@ -3,7 +3,5 @@
     fits and against L: even DAR(1) out-predicts the exact-LRD L, and
     DAR(p) converges to Z as p grows.  (b) Same for Z^0.7. *)
 
-val figure : a:float -> with_l:bool -> id:string -> Common.figure
 val figure_a : unit -> Common.figure
-val figure_b : unit -> Common.figure
 val run : unit -> unit

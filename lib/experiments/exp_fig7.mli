@@ -5,9 +5,6 @@
     happens is itself reported, making "beyond practical consideration"
     quantitative. *)
 
-val figure_a : unit -> Common.figure
-val figure_b : unit -> Common.figure
-
 val crossover_msec : a:float -> p:int -> float option
 (** Smallest wide-grid buffer (msec) at which the absolute
     log10-BOP error of L (vs Z^a) drops below that of DAR(p). *)

@@ -8,6 +8,4 @@
 
 val buffers_msec : float array
 
-val figure_a : unit -> Common.figure
-val figure_b : unit -> Common.figure
 val run : unit -> unit

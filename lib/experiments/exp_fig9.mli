@@ -3,6 +3,4 @@
     of Fig. 6, showing that the cheap Markov models track the LRD
     traffic's loss over the practical range. *)
 
-val figure_a : unit -> Common.figure
-val figure_b : unit -> Common.figure
 val run : unit -> unit

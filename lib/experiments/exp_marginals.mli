@@ -7,11 +7,4 @@
     negative-binomial (Heyman–Lakshman) and gamma marginals of equal
     mean and variance and equal correlation structure. *)
 
-val figure_clr : unit -> Common.figure
-(** Simulated CLR vs buffer for the three marginals (N=30, c=538). *)
-
-val figure_cts_invariance : unit -> Common.figure
-(** The CTS analysis depends on the marginal only through (mu, sigma^2)
-    — shown by construction, plotted for the record. *)
-
 val run : unit -> unit

@@ -8,6 +8,5 @@
     still track a matched DAR(p)? *)
 
 val figure_acf : unit -> Common.figure
-val figure_cts : unit -> Common.figure
 val figure_bop : unit -> Common.figure
 val run : unit -> unit

@@ -14,8 +14,4 @@
     reports the per-hop B-R loss estimate as the window grows — the
     real engineering trade-off. *)
 
-val figure_fixed_budget : unit -> Common.figure
-(** x = shaper window (frames); y = per-hop log10 BOP with the
-    remaining end-to-end budget spent on buffers, per model. *)
-
 val run : unit -> unit

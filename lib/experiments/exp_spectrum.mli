@@ -6,11 +6,6 @@
     below [w_c] — which contains the entire LRD signature — does not
     influence the loss estimate at practical buffer sizes. *)
 
-val figure_psd : unit -> Common.figure
-
-val figure_cutoff : unit -> Common.figure
-(** Cutoff frequency vs buffer size for Z^a (log-scaled buffer). *)
-
 val lrd_power_ignored : a:float -> buffer_msec:float -> float
 (** Fraction of the source variance living below the cutoff frequency
     at the given buffer — i.e. how much spectral mass the loss estimate

@@ -1,5 +1,3 @@
-let uniform rng ~lo ~hi = Rng.float_range rng ~lo ~hi
-
 let exponential rng ~rate =
   assert (rate > 0.0);
   -.log (Rng.float rng) /. rate
@@ -72,10 +70,6 @@ let poisson rng ~mean =
 let pareto rng ~shape ~scale =
   assert (shape > 0.0 && scale > 0.0);
   scale /. (Rng.float rng ** (1.0 /. shape))
-
-let bernoulli rng ~p =
-  assert (p >= 0.0 && p <= 1.0);
-  Rng.float rng < p
 
 let binomial rng ~n ~p =
   assert (n >= 0);

@@ -3,9 +3,6 @@
     Every sampler takes the generator explicitly so that callers control
     stream assignment (one substream per source / replication). *)
 
-val uniform : Rng.t -> lo:float -> hi:float -> float
-(** Uniform on (lo, hi). *)
-
 val exponential : Rng.t -> rate:float -> float
 (** Exponential with rate [rate > 0] (mean [1/rate]), by inversion. *)
 
@@ -22,16 +19,16 @@ val poisson : Rng.t -> mean:float -> int
     counts used in the simulations.  [mean >= 0]. *)
 
 val pareto : Rng.t -> shape:float -> scale:float -> float
+[@@lint.allow "U1"] (* test-only: dist "pareto moments" *)
 (** Pareto variate on [scale, infinity): P(X > x) = (scale/x)^shape. *)
 
-val bernoulli : Rng.t -> p:float -> bool
-(** Coin flip with success probability [p] in [0, 1]. *)
-
 val binomial : Rng.t -> n:int -> p:float -> int
+[@@lint.allow "U1"] (* test-only: dist "binomial moments" *)
 (** Binomial(n, p) by inversion for small [n*p] and by summation
     otherwise; intended for the modest [n] (tens) used here. *)
 
 val geometric : Rng.t -> p:float -> int
+[@@lint.allow "U1"] (* test-only: dist "geometric moments" *)
 (** Number of failures before the first success, [p] in (0, 1]. *)
 
 val gamma : Rng.t -> shape:float -> scale:float -> float
@@ -56,6 +53,7 @@ val categorical : Rng.t -> weights:float array -> int
     strictly positive). *)
 
 val discrete_cdf_sample : Rng.t -> cdf:float array -> int
+[@@lint.allow "U1"] (* test-only: dist "discrete cdf sampling" *)
 (** [discrete_cdf_sample rng ~cdf] draws an index [i] with probability
     [cdf.(i) - cdf.(i-1)]; [cdf] must be nondecreasing with final value
     1.  Binary search, O(log n). *)

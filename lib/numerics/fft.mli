@@ -5,8 +5,6 @@
 val next_pow2 : int -> int
 (** Smallest power of two [>= n] (with [next_pow2 0 = 1]). *)
 
-val is_pow2 : int -> bool
-
 val forward : re:float array -> im:float array -> unit
 (** In-place forward DFT of the complex signal [re + i im].  Both
     arrays must have the same power-of-two length.  Convention:
@@ -26,5 +24,6 @@ val periodogram : float array -> (float * float) array
     ordinate is a true periodogram value. *)
 
 val convolve : float array -> float array -> float array
+[@@lint.allow "U1"] (* test-only: fft "convolution vs naive" *)
 (** Linear convolution of two real signals via zero-padded FFT;
     result length is [length a + length b - 1]. *)

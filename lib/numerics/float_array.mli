@@ -19,13 +19,16 @@ val min : float array -> float
 val max : float array -> float
 
 val dot : float array -> float array -> float
+[@@lint.allow "U1"] (* test-only: float_array "min max dot" *)
 (** Inner product of equal-length arrays. *)
 
 val prefix_sums : float array -> float array
+[@@lint.allow "U1"] (* test-only: float_array "prefix sums" *)
 (** [prefix_sums x] has length [n + 1] with element [i] holding the sum
     of [x.(0) .. x.(i-1)]. *)
 
 val linspace : lo:float -> hi:float -> n:int -> float array
+[@@lint.allow "U1"] (* test-only: float_array "linspace" *)
 (** [n >= 2] evenly spaced points from [lo] to [hi] inclusive. *)
 
 val logspace : lo:float -> hi:float -> n:int -> float array
@@ -37,6 +40,7 @@ val quantile : float array -> float -> float
     order statistics.  Sorts a copy: O(n log n). *)
 
 val map2 : (float -> float -> float) -> float array -> float array -> float array
+[@@lint.allow "U1"] (* test-only: misc "map2" *)
 
 val normalize_in_place : float array -> unit
 (** Scales a non-negative array so its entries sum to 1 (no-op when the

@@ -6,6 +6,7 @@
     rule supplied by the caller. *)
 
 val golden_section : f:(float -> float) -> lo:float -> hi:float -> tol:float -> float
+[@@lint.allow "U1"] (* test-only: optimize "golden section" *)
 (** [golden_section ~f ~lo ~hi ~tol] is the abscissa of the minimum of
     the unimodal [f] on [lo, hi], located to within [tol]. *)
 
@@ -26,6 +27,8 @@ val integer_argmin :
   stop:(best:float -> at:int -> current:float -> bool) ->
   unit ->
   integer_argmin
+[@@lint.allow "U1"]
+(* oracle for core "CTS scan bit-identical to integer_argmin" *)
 (** [integer_argmin ~f ~lo ~stop ()] scans [f] at [lo, lo+1, ...],
     tracking the running minimum, and stops as soon as
     [stop ~best ~at ~current] returns true (or [hard_cap], default

@@ -12,6 +12,7 @@ val gauss_legendre_16 : f:(float -> float) -> lo:float -> hi:float -> float
 
 val tail_integral :
   f:(float -> float) -> lo:float -> decay:float -> tol:float -> float
+[@@lint.allow "U1"] (* oracle for onoff "closed-form mean" *)
 (** [tail_integral ~f ~lo ~decay ~tol] approximates the integral of
     [f] over [lo, infinity) for integrands decaying at least like
     [x^-decay] with [decay > 1], by summing geometric panels until the

@@ -22,6 +22,7 @@ val create : seed:int -> t
     streams. *)
 
 val copy : t -> t
+[@@lint.allow "U1"] (* test-only: rng "copy" *)
 (** [copy t] is an independent generator whose future output equals the
     future output of [t] at the time of the copy. *)
 
@@ -41,6 +42,7 @@ val float : t -> float
     boxed result and nothing else. *)
 
 val float_range : t -> lo:float -> hi:float -> float
+[@@lint.allow "U1"] (* test-only: rng "float_range stays in range" *)
 (** [float_range t ~lo ~hi] is uniform on (lo, hi). *)
 
 val int : t -> bound:int -> int

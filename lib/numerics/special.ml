@@ -139,9 +139,6 @@ let student_t_quantile ~df p =
     z +. (g1 /. n) +. (g2 /. (n *. n)) +. (g3 /. (n ** 3.0)) +. (g4 /. (n ** 4.0))
   end
 
-let log1p = Float.log1p
-let expm1 = Float.expm1
-
 let pow x y =
   assert (x >= 0.0);
   if Float.equal y 0.0 then 1.0 else if Float.equal x 0.0 then 0.0 else exp (y *. log x)

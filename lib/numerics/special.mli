@@ -8,6 +8,7 @@ val log_gamma : float -> float
     used here). *)
 
 val gamma : float -> float
+[@@lint.allow "U1"] (* test-only: special "gamma reflection formula" *)
 (** [gamma x] is the Gamma function for [x > 0] (and via reflection for
     negative non-integer [x]). *)
 
@@ -23,6 +24,7 @@ val erfc : float -> float
 (** Complementary error function [1 - erf x]. *)
 
 val normal_cdf : float -> float
+[@@lint.allow "U1"] (* oracle for special "quantile inverts cdf" *)
 (** Standard normal cumulative distribution function. *)
 
 val normal_quantile : float -> float
@@ -35,12 +37,7 @@ val student_t_quantile : df:int -> float -> float
     [df > 0] degrees of freedom, via the Cornish–Fisher style expansion
     of Hill (1970).  Used for simulation confidence intervals. *)
 
-val log1p : float -> float
-(** Accurate [ln (1 + x)] for small [x]. *)
-
-val expm1 : float -> float
-(** Accurate [exp x - 1] for small [x]. *)
-
 val pow : float -> float -> float
+[@@lint.allow "U1"] (* test-only: special "pow matches **" *)
 (** [pow x y] is [x ** y] with the conventions [pow 0. y = 0.] for
     [y > 0.] and [pow x 0. = 1.]; asserts [x >= 0.]. *)

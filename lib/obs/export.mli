@@ -15,8 +15,6 @@ val json : Registry.snapshot -> Json.t
 (** [{"counters": {...}, "gauges": {...}, "histograms": {...}}] keyed
     by {!key_string}. *)
 
-val json_string : Registry.snapshot -> string
-
 val text : Registry.snapshot -> string
 (** Aligned human-readable summary. *)
 

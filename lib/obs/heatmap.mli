@@ -17,6 +17,7 @@ val of_snapshot :
     exist yet (e.g. before any evaluation ran). *)
 
 val row_count : t -> int
+[@@lint.allow "U1"] (* observed by obs "heatmap: ascii grid" *)
 (** Number of distinct label values (heatmap rows). *)
 
 val to_ascii : t -> string

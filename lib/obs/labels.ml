@@ -26,7 +26,6 @@ let compare_pair (ka, va) (kb, vb) =
   match String.compare ka kb with 0 -> String.compare va vb | c -> c
 
 let compare a b = List.compare compare_pair a b
-let equal a b = compare a b = 0
 
 let escape_value v =
   let buf = Buffer.create (String.length v) in

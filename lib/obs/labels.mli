@@ -13,7 +13,6 @@ val make : (string * string) list -> t
 val is_empty : t -> bool
 val to_list : t -> (string * string) list
 val compare : t -> t -> int
-val equal : t -> t -> bool
 
 val to_string : t -> string
 (** Prometheus-style rendering: [{key="value",...}], [""] when empty.

@@ -207,8 +207,6 @@ module Counter = struct
     let r = resolve t in
     r := !r + by
 
-  let name t = t.name
-  let labels t = t.labels
 end
 
 module Gauge = struct
@@ -239,8 +237,6 @@ module Gauge = struct
     let r = resolve t in
     r := !r +. v
 
-  let name t = t.name
-  let labels t = t.labels
 end
 
 module Histogram = struct
@@ -272,8 +268,6 @@ module Histogram = struct
     cell.sum <- cell.sum +. x;
     stamp_exemplar cell x
 
-  let name t = t.name
-  let labels t = t.labels
 end
 
 (* {2 Snapshots} *)
@@ -446,12 +440,3 @@ let counter_value ?(labels = Labels.empty) name =
 let histogram_snapshot ?(labels = Labels.empty) name =
   let snap = snapshot () in
   List.assoc_opt (name, labels) snap.histograms
-
-let reset_for_testing () =
-  locked (fun () ->
-      List.iter
-        (fun (s : shard) ->
-          Hashtbl.reset s.counters;
-          Hashtbl.reset s.gauges;
-          Hashtbl.reset s.hists)
-        !shards)

@@ -83,8 +83,6 @@ module Counter : sig
       handles don't, so label sets only appear once recorded. *)
 
   val incr : ?by:int -> t -> unit
-  val name : t -> string
-  val labels : t -> Labels.t
 end
 
 module Gauge : sig
@@ -93,8 +91,6 @@ module Gauge : sig
   val v : ?labels:Labels.t -> string -> t
   val set : t -> float -> unit
   val add : t -> float -> unit
-  val name : t -> string
-  val labels : t -> Labels.t
 end
 
 module Histogram : sig
@@ -102,8 +98,6 @@ module Histogram : sig
 
   val v : ?labels:Labels.t -> ?lo:float -> ?hi:float -> ?bins:int -> string -> t
   val observe : t -> float -> unit
-  val name : t -> string
-  val labels : t -> Labels.t
 end
 
 (** {1 Reading} *)
@@ -142,7 +136,3 @@ val counter_value : ?labels:Labels.t -> string -> int
 (** Merged value across all shards; 0 if never updated. *)
 
 val histogram_snapshot : ?labels:Labels.t -> string -> histogram_snapshot option
-
-val reset_for_testing : unit -> unit
-(** Zero every shard (declarations are kept).  Only call when no other
-    domain is updating instruments. *)

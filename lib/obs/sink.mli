@@ -18,9 +18,6 @@ val event :
   ?time:float -> kind:string -> name:string -> (string * Json.t) list -> event
 (** [time] defaults to {!Clock.wall}[ ()]. *)
 
-val json_of_event : event -> Json.t
-(** The JSON-lines encoding: [{"ts":..., "kind":..., "name":..., <fields>}]. *)
-
 val emit : t -> event -> unit
 
 val message : t -> string -> unit
@@ -28,11 +25,6 @@ val message : t -> string -> unit
     as a ["message"] event on [Jsonl], dropped on [Null]. *)
 
 val messagef : t -> ('a, unit, string, unit) format4 -> 'a
-
-val output : t -> string -> unit
-(** Raw chunk, no implicit newline — for rendering aligned tables
-    cell by cell.  [Jsonl] buffers partial lines and emits one
-    ["message"] event per completed line; [Null] drops everything. *)
 
 val set_human : t -> unit
 (** Replace the process-wide sink for operational summaries (default:

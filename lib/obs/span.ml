@@ -17,7 +17,6 @@ let seq : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
 
 let trace_sink = Atomic.make Sink.Null
 let set_trace_sink s = Atomic.set trace_sink s
-let current_trace_sink () = Atomic.get trace_sink
 
 (* {2 Sampling}
 

@@ -22,8 +22,6 @@ val set_trace_sink : Sink.t -> unit
 (** Install the destination for span-completion events (default
     [Null]).  Shared by all domains. *)
 
-val current_trace_sink : unit -> Sink.t
-
 (** {1 Sampling}
 
     Thins {e trace emission} so [--trace] stays usable on
@@ -45,7 +43,9 @@ val reset_sampling : unit -> unit
 (** Back to emit-everything (the default). *)
 
 val current_depth : unit -> int
+[@@lint.allow "U1"] (* observed by obs "span: nesting depth and names" *)
 (** Number of open spans on the calling domain's stack. *)
 
 val current_name : unit -> string option
+[@@lint.allow "U1"] (* observed by obs "span: nesting depth and names" *)
 (** Name of the innermost open span, if any. *)

@@ -105,8 +105,6 @@ let current () = !(Domain.DLS.get context)
 let current_trace_id () =
   match current () with Some c -> Some c.trace_id | None -> None
 
-let set ctx = Domain.DLS.get context := ctx
-
 let with_context ctx f =
   let cell = Domain.DLS.get context in
   let saved = !cell in

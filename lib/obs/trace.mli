@@ -30,10 +30,6 @@ val current : unit -> t option
 val current_trace_id : unit -> string option
 (** [current]'s trace id alone — the exemplar/span hot path. *)
 
-val set : t option -> unit
-(** Overwrite the calling domain's context.  Prefer [with_context]
-    for scoped use. *)
-
 val with_context : t -> (unit -> 'a) -> 'a
 (** [with_context ctx f] runs [f] with [ctx] installed on the calling
     domain, restoring the previous context afterwards (also on

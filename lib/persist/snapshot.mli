@@ -8,8 +8,6 @@
 val name : int -> string
 (** [snapshot-%08d.json], keyed by the covered segment. *)
 
-val seq_of_name : string -> int option
-
 val list : dir:string -> (int * string) list
 (** All snapshots in a directory as [(covers, path)], ascending. *)
 
@@ -17,8 +15,6 @@ val latest : dir:string -> (int * string) option
 
 val encode : covers:int -> Cac.Engine.state -> string
 (** Deterministic: equal states encode byte-identically. *)
-
-val decode : string -> (int * Cac.Engine.state, string) result
 
 val write : dir:string -> covers:int -> Cac.Engine.state -> unit
 (** Write a checkpoint (temp file, fsync, rename, directory fsync).

@@ -71,10 +71,6 @@ let open_ ~dir ~policy ~snapshot_every ~next_seq =
       (try Unix.close lock with Unix.Unix_error _ -> ());
       raise exn
 
-let dir t = t.dir
-let policy t = Wal.policy t.wal
-let wal_stats t = Wal.stats t.wal
-
 (* The engine hook.  Must never raise (the engine has already
    mutated); must never block (it runs under the engine mutex).  A
    record the WAL refuses has failed the journal, so the barrier that

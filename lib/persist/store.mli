@@ -66,9 +66,5 @@ val close : t -> unit
     snapshot — callers decide whether a shutdown checkpoint is wanted
     first. *)
 
-val dir : t -> string
-val policy : t -> Wal.policy
-val wal_stats : t -> Wal.stats
-
 val debug_json : t -> Obs.Json.t
 (** Live store figures for the [/debug/vars] persist section. *)

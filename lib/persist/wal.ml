@@ -185,7 +185,6 @@ let stats t =
       })
 
 let policy t = t.policy
-let dir t = t.dir
 
 let open_segment dir seq =
   let path = Filename.concat dir (segment_name seq) in

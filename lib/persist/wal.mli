@@ -111,7 +111,6 @@ type stats = {
 
 val stats : t -> stats
 val policy : t -> policy
-val dir : t -> string
 
 (** {2 Reading} *)
 
@@ -131,7 +130,6 @@ val frame : string -> string
     Raises [Invalid_argument] on empty or oversized payloads. *)
 
 val segment_name : int -> string
-val segment_seq : string -> int option
 
 val segments : string -> (int * string) list
 (** The [(seq, path)] of every segment in a directory, ascending; []

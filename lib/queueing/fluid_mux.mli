@@ -75,6 +75,7 @@ val workload_stats :
   ?warmup:int ->
   unit ->
   workload_stats
+[@@lint.allow "U1"] (* test-only: queueing "workload stats" *)
 (** Summary statistics of the stationary frame-start workload in the
     infinite-buffer system — mean and quantiles translate directly into
     queueing-delay statistics via {!Units.buffer_msec_of_cells}. *)
@@ -87,6 +88,7 @@ val workload_tail :
   ?warmup:int ->
   unit ->
   (float * float) array
+[@@lint.allow "U1"] (* test-only: queueing "workload tail monotone" *)
 (** Infinite-buffer Lindley recursion; returns
     [(x, P(W > x))] estimates for each threshold, where [W] is the
     stationary frame-start workload — the empirical buffer overflow

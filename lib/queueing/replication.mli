@@ -10,6 +10,7 @@ val runs : seed:int -> reps:int -> 'a run -> 'a array
     substreams of a master generator. *)
 
 val mean_ci : ?level:float -> seed:int -> reps:int -> float run -> Stats.Ci.interval
+[@@lint.allow "U1"] (* test-only: queueing "replication CI" *)
 (** Replicated scalar estimate with a Student-t confidence interval. *)
 
 val curve_ci :

@@ -11,11 +11,6 @@ let make ~model ~n ~c ~ts =
 
 let service t = float_of_int t.n *. t.c
 
-let utilization t =
-  Units.utilization
-    ~mean_cells_per_frame:(float_of_int t.n *. t.model.Traffic.Process.mean)
-    ~service_cells_per_frame:(service t)
-
 let buffers_of_msec t msec =
   Array.map
     (fun m ->
@@ -43,13 +38,3 @@ let clr_curve t ~buffers_msec ~frames ~reps ~seed =
         Fluid_mux.clr_multi ~next_frame ~service:(service t) ~buffers ~frames ()
       in
       Array.map (fun r -> r.Fluid_mux.clr) results)
-
-let bop_curve t ~thresholds_msec ~frames ~reps ~seed =
-  let thresholds = buffers_of_msec t thresholds_msec in
-  Replication.curve_ci ~seed ~reps (fun rng ->
-      let next_frame = aggregate_generator t rng in
-      let curve =
-        Fluid_mux.workload_tail ~next_frame ~service:(service t) ~thresholds
-          ~frames ()
-      in
-      Array.map snd curve)

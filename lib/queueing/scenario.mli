@@ -14,8 +14,6 @@ val make : model:Traffic.Process.t -> n:int -> c:float -> ts:float -> t
 val service : t -> float
 (** Total link capacity [N * c] in cells/frame. *)
 
-val utilization : t -> float
-
 val buffers_of_msec : t -> float array -> float array
 (** Convert per-figure buffer axes (msec) into total cells. *)
 
@@ -29,13 +27,3 @@ val clr_curve :
 (** Simulated cell loss rate at each buffer size: [reps] independent
     replications of [frames] frames each, common random numbers across
     buffer sizes within a replication. *)
-
-val bop_curve :
-  t ->
-  thresholds_msec:float array ->
-  frames:int ->
-  reps:int ->
-  seed:int ->
-  Stats.Ci.interval array
-(** Simulated infinite-buffer overflow probabilities
-    [P(W > x)] at each threshold. *)

@@ -144,7 +144,6 @@ let configure ?(seed = 1996) rules =
 
 let clear () = configure []
 let active () = (Atomic.get cfg).rules <> []
-let rules () = (Atomic.get cfg).rules
 
 let domain_rng (c : cfg) =
   let d = Domain.DLS.get dstate_key in

@@ -58,11 +58,6 @@ type kind =
 
 type rule = { point : string; kind : kind; rate : float }
 
-val known_points : (string * string list) list
-(** Registered injection points, each with the kinds it supports
-    (["raise"], ["nan"], ["latency"]).  {!parse} rejects rules naming
-    any other point or an unsupported kind. *)
-
 val parse : string -> (rule list, string) result
 (** Parse a fault-spec string (grammar above).  The empty string is a
     valid empty spec. *)
@@ -80,8 +75,6 @@ val clear : unit -> unit
 
 val active : unit -> bool
 (** Whether any rule is armed. *)
-
-val rules : unit -> rule list
 
 val reseed : int -> unit
 (** Reset the {e calling domain's} fault stream to [seed], leaving the

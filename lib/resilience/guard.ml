@@ -4,7 +4,6 @@ exception Non_finite of string
 let () =
   Obs.Registry.declare_counter "cac.guard.caught";
   Obs.Registry.declare_counter "cac.guard.fallbacks";
-  Obs.Registry.declare_counter "cac.guard.retries";
   Obs.Registry.declare_counter "cac.guard.breaker_trips";
   Obs.Registry.declare_counter "cac.guard.breaker_fast_fails";
   Obs.Registry.declare_counter "cac.guard.breaker_probes";
@@ -14,7 +13,6 @@ let () =
    own shard cell (see Obs.Registry). *)
 let c_caught = Obs.Registry.Counter.v "cac.guard.caught"
 let c_fallbacks = Obs.Registry.Counter.v "cac.guard.fallbacks"
-let c_retries = Obs.Registry.Counter.v "cac.guard.retries"
 let c_trips = Obs.Registry.Counter.v "cac.guard.breaker_trips"
 let c_fast_fails = Obs.Registry.Counter.v "cac.guard.breaker_fast_fails"
 let c_probes = Obs.Registry.Counter.v "cac.guard.breaker_probes"
@@ -32,18 +30,6 @@ let protect ~label:_ ~fallback f =
     Obs.Registry.Counter.incr c_caught;
     fallback exn
 
-let retry ?(max_retries = 1) ?(backoff_us = 0.0) ~label f =
-  if max_retries < 0 then invalid_arg (label ^ ": max_retries < 0");
-  let rec go attempt =
-    try f ()
-    with exn when (not (fatal exn)) && attempt < max_retries ->
-      Obs.Registry.Counter.incr c_retries;
-      if backoff_us > 0.0 then
-        Unix.sleepf (backoff_us *. (2.0 ** float_of_int attempt) *. 1e-6);
-      go (attempt + 1)
-  in
-  go 0
-
 let record_fallback () = Obs.Registry.Counter.incr c_fallbacks
 let fallbacks () = Obs.Registry.counter_value "cac.guard.fallbacks"
 
@@ -56,9 +42,7 @@ module Budget = struct
     if t.limit >= 0 && t.spent >= t.limit then raise (Budget_exhausted t.label);
     t.spent <- t.spent + 1
 
-  let remaining t = if t.limit < 0 then max_int else Stdlib.max 0 (t.limit - t.spent)
   let exhausted t = t.limit >= 0 && t.spent >= t.limit
-  let with_budget ?label limit f = f (create ?label limit)
 end
 
 module Breaker = struct

@@ -13,7 +13,6 @@
 
     - [cac.guard.caught] — exceptions absorbed by {!protect};
     - [cac.guard.fallbacks] — degraded (fail-closed) decisions taken;
-    - [cac.guard.retries] — re-attempts made by {!retry};
     - [cac.guard.breaker_trips] — Closed → Open transitions;
     - [cac.guard.breaker_fast_fails] — calls short-circuited while Open;
     - [cac.guard.breaker_probes] — Half-open trial calls;
@@ -34,13 +33,6 @@ val protect : label:string -> fallback:(exn -> 'a) -> (unit -> 'a) -> 'a
     into [fallback exn] (and a [cac.guard.caught] tick).
     [Out_of_memory] and [Stack_overflow] are never absorbed. *)
 
-val retry : ?max_retries:int -> ?backoff_us:float -> label:string -> (unit -> 'a) -> 'a
-(** [retry ~max_retries f] runs [f ()], re-running it up to
-    [max_retries] more times (default 1) if it raises; the last
-    exception propagates.  [backoff_us] (default 0) sleeps
-    [backoff_us * 2^attempt] microseconds between attempts — keep it 0
-    in deterministic replays. *)
-
 val record_fallback : unit -> unit
 (** Tick [cac.guard.fallbacks]; called by whoever takes a degraded
     decision (the engine's fail-closed path). *)
@@ -60,11 +52,7 @@ module Budget : sig
   val tick : t -> unit
   (** Spend one ticket; raises {!Budget_exhausted} when none remain. *)
 
-  val remaining : t -> int
   val exhausted : t -> bool
-
-  val with_budget : ?label:string -> int -> (t -> 'a) -> 'a
-  (** [with_budget n f] is [f (create n)]. *)
 end
 
 (** A per-resource circuit breaker over a deterministic decision
@@ -110,12 +98,21 @@ module Breaker : sig
 
   val state : t -> state
   val consecutive_failures : t -> int
+  [@@lint.allow "U1"]
+  (* observed by resilience "breaker trip, half-open, recovery" *)
+
   val trips : t -> int
+  [@@lint.allow "U1"]
+  (* observed by resilience "breaker trip, half-open, recovery" *)
 
   val wall_clock : t -> bool
+  [@@lint.allow "U1"]
+  (* observed by resilience "breaker wall-clock cooldowns" *)
   (** [true] when the breaker was created with [cooldown_s]. *)
 
   val cooldown_remaining_s : t -> float option
+  [@@lint.allow "U1"]
+  (* observed by resilience "breaker wall-clock cooldowns" *)
   (** Seconds until a wall-clock breaker will accept a probe; [Some 0.]
       when due, [None] while not Open or in eval-count mode. *)
 

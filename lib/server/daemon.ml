@@ -11,7 +11,6 @@ type config = {
   max_body : int;
   links : (string * float * float * float) list;
   cache_capacity : int;
-  max_retries : int;
   breaker_cooldown_s : float option;
   state_dir : string option;
   fsync_policy : Persist.Wal.policy;
@@ -174,8 +173,7 @@ let start c =
       in
       let engine =
         Cac.Engine.create ~cache_capacity:c.cache_capacity
-          ~max_retries:c.max_retries ?breaker_cooldown_s:c.breaker_cooldown_s
-          ()
+          ?breaker_cooldown_s:c.breaker_cooldown_s ()
       in
       match recover c engine with
       | Error e -> fail None e
@@ -184,66 +182,70 @@ let start c =
           (* Recovered links win over configured ones; the rest are
              added, and journaled, now. *)
           let existing = List.map Cac.Link.id (Cac.Engine.links engine) in
-          List.iter
-            (fun (id, capacity, buffer_msec, target_clr) ->
-              if not (List.mem id existing) then
-                ignore
-                  (Cac.Engine.add_link_msec engine ~id ~capacity ~buffer_msec
-                     ~target_clr))
-            c.links;
-          let api =
-            Cac_api.create
-              ?barrier:(Option.map (fun s () -> Persist.Store.barrier s) store)
-              engine
-          in
-          (* Boot checkpoint: fold the replayed journal into a fresh
-             snapshot so the old segments compact away at once. *)
-          Option.iter
-            (fun s ->
-              ignore (checkpoint ~what:"boot snapshot" (snapshot api s)))
-            store;
-          let hup = Atomic.make false and retired = ref [] in
-          (* Runs on the accept-loop domain once per poll tick: the
-             signal handler only set [hup]; the I/O happens here. *)
-          let tick () =
-            if Atomic.exchange hup false then begin
-              Obs.Sink.printf "cts serve: SIGHUP — reopening log sinks\n";
-              rotate logs retired
-            end;
-            let with_engine = Cac_api.with_engine api in
-            Option.bind store (Persist.Store.maybe_snapshot ~with_engine)
-            |> Option.iter (fun r -> ignore (checkpoint ~what:"snapshot" r))
-          in
-          let config =
-            {
-              Pool.default_config with
-              domains =
-                Option.value c.domains ~default:Pool.default_config.Pool.domains;
-              queue_capacity = c.queue_capacity;
-              read_timeout_s = c.read_timeout_s;
-              limits = { Http.default_limits with max_body = c.max_body };
-              (* Without a file, the human sink: a Null one silences it. *)
-              access_log =
-                Some
-                  (match List.find_opt (fun log -> not log.trace) logs with
-                  | Some log -> fun () -> Atomic.get log.sink
-                  | None -> Obs.Sink.human_sink);
-              tick = Some tick;
-            }
-          in
-          match Pool.create ~config (Cac_api.router api) with
+          match
+            List.iter
+              (fun (id, capacity, buffer_msec, target_clr) ->
+                if not (List.mem id existing) then
+                  ignore
+                    (Cac.Engine.add_link_msec engine ~id ~capacity ~buffer_msec
+                       ~target_clr))
+              c.links
+          with
           | exception Invalid_argument msg -> fail store msg
-          | pool -> (
-              match Pool.listen ~host:c.host ~port:c.port () with
-              | exception (Unix.Unix_error _ as e) ->
-                  fail store
-                    (Printf.sprintf "cannot listen on %s:%d: %s" c.host c.port
-                       (Printexc.to_string e))
+          | () -> (
+              let api =
+                Cac_api.create
+                  ?barrier:(Option.map (fun s () -> Persist.Store.barrier s) store)
+                  engine
+              in
+              (* Boot checkpoint: fold the replayed journal into a fresh
+                 snapshot so the old segments compact away at once. *)
+              Option.iter
+                (fun s ->
+                  ignore (checkpoint ~what:"boot snapshot" (snapshot api s)))
+                store;
+              let hup = Atomic.make false and retired = ref [] in
+              (* Runs on the accept-loop domain once per poll tick: the
+                 signal handler only set [hup]; the I/O happens here. *)
+              let tick () =
+                if Atomic.exchange hup false then begin
+                  Obs.Sink.printf "cts serve: SIGHUP — reopening log sinks\n";
+                  rotate logs retired
+                end;
+                let with_engine = Cac_api.with_engine api in
+                Option.bind store (Persist.Store.maybe_snapshot ~with_engine)
+                |> Option.iter (fun r -> ignore (checkpoint ~what:"snapshot" r))
+              in
+              let config =
+                {
+                  Pool.default_config with
+                  domains =
+                    Option.value c.domains ~default:Pool.default_config.Pool.domains;
+                  queue_capacity = c.queue_capacity;
+                  read_timeout_s = c.read_timeout_s;
+                  limits = { Http.default_limits with max_body = c.max_body };
+                  (* Without a file, the human sink: a Null one silences it. *)
+                  access_log =
+                    Some
+                      (match List.find_opt (fun log -> not log.trace) logs with
+                      | Some log -> fun () -> Atomic.get log.sink
+                      | None -> Obs.Sink.human_sink);
+                  tick = Some tick;
+                }
+              in
+              match Pool.create ~config (Cac_api.router api) with
               | exception Invalid_argument msg -> fail store msg
-              | listen_fd ->
-                  let domains = config.Pool.domains in
-                  add_debug_providers c api pool ~domains persist;
-                  Ok { api; pool; domains; listen_fd; store; logs; hup; retired })))
+              | pool -> (
+                  match Pool.listen ~host:c.host ~port:c.port () with
+                  | exception (Unix.Unix_error _ as e) ->
+                      fail store
+                        (Printf.sprintf "cannot listen on %s:%d: %s" c.host c.port
+                           (Printexc.to_string e))
+                  | exception Invalid_argument msg -> fail store msg
+                  | listen_fd ->
+                      let domains = config.Pool.domains in
+                      add_debug_providers c api pool ~domains persist;
+                      Ok { api; pool; domains; listen_fd; store; logs; hup; retired }))))
 
 let port d = Pool.bound_port d.listen_fd
 let domains d = d.domains

@@ -10,7 +10,6 @@
 
 type meth = GET | POST | PUT | DELETE | HEAD | OPTIONS | Other of string
 
-val meth_of_string : string -> meth
 val meth_name : meth -> string
 val meth_equal : meth -> meth -> bool
 
@@ -69,7 +68,6 @@ val json : ?status:int -> Obs.Json.t -> response
 val json_error : status:int -> string -> response
 (** [{"error": reason}] with the given status. *)
 
-val reason_phrase : int -> string
 val status : response -> int
 
 val add_header : response -> string * string -> response

@@ -107,6 +107,8 @@ val accepting : t -> bool
     a backgrounded server is ready. *)
 
 val queue_length : t -> int
+[@@lint.allow "U1"]
+(* observed by server "pool: overload sheds 503 from the accept loop" *)
 (** Connections accepted but not yet claimed by a worker. *)
 
 val serve_connection : t -> queue_wait_us:float -> Unix.file_descr -> unit

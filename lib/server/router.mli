@@ -18,6 +18,8 @@ val create : route list -> t
 (** Raises [Invalid_argument] on duplicate (method, path) pairs. *)
 
 val routes : t -> (Http.meth * string) list
+[@@lint.allow "U1"]
+(* observed by server "router: /profile, /breakers are 404" *)
 
 val unmatched_label : string
 (** ["unmatched"] — the telemetry bucket for 404s. *)

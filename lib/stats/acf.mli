@@ -4,11 +4,6 @@
     standard for time series: it guarantees a positive semi-definite
     autocovariance sequence. *)
 
-val autocovariance : float array -> max_lag:int -> float array
-(** [autocovariance x ~max_lag] has length [max_lag + 1]; element [k]
-    is [1/n sum_t (x_t - mean)(x_{t+k} - mean)].  Direct O(n * max_lag)
-    computation. *)
-
 val autocorrelation : float array -> max_lag:int -> float array
 (** Autocovariance normalised by lag-0; element 0 is 1. *)
 
@@ -17,5 +12,6 @@ val autocorrelation_fft : float array -> max_lag:int -> float array
     [max_lag] is large. *)
 
 val partial_autocorrelation : float array -> max_lag:int -> float array
+[@@lint.allow "U1"] (* test-only: stats "pacf cutoff for AR(1)" *)
 (** Partial ACF via the Durbin–Levinson recursion on the sample ACF;
     element 0 is 1 by convention. *)

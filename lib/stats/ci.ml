@@ -25,9 +25,6 @@ let batch_means_ci ?(level = 0.95) ?(batches = 20) x =
   in
   mean_ci ~level means
 
-let contains { point; half_width; _ } x =
-  x >= point -. half_width && x <= point +. half_width
-
 let relative_half_width { point; half_width; _ } =
   if Float.equal point 0.0 then infinity else half_width /. Float.abs point
 

@@ -11,6 +11,7 @@ val mean_ci : ?level:float -> float array -> interval
     95%).  Needs at least two observations. *)
 
 val batch_means_ci : ?level:float -> ?batches:int -> float array -> interval
+[@@lint.allow "U1"] (* test-only: stats "batch means" *)
 (** Batch-means interval for the mean of one long {e correlated} run
     (the standard alternative to the paper's independent-replication
     design): the series is cut into [batches] (default 20) contiguous
@@ -20,12 +21,12 @@ val batch_means_ci : ?level:float -> ?batches:int -> float array -> interval
     itself the phenomenon the paper discusses.  Needs at least
     [2 * batches] observations. *)
 
-val contains : interval -> float -> bool
-
 val relative_half_width : interval -> float
+[@@lint.allow "U1"] (* test-only: misc "ci helpers" *)
 (** [half_width / |point|]; infinity when the point estimate is 0. *)
 
 val log10_interval : interval -> float * float
+[@@lint.allow "U1"] (* test-only: misc "ci helpers" *)
 (** The interval endpoints mapped through [log10], clipping the lower
     endpoint at a tiny positive value — convenient for loss-rate plots
     on log axes. *)

@@ -51,5 +51,3 @@ let covariance x y =
 let correlation x y =
   covariance x y
   /. sqrt (Numerics.Float_array.variance x *. Numerics.Float_array.variance y)
-
-let median x = Numerics.Float_array.quantile x 0.5

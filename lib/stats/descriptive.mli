@@ -19,6 +19,5 @@ val covariance : float array -> float array -> float
 (** Unbiased sample covariance of two equal-length samples. *)
 
 val correlation : float array -> float array -> float
+[@@lint.allow "U1"] (* test-only: stats "covariance and correlation" *)
 (** Pearson correlation coefficient. *)
-
-val median : float array -> float

@@ -27,13 +27,11 @@ let add t x =
     t.counts.(i) <- t.counts.(i) + 1
   end
 
-let add_array t x = Array.iter (add t) x
 let counts t = Array.copy t.counts
 let underflow t = t.underflow
 let overflow t = t.overflow
 let lo t = t.lo
 let hi t = t.hi
-let bins t = Array.length t.counts
 
 let copy t =
   {

@@ -32,11 +32,13 @@ val periodogram : ?fraction:float -> float array -> estimate
     H = (1 - slope)/2. *)
 
 val variance_of_sums : ?min_block:int -> ?num_scales:int -> float array -> estimate
+[@@lint.allow "U1"] (* test-only: hurst "variance of sums on fGn" *)
 (** Variance growth of partial sums: Var(sum of m terms) ~ m^(2H);
     H = slope/2.  This is the statistic the Critical Time Scale theory
     is built on (paper's V(m)). *)
 
 val local_whittle : ?fraction:float -> float array -> estimate
+[@@lint.allow "U1"] (* test-only: hurst "local whittle on fGn" *)
 (** Local Whittle (Gaussian semiparametric) estimator of Robinson
     (1995): minimises
     [R(H) = log( (1/m) sum_j w_j^(2H-1) I(w_j) ) - (2H-1) (1/m) sum_j log w_j]

@@ -38,9 +38,8 @@ val validate : params -> unit
 (** Raises [Invalid_argument] if [rho] is outside [0, 1) or the weights
     are not a probability vector. *)
 
-val order : params -> int
-
 val acf : params -> int -> float
+[@@lint.allow "U1"] (* oracle for dar "memoized acf" *)
 (** Analytic autocorrelation at lag [k >= 0] by the Yule–Walker
     recursion (O(k p) on first evaluation; results are memoized
     internally per call chain — use {!acf_fun} for repeated queries). *)

@@ -27,10 +27,6 @@ type params = private {
   r : float;      (** arrival rate of one ON process (cells/sec) *)
 }
 
-val create : alpha:float -> a:float -> m:int -> r:float -> params
-(** Physical parameterisation.  Raises [Invalid_argument] on
-    out-of-range inputs. *)
-
 val of_target : alpha:float -> lambda:float -> t0:float -> m:int -> params
 (** The paper's parameterisation: mean rate [lambda] (cells/sec) and
     fractal onset time [t0] (seconds); solves for [A] and [R]. *)

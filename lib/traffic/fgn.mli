@@ -19,6 +19,7 @@ val sample_davies_harte :
     for fGn autocovariances). *)
 
 val sample_hosking : Numerics.Rng.t -> h:float -> n:int -> float array
+[@@lint.allow "U1"] (* oracle for fgn "methods agree on variance growth" *)
 (** Exact sampling by the Hosking (1984) recursive method: O(n^2),
     used in tests to cross-validate the FFT path. *)
 

@@ -16,8 +16,6 @@ let create dist rng =
   let on = Numerics.Rng.bool rng in
   { dist; rng; on; clock = { remaining } }
 
-let is_on t = t.on
-
 let on_time t ~dt =
   assert (dt > 0.0);
   let clock = t.clock in

@@ -14,8 +14,6 @@ val create : Onoff_dist.t -> Numerics.Rng.t -> t
     residual duration of the current period drawn from the equilibrium
     distribution. *)
 
-val is_on : t -> bool
-
 val on_time : t -> dt:float -> float
 (** [on_time t ~dt] advances the process by [dt > 0] seconds and
     returns the total ON time accumulated during the step (between 0

@@ -1,5 +1,4 @@
 let ts = 0.04
-let frames_per_second = 25.0
 let frame_mean = 500.0
 let frame_variance = 5000.0
 let z_alpha = 0.8

@@ -23,14 +23,8 @@
 val ts : float
 (** Frame duration: 0.04 s. *)
 
-val frames_per_second : float
-(** 25. *)
-
 val frame_mean : float
 (** 500 cells/frame. *)
-
-val frame_variance : float
-(** 5000 (cells/frame)^2. *)
 
 type composite = {
   process : Process.t;
@@ -63,12 +57,3 @@ val l : unit -> Process.t
 (** The exact-LRD comparator (alpha = 0.72, M = 30). *)
 
 val l_params : unit -> Fbndp.params
-
-val l_alpha : float
-(** 0.72, chosen by the paper so the tail of L's ACF matches Z's. *)
-
-val z_alpha : float
-(** 0.8 (H = 0.9). *)
-
-val v_alpha : float
-(** 0.9. *)

@@ -46,8 +46,6 @@ val create :
 (** Defaults: {!default_gop}, [activity_rho = 0.98] (scene persistence),
     [activity_cv = 0.12]. *)
 
-val period : t -> int
-
 val frame_mean : t -> float
 val frame_variance : t -> float
 

@@ -28,7 +28,10 @@ val of_alpha : alpha:float -> a:float -> t
 (** [of_alpha ~alpha] is [create ~gamma:(2 - alpha)]; [alpha] in (0,1). *)
 
 val pdf : t -> float -> float
+[@@lint.allow "U1"] (* test-only: onoff "pdf integrates to 1" *)
+
 val cdf : t -> float -> float
+[@@lint.allow "U1"] (* oracle for onoff "sample quantiles" *)
 
 val survival : t -> float -> float
 (** [survival t x] is [P(T > x)]. *)
@@ -37,6 +40,7 @@ val sample : t -> Numerics.Rng.t -> float
 (** Exact inverse-CDF sampling. *)
 
 val equilibrium_cdf : t -> float -> float
+[@@lint.allow "U1"] (* oracle for onoff "equilibrium sampling" *)
 (** CDF of the equilibrium (integrated-tail) distribution
     [F_e(x) = (1/mean) * integral_0^x P(T > u) du]: the law of the
     residual duration seen by a stationary observer.  Note the

@@ -46,9 +46,11 @@ val generate : t -> Numerics.Rng.t -> int -> float array
     generator. *)
 
 val acf_array : t -> max_lag:int -> float array
+[@@lint.allow "U1"] (* test-only: process "acf_array" *)
 (** The analytic ACF tabulated for lags [0 .. max_lag]. *)
 
 val scale : t -> float -> t
+[@@lint.allow "U1"] (* test-only: process "scale" *)
 (** [scale t c] multiplies every frame by [c] (mean scales by [c],
     variance by [c^2]; the ACF and its tail are unchanged). *)
 

@@ -10,10 +10,6 @@ let smoothed_autocov p ~window k =
   done;
   !acc /. float_of_int (w * w)
 
-let variance_reduction p ~window =
-  assert (window >= 1);
-  smoothed_autocov p ~window 0 /. p.Process.variance
-
 let added_delay_frames ~window =
   assert (window >= 1);
   float_of_int (window - 1)

@@ -28,9 +28,5 @@ val smooth : ?name:string -> Process.t -> window:int -> Process.t
     which standard simulation warmup absorbs). *)
 
 val added_delay_frames : window:int -> float
+[@@lint.allow "U1"] (* test-only: shaper "delay accounting" *)
 (** Worst-case delay added by the shaper: [window - 1] frames. *)
-
-val variance_reduction : Process.t -> window:int -> float
-(** [Var Y / Var X]: how much marginal variance the shaper removes.
-    Approaches [V(w) / (w^2 sigma^2)] — the normalised variance growth
-    of the paper's eq. 10. *)

@@ -72,11 +72,20 @@ let test_cache_lru_eviction () =
   add 1;
   (* touch 1: 2 becomes LRU *)
   add 3;
-  check_true "evicted the LRU entry" (not (Cac.Decision_cache.mem cache 2));
-  check_true "recently-used entry kept" (Cac.Decision_cache.mem cache 1);
-  check_int "bounded size" 2 (Cac.Decision_cache.length cache);
-  check_int "one eviction" 1
-    (Cac.Decision_cache.stats cache).Cac.Decision_cache.evictions
+  let stats () = Cac.Decision_cache.stats cache in
+  check_int "bounded size" 2 (stats ()).Cac.Decision_cache.entries;
+  check_int "one eviction" 1 (stats ()).Cac.Decision_cache.evictions;
+  (* A lookup that computes is a miss: 1 must hit, 2 must miss. *)
+  let cached k =
+    let computed = ref false in
+    ignore
+      (Cac.Decision_cache.find_or_add cache k ~compute:(fun () ->
+           computed := true;
+           k));
+    not !computed
+  in
+  check_true "recently-used entry kept" (cached 1);
+  check_true "evicted the LRU entry" (not (cached 2))
 
 let test_cache_capacity_zero_disables () =
   let cache = Cac.Decision_cache.create ~capacity:0 in
@@ -88,7 +97,8 @@ let test_cache_capacity_zero_disables () =
            0))
   done;
   check_int "always recomputes" 3 !computed;
-  check_int "stores nothing" 0 (Cac.Decision_cache.length cache)
+  check_int "stores nothing" 0
+    (Cac.Decision_cache.stats cache).Cac.Decision_cache.entries
 
 (* {2 Engine invariants} *)
 
@@ -102,6 +112,38 @@ let fresh_engine ?(cache_capacity = 4096) ?(buffer_msec = 10.0)
       ~target_clr
   in
   engine
+
+(* The journal writes link dimensions as JSON numbers, which cannot
+   hold inf or nan; the engine refuses them at the door, in cells and
+   in msec alike, and registers nothing. *)
+let test_engine_refuses_bad_dimensions () =
+  let engine = Cac.Engine.create ~clock:zero_clock () in
+  let refused what f =
+    match f () with
+    | _ -> Alcotest.failf "accepted %s" what
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun capacity ->
+      let what = Printf.sprintf "capacity %g" capacity in
+      refused what (fun () ->
+          Cac.Engine.add_link engine ~id:"l" ~capacity ~buffer:100.0
+            ~target_clr:1e-6);
+      refused (what ^ " (msec)") (fun () ->
+          Cac.Engine.add_link_msec engine ~id:"l" ~capacity ~buffer_msec:20.0
+            ~target_clr:1e-6))
+    [ infinity; nan; -5.0; 0.0 ];
+  List.iter
+    (fun buffer ->
+      let what = Printf.sprintf "buffer %g" buffer in
+      refused what (fun () ->
+          Cac.Engine.add_link engine ~id:"l" ~capacity:16140.0 ~buffer
+            ~target_clr:1e-6);
+      refused (what ^ " (msec)") (fun () ->
+          Cac.Engine.add_link_msec engine ~id:"l" ~capacity:16140.0
+            ~buffer_msec:buffer ~target_clr:1e-6))
+    [ infinity; nan; -5.0 ];
+  check_int "no link registered" 0 (List.length (Cac.Engine.links engine))
 
 let test_engine_fill_matches_max_admissible () =
   let cls = Cac.Source_class.of_name_exn "dar2" in
@@ -147,23 +189,20 @@ let test_engine_release_restores_state () =
   let n_max = List.length !conns in
   let link = Cac.Engine.link engine "oc3" in
   check_int "bookkeeping matches" n_max (Cac.Link.connections link);
-  check_true "saturated" (not (Cac.Engine.would_admit engine ~link:"oc3" ~cls));
+  let admissible () =
+    (Cac.Engine.evaluate engine ~link:"oc3" ~cls).Cac.Engine.admissible
+  in
+  check_true "saturated" (not (admissible ()));
   (* Release one connection: exactly one slot reopens. *)
   Cac.Engine.release engine ~conn:(List.hd !conns);
   check_int "one slot freed" (n_max - 1) (Cac.Link.connections link);
-  check_true "admissible again" (Cac.Engine.would_admit engine ~link:"oc3" ~cls);
+  check_true "admissible again" (admissible ());
   (match Cac.Engine.admit engine ~link:"oc3" ~cls with
   | Cac.Engine.Admitted _ -> ()
   | Cac.Engine.Rejected _ -> Alcotest.fail "slot not reopened");
-  check_true "saturated again"
-    (not (Cac.Engine.would_admit engine ~link:"oc3" ~cls));
-  (* Release everything: the link is exactly empty. *)
-  List.iter
-    (fun conn ->
-      match Cac.Engine.connection engine conn with
-      | Some _ -> Cac.Engine.release engine ~conn
-      | None -> ())
-    (List.tl !conns);
+  check_true "saturated again" (not (admissible ()));
+  (* Release every original connection still up. *)
+  List.iter (fun conn -> Cac.Engine.release engine ~conn) (List.tl !conns);
   (* The replacement connection is still up. *)
   check_int "one connection left" 1 (Cac.Link.connections link)
 
@@ -328,9 +367,14 @@ let test_capped_scan_degrades () =
   ignore
     (Cac.Engine.add_link engine ~id:"flat" ~capacity:538.0 ~buffer:100.0
        ~target_clr:1e-6);
+  let evaluations () = Obs.Registry.counter_value "bahadur_rao.evaluations" in
+  let before = evaluations () in
   let v = Cac.Engine.evaluate engine ~link:"flat" ~cls:flat in
   check_true "degraded" v.Cac.Engine.degraded;
-  check_true "no BOP from a capped scan" (Option.is_none v.Cac.Engine.log10_bop)
+  check_true "no BOP from a capped scan" (Option.is_none v.Cac.Engine.log10_bop);
+  (* The kernel is pure: a second run could only scan to the cap
+     again, so the decision runs it exactly once. *)
+  check_int "one kernel evaluation for the decision" 1 (evaluations () - before)
 
 let latency_observations () =
   match Obs.Registry.histogram_snapshot "cac.engine.decision_latency_us" with
@@ -541,6 +585,8 @@ let suite =
     case "heterogeneous mix" test_engine_heterogeneous_mix;
     case "decide verdicts pinned (cache off, 0.5-30 ms)" test_engine_decide_verdicts_pinned;
     case "capped CTS scan decides degraded" test_capped_scan_degrades;
+    case "engine refuses non-finite link dimensions"
+      test_engine_refuses_bad_dimensions;
     case "metrics consistency" test_engine_metrics_consistency;
     case "engine memory bounded under churn" test_engine_memory_bounded;
     case "workload mean latency via sum delta" test_workload_mean_latency;

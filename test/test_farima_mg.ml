@@ -1,65 +1,5 @@
 open Helpers
 
-(* F-ARIMA(0,d,0) *)
-
-let test_farima_acf_lag1 () =
-  (* r(1) = d / (1 - d) *)
-  List.iter
-    (fun d ->
-      check_close_rel ~tol:1e-10
-        (Printf.sprintf "r(1) for d = %g" d)
-        (d /. (1.0 -. d))
-        (Traffic.Farima.acf ~d 1))
-    [ 0.1; 0.25; 0.4 ]
-
-let test_farima_acf_ratio () =
-  (* r(k+1)/r(k) = (k + d) / (k + 1 - d) *)
-  let d = 0.3 in
-  for k = 1 to 20 do
-    let ratio = Traffic.Farima.acf ~d (k + 1) /. Traffic.Farima.acf ~d k in
-    check_close_rel ~tol:1e-9
-      (Printf.sprintf "ratio at %d" k)
-      ((float_of_int k +. d) /. (float_of_int k +. 1.0 -. d))
-      ratio
-  done
-
-let test_farima_ma_coefficients () =
-  let d = 0.35 in
-  let psi = Traffic.Farima.ma_coefficients ~d ~n:10 in
-  check_close "psi_0 = 1" 1.0 psi.(0);
-  check_close ~tol:1e-12 "psi_1 = d" d psi.(1);
-  (* psi_j = Gamma(j+d) / (Gamma(d) Gamma(j+1)) *)
-  let open Numerics.Special in
-  for j = 2 to 9 do
-    let expected =
-      exp
-        (log_gamma (float_of_int j +. d)
-        -. log_gamma d
-        -. log_gamma (float_of_int j +. 1.0))
-    in
-    check_close_rel ~tol:1e-10 (Printf.sprintf "psi_%d" j) expected psi.(j)
-  done
-
-let test_farima_process_moments () =
-  let p = Traffic.Farima.process ~truncation:512 ~d:0.3 ~mean:500.0 ~variance:5000.0 () in
-  check_true "hurst = d + 1/2" (p.Traffic.Process.hurst = Some 0.8);
-  let x = Traffic.Process.generate p (rng ~seed:121 ()) 20_000 in
-  let s = Stats.Descriptive.summarize x in
-  check_close_rel ~tol:0.05 "mean" 500.0 s.Stats.Descriptive.mean;
-  check_close_rel ~tol:0.15 "variance" 5000.0 s.Stats.Descriptive.variance
-
-let test_farima_process_acf () =
-  let d = 0.25 in
-  let p = Traffic.Farima.process ~truncation:1024 ~d ~mean:0.0 ~variance:1.0 () in
-  let x = Traffic.Process.generate p (rng ~seed:123 ()) 60_000 in
-  let sample = Stats.Acf.autocorrelation_fft x ~max_lag:3 in
-  for k = 1 to 3 do
-    check_close ~tol:0.03
-      (Printf.sprintf "farima sample acf lag %d" k)
-      (Traffic.Farima.acf ~d k)
-      sample.(k)
-  done
-
 (* M/G/infinity *)
 
 let mg = Traffic.Mg_infinity.create ~beta:1.5 ~session_rate:4.0 ()
@@ -120,11 +60,6 @@ let test_mg_simulated_acf () =
 
 let suite =
   [
-    case "farima acf lag 1" test_farima_acf_lag1;
-    case "farima acf ratio recurrence" test_farima_acf_ratio;
-    case "farima MA coefficients" test_farima_ma_coefficients;
-    slow_case "farima process moments" test_farima_process_moments;
-    slow_case "farima process acf" test_farima_process_acf;
     case "mg mean holding = zeta(beta)" test_mg_mean_holding;
     case "mg acf vs brute-force zeta" test_mg_zeta_tail_vs_brute;
     case "mg hurst" test_mg_hurst;

@@ -251,7 +251,8 @@ let test_e1_guarded () =
    typedtrees: write a module to a scratch directory, compile it with
    [ocamlc -bin-annot] (artifacts land beside the source, and
    [cmt_sourcefile] records the absolute path we scan by) and point
-   the loader's [build_root] at the directory. *)
+   the loader's [build_root] at the directory.  [-I <dir>/lib] lets a
+   scratch program's other units find its library. *)
 
 let temp_dir () =
   let stamp = Filename.temp_file "ctslint_typed" ".d" in
@@ -270,7 +271,9 @@ let write_module dir name src =
 let compile_with_cmt dir name src =
   let path = write_module dir name src in
   let cmd =
-    Printf.sprintf "ocamlc -bin-annot -c %s 2>/dev/null" (Filename.quote path)
+    Printf.sprintf "ocamlc -bin-annot -I %s -c %s 2>/dev/null"
+      (Filename.quote (Filename.concat dir "lib"))
+      (Filename.quote path)
   in
   if Sys.command cmd <> 0 then Alcotest.failf "ocamlc failed on %s" name;
   path
@@ -321,6 +324,101 @@ let test_typed_missing_cmt () =
   | fs ->
       Alcotest.failf "expected exactly one T0 finding, got %d"
         (List.length fs)
+
+(* {2 U1: exports no other unit uses}
+
+   A three-unit program in the repo's layout: a [lib/] interface, a
+   [bin/] caller that reaches it through a module alias, and a [test/]
+   caller.  U1 must flag the export nobody calls and the one only the
+   test calls, at their [val]s, and nothing else. *)
+
+let mkdirs dir subs =
+  List.iter
+    (fun sub ->
+      let d = Filename.concat dir sub in
+      if Sys.command (Printf.sprintf "mkdir -p %s" (Filename.quote d)) <> 0
+      then Alcotest.fail "cannot create scratch layout")
+    subs
+
+let compile_lines dir rel lines =
+  ignore (compile_with_cmt dir rel (String.concat "\n" lines ^ "\n"))
+
+let u1_program () =
+  let dir = temp_dir () in
+  mkdirs dir [ "lib"; "bin"; "test" ];
+  compile_lines dir "lib/u.mli"
+    [
+      "val used : int -> int";
+      "val unused : int";
+      "val test_only : unit -> string";
+      "val waived : float";
+      "[@@lint.allow \"U1\"]";
+      "module M : sig";
+      "  val f : int -> int";
+      "end";
+    ];
+  compile_lines dir "lib/u.ml"
+    [
+      "let used x = x + 1";
+      "let unused = 0";
+      "let test_only () = \"t\"";
+      "let waived = 1.0";
+      "module M = struct";
+      "  let f x = x * 2";
+      "end";
+    ];
+  compile_lines dir "bin/b.ml"
+    [ "module A = U"; "let () = print_int (A.used (A.M.f 1))" ];
+  compile_lines dir "test/t.ml"
+    [ "let () = print_string (U.test_only ()); print_float U.waived" ];
+  dir
+
+let positions findings =
+  List.map
+    (fun f ->
+      Printf.sprintf "%s %d:%d %s"
+        (Filename.basename f.Lint_finding.file)
+        f.Lint_finding.line f.Lint_finding.col f.Lint_finding.rule)
+    findings
+
+let test_u1_golden () =
+  let dir = u1_program () in
+  let report =
+    Lint_driver.run ~backend:Lint_driver.Typed ~build_root:dir ~cfg
+      [ Filename.concat dir "lib"; Filename.concat dir "bin" ]
+  in
+  check "U1 at the val of the uncalled and of the test-only export"
+    [ "u.mli 2:0 U1"; "u.mli 3:0 U1" ]
+    (positions report.Lint_driver.findings);
+  (match report.Lint_driver.findings with
+  | [ unused; test_only ] ->
+      Alcotest.(check bool) "names the uncalled export" true
+        (has_sub "U.unused" unused.Lint_finding.msg);
+      Alcotest.(check bool) "says the other is test-only" true
+        (has_sub "U.test_only" test_only.Lint_finding.msg
+        && has_sub "test/" test_only.Lint_finding.msg)
+  | _ -> ());
+  match Obs.Json.member "counts" (Lint_driver.report_to_json report) with
+  | Some counts ->
+      Alcotest.(check bool) "the JSON report counts two U1 findings" true
+        (Obs.Json.member "U1" counts = Some (Obs.Json.Int 2))
+  | None -> Alcotest.fail "the JSON report has no counts"
+
+let test_u1_missing_cmti () =
+  let dir = temp_dir () in
+  mkdirs dir [ "lib" ];
+  (* Compiled without -bin-annot: a .cmi and no .cmti. *)
+  let mli = write_module dir "lib/v.mli" "val x : int\n" in
+  let cmd = Printf.sprintf "ocamlc -c %s 2>/dev/null" (Filename.quote mli) in
+  if Sys.command cmd <> 0 then Alcotest.fail "ocamlc failed on lib/v.mli";
+  compile_lines dir "lib/v.ml" [ "let x = 1" ];
+  let report =
+    Lint_driver.run ~backend:Lint_driver.Typed ~build_root:dir ~cfg
+      [ Filename.concat dir "lib" ]
+  in
+  check "an interface with no .cmti is a T0 finding, not silence"
+    [ "v.mli 1:0 T0" ]
+    (positions report.Lint_driver.findings)
 
 (* {2 SARIF export} *)
 
@@ -409,5 +507,7 @@ let suite =
     Alcotest.test_case "typed precision" `Quick test_typed_precision;
     Alcotest.test_case "both backends dedup" `Quick test_backend_both_dedup;
     Alcotest.test_case "typed missing cmt -> T0" `Quick test_typed_missing_cmt;
+    Alcotest.test_case "u1 golden" `Quick test_u1_golden;
+    Alcotest.test_case "u1 missing cmti -> T0" `Quick test_u1_missing_cmti;
     Alcotest.test_case "sarif shape" `Quick test_sarif_shape;
   ]

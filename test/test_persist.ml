@@ -859,6 +859,9 @@ let test_crash_recovery_under_faults () =
 
 (* {2 The verify-state CLI} *)
 
+(* Every command run here must exit on its own.  One that boots a
+   daemon instead (a refused flag that is accepted again) is killed
+   after 60 s and fails by name rather than hanging the suite. *)
 let run_cli args =
   let out = Filename.temp_file "cts_cli" ".out" in
   let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
@@ -868,13 +871,26 @@ let run_cli args =
       Unix.stdin fd fd
   in
   Unix.close fd;
-  let _, status = Unix.waitpid [] pid in
+  let rec wait tries =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when tries > 0 ->
+        Unix.sleepf 0.01;
+        wait (tries - 1)
+    | 0, _ ->
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid);
+        None
+    | _, status -> Some status
+  in
+  let status = wait 6000 in
   let text = read_whole out in
   (try Sys.remove out with Sys_error _ -> ());
   match status with
-  | Unix.WEXITED code -> (code, text)
-  | Unix.WSIGNALED _ | Unix.WSTOPPED _ ->
+  | Some (Unix.WEXITED code) -> (code, text)
+  | Some (Unix.WSIGNALED _ | Unix.WSTOPPED _) ->
       Alcotest.failf "cli killed by signal: %s" text
+  | None ->
+      Alcotest.failf "cts %s did not exit: %s" (String.concat " " args) text
 
 (* Two stores on one directory would compact each other's live
    segments (each journaling durably into an unlinked inode), so
@@ -937,6 +953,37 @@ let test_store_lock_single_owner () =
       ~next_seq:1
   in
   Persist.Store.close again
+
+(* Bad link dimensions and removed flags are usage errors (cmdliner's
+   124), caught before the daemon touches its state directory: an
+   infinite capacity would otherwise be journaled as JSON null and
+   fail the next boot on the same directory. *)
+let test_cli_refuses_bad_links () =
+  with_tmp_dir @@ fun dir ->
+  let state = Filename.concat dir "state" in
+  let usage_error what args =
+    let code, out = run_cli args in
+    check_int (what ^ ": usage error") 124 code;
+    check_true (what ^ ": not an internal error")
+      (not (contains_substring out "internal error"))
+  in
+  usage_error "serve --link big=inf:20:1e-6"
+    [ "serve"; "--port"; "0"; "--state-dir"; state; "--link"; "big=inf:20:1e-6" ];
+  check_true "no state dir created" (not (Sys.file_exists state));
+  (* Finite in msec but infinite in cells: the engine's own check
+     refuses it, and the boot fails as cleanly. *)
+  usage_error "serve --link big=1e308:1000:1e-6"
+    [ "serve"; "--port"; "0"; "--state-dir"; state; "--link"; "big=1e308:1000:1e-6" ];
+  usage_error "cac decide --capacity=-5" [ "cac"; "decide"; "--capacity=-5" ];
+  usage_error "cac decide --buffer-msec=nan" [ "cac"; "decide"; "--buffer-msec=nan" ];
+  usage_error "cac replay --capacity=inf"
+    [ "cac"; "replay"; "--capacity=inf"; "--requests"; "10" ];
+  List.iter
+    (fun cmd ->
+      usage_error
+        (String.concat " " cmd ^ " --max-retries")
+        (cmd @ [ "--max-retries"; "1" ]))
+    [ [ "cac"; "decide" ]; [ "cac"; "replay" ]; [ "serve"; "--port"; "0" ] ]
 
 let test_verify_state_cli () =
   with_tmp_dir @@ fun dir ->
@@ -1033,6 +1080,7 @@ let suite =
     slow_case "crash recovery under torn-write faults"
       test_crash_recovery_under_faults;
     slow_case "verify-state CLI exit codes" test_verify_state_cli;
+    case "bad link dimensions are usage errors" test_cli_refuses_bad_links;
     slow_case "state dir is single-owner (kernel lock)"
       test_store_lock_single_owner;
     slow_case "SIGHUP reopens the access log" test_sighup_reopens_access_log;

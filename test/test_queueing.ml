@@ -202,8 +202,6 @@ let test_scenario () =
   let model = Traffic.Models.s ~a:0.9 ~p:1 in
   let s = Queueing.Scenario.make ~model ~n:30 ~c:538.0 ~ts:0.04 in
   check_close "service" 16140.0 (Queueing.Scenario.service s);
-  check_close_rel ~tol:1e-12 "utilization" (500.0 /. 538.0)
-    (Queueing.Scenario.utilization s);
   let buffers = Queueing.Scenario.buffers_of_msec s [| 10.0 |] in
   check_close_rel ~tol:1e-12 "buffer msec conversion" 4035.0 buffers.(0)
 

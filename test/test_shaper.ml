@@ -16,10 +16,7 @@ let test_mean_preserved_variance_reduced () =
   let s = Traffic.Shaper.smooth p ~window:4 in
   check_close "mean preserved" 500.0 s.Traffic.Process.mean;
   check_true "variance reduced"
-    (s.Traffic.Process.variance < p.Traffic.Process.variance);
-  check_close_rel ~tol:1e-12 "reduction factor consistent"
-    (Traffic.Shaper.variance_reduction p ~window:4)
-    (s.Traffic.Process.variance /. p.Traffic.Process.variance)
+    (s.Traffic.Process.variance < p.Traffic.Process.variance)
 
 let test_iid_variance_reduction () =
   (* For iid input, MA(w) variance is sigma^2 / w and
@@ -99,7 +96,10 @@ let suite =
       QCheck2.Gen.(pair (float_range 0.0 0.95) (int_range 2 16))
       (fun (rho, w) ->
         let p = dar rho in
-        let r1 = Traffic.Shaper.variance_reduction p ~window:w in
-        let r2 = Traffic.Shaper.variance_reduction p ~window:(w + 1) in
+        let reduction window =
+          (Traffic.Shaper.smooth p ~window).Traffic.Process.variance
+          /. p.Traffic.Process.variance
+        in
+        let r1 = reduction w and r2 = reduction (w + 1) in
         r1 > 0.0 && r1 <= 1.0 && r2 <= r1 +. 1e-12);
   ]

@@ -84,7 +84,7 @@ let test_histogram () =
 
 let test_histogram_chi_square_gaussian () =
   let h = Stats.Histogram.create ~lo:(-4.0) ~hi:4.0 ~bins:32 in
-  Stats.Histogram.add_array h (gaussian_sample ~seed:37 50_000);
+  Array.iter (Stats.Histogram.add h) (gaussian_sample ~seed:37 50_000);
   let stat = Stats.Histogram.chi_square_vs h ~cdf:Numerics.Special.normal_cdf in
   (* 31 dof: the 99.9th percentile is ~ 61; a correct sampler stays
      well below. *)
@@ -92,18 +92,10 @@ let test_histogram_chi_square_gaussian () =
     (Printf.sprintf "chi-square %.1f below 61" stat)
     (stat < 61.0)
 
-let test_ecdf () =
-  let e = Stats.Ecdf.of_samples [| 1.0; 2.0; 2.0; 3.0 |] in
-  check_close "cdf below" 0.0 (Stats.Ecdf.cdf e 0.5);
-  check_close "cdf at 2" 0.75 (Stats.Ecdf.cdf e 2.0);
-  check_close "tail at 2" 0.25 (Stats.Ecdf.tail e 2.0);
-  check_close "cdf above" 1.0 (Stats.Ecdf.cdf e 10.0)
-
 let test_ci () =
   let ci = Stats.Ci.mean_ci [| 10.0; 12.0; 11.0; 13.0; 9.0 |] in
   check_close "point estimate" 11.0 ci.Stats.Ci.point;
   check_true "half width positive" (ci.Stats.Ci.half_width > 0.0);
-  check_true "contains the mean" (Stats.Ci.contains ci 11.0);
   (* Wider confidence level gives wider interval. *)
   let ci99 = Stats.Ci.mean_ci ~level:0.99 [| 10.0; 12.0; 11.0; 13.0; 9.0 |] in
   check_true "99% wider than 95%"
@@ -155,15 +147,10 @@ let suite =
     case "pacf cutoff for AR(1)" test_pacf_ar1_cutoff;
     case "histogram counting" test_histogram;
     case "chi-square vs gaussian" test_histogram_chi_square_gaussian;
-    case "ecdf" test_ecdf;
     case "confidence interval" test_ci;
     case "batch means" test_batch_means;
     case "regression exact line" test_regression_exact;
     case "regression log-log power law" test_regression_log_log;
-    qcheck "ecdf tail + cdf = 1" QCheck2.Gen.(float_range (-3.0) 3.0)
-      (fun x ->
-        let e = Stats.Ecdf.of_samples (gaussian_sample ~seed:39 500) in
-        Float.abs (Stats.Ecdf.cdf e x +. Stats.Ecdf.tail e x -. 1.0) < 1e-12);
     qcheck "acf bounded by 1" QCheck2.Gen.(int_range 1 20)
       (fun lag ->
         let x = ar1_sample ~seed:41 ~rho:0.5 2_000 in

@@ -10,10 +10,11 @@ let usage =
   "ctslint [--backend typed|syntactic|both] [--config FILE] [--json FILE]\n\
   \        [--sarif FILE] [--flow] [--quiet] [PATH...]\n\
    Lints every .ml under the given paths (default: lib bin bench)\n\
-   against the project rules N1 N2 C1 C2 H1 F1 L1 E1; exits 1 on\n\
-   findings.  The typed backend reads dune's .cmt artifacts (build\n\
-   them with `dune build @check`) and refuses to degrade silently —\n\
-   a source with no .cmt is a T0 finding."
+   against the project rules N1 N2 C1 C2 H1 F1 L1 E1, plus U1 on the\n\
+   typed backend; exits 1 on findings.  The typed backend reads dune's\n\
+   .cmt/.cmti artifacts (build them with `dune build @check`) and\n\
+   refuses to degrade silently — a source with no .cmt is a T0\n\
+   finding."
 
 let () =
   let config_path = ref None in

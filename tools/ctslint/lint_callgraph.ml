@@ -22,8 +22,8 @@
      or a task handed to [Domain.spawn] must not have an escaping
      raise in its call graph — exceptions there surface as blanket
      500s or are lost until [Domain.join].  [try], [match ... with
-     exception], [Guard.protect], [Guard.retry] and [Breaker.call]
-     count as catchers; calls to [*_exn] functions count as raise
+     exception], [Guard.protect] and [Breaker.call] count as
+     catchers; calls to [*_exn] functions count as raise
      sites; [assert] does not (it is the N2 guard idiom).
 
    Resolution is name-based: a qualified call resolves to every known
@@ -64,7 +64,7 @@ let mutator_patterns =
 let raiser_names = [ "raise"; "raise_notrace"; "failwith"; "invalid_arg" ]
 
 (* Calling through one of these catches whatever the thunk raises. *)
-let catcher_patterns = [ "Guard.protect"; "Guard.retry"; "Breaker.call" ]
+let catcher_patterns = [ "Guard.protect"; "Breaker.call" ]
 
 let lock_patterns = [ "Mutex.protect" ]
 

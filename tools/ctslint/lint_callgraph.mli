@@ -9,8 +9,8 @@
       reachable from a [Domain.spawn] site.
     - [E1] — handlers registered with [Router.route] and tasks handed
       to [Domain.spawn] must not have an escaping raise in their call
-      graph; [try], [match ... with exception], [Guard.protect],
-      [Guard.retry] and [Breaker.call] count as catchers.
+      graph; [try], [match ... with exception], [Guard.protect] and
+      [Breaker.call] count as catchers.
 
     Analyses are whole-input: pass every module of interest in one
     [run] call so cross-module calls resolve.  [[@lint.allow

@@ -14,18 +14,19 @@ let read_file path =
   close_in ic;
   src
 
-let rec collect_ml cfg path acc =
+let rec collect_suffix cfg suffix path acc =
   if Lint_config.excluded cfg path then acc
   else if Sys.is_directory path then
     Sys.readdir path |> Array.to_list |> List.sort String.compare
     |> List.fold_left
-         (fun acc entry -> collect_ml cfg (Filename.concat path entry) acc)
+         (fun acc entry ->
+           collect_suffix cfg suffix (Filename.concat path entry) acc)
          acc
-  else if Filename.check_suffix path ".ml" then path :: acc
+  else if Filename.check_suffix path suffix then path :: acc
   else acc
 
-let collect cfg paths =
-  List.fold_left (fun acc p -> collect_ml cfg p acc) [] paths
+let collect ~suffix cfg paths =
+  List.fold_left (fun acc p -> collect_suffix cfg suffix p acc) [] paths
   |> List.sort_uniq String.compare
 
 (* -- per-file lint ------------------------------------------------- *)
@@ -146,8 +147,10 @@ let syntactic_pass ~flow ~cfg files =
 (* The typed backend refuses to silently degrade: a source with no
    loadable .cmt gets a T0 finding instead of a quiet fallback, so
    "typed clean" always means every module was actually typechecked
-   (`dune build @check` produces the artifacts). *)
-let typed_pass ~cfg ~build_root files =
+   (`dune build @check` produces the artifacts).  U1 checks the
+   library interfaces [mlis] against every implementation in the
+   build root. *)
+let typed_pass ~cfg ~build_root files mlis =
   let index = Lint_typed_loader.index ~build_root in
   let inputs, load_failures =
     List.fold_left
@@ -177,6 +180,7 @@ let typed_pass ~cfg ~build_root files =
         Lint_rules.run ?facts:i.facts ~cfg ~file:i.file i.structure)
       inputs
   @ flow_findings ~cfg inputs
+  @ Lint_unused.run ~cfg ~build_root ~index mlis
 
 (* Two backends over the same tree report the same defect at the same
    position under the same rule; keep one (the earlier in the stable
@@ -196,13 +200,15 @@ let run ?(backend = Syntactic) ?(flow = false) ?build_root ~cfg paths =
     | Some r -> r
     | None -> Lint_typed_loader.default_build_root ()
   in
-  let files = collect cfg paths in
+  let files = collect ~suffix:".ml" cfg paths in
+  let typed () =
+    typed_pass ~cfg ~build_root files (collect ~suffix:".mli" cfg paths)
+  in
   let findings =
     (match backend with
     | Syntactic -> syntactic_pass ~flow ~cfg files
-    | Typed -> typed_pass ~cfg ~build_root files
-    | Both ->
-        syntactic_pass ~flow ~cfg files @ typed_pass ~cfg ~build_root files)
+    | Typed -> typed ()
+    | Both -> syntactic_pass ~flow ~cfg files @ typed ())
     @ check_mli_pairing ~cfg files
   in
   { findings = dedup findings; files_scanned = List.length files }

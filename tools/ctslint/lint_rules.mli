@@ -43,6 +43,10 @@ type waivers = (string list * int * int) list
 (** [(rules, start-offset, end-offset)] character spans; an empty
     rule list waives everything in the span. *)
 
+val waiver_of_attribute : Parsetree.attribute -> string list option
+(** The rules one [[@lint.allow]] attribute names ([Some []] waives
+    every rule); [None] for any other attribute. *)
+
 val collect_waivers : Parsetree.structure -> waivers
 (** Harvest every [[@lint.allow]]/[[@@@lint.allow]] span. *)
 

@@ -17,6 +17,7 @@ let rule_help = function
   | "F1" -> "Possible NaN flows to a decision sink with no finiteness guard."
   | "L1" -> "Blocking call under a lock, or spawned task mutating shared state."
   | "E1" -> "Exception can escape a request handler or spawned task."
+  | "U1" -> "Interface export that no other module uses, or only tests."
   | "P0" -> "Source failed to parse."
   | "T0" -> "Typed backend could not load a .cmt for this source."
   | r -> r

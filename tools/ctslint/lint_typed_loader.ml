@@ -50,19 +50,24 @@ let rec scan_cmts dir acc =
         (fun acc entry ->
           let path = Filename.concat dir entry in
           if Sys.is_directory path then scan_cmts path acc
-          else if Filename.check_suffix path ".cmt" then path :: acc
+          else if
+            Filename.check_suffix path ".cmt"
+            || Filename.check_suffix path ".cmti"
+          then path :: acc
           else acc)
         acc entries
   | exception Sys_error _ -> acc
 
-(* source path (as scanned by the driver) -> cmt path *)
+(* source path (as scanned by the driver) -> cmt path; an interface
+   ("lib/cac/engine.mli") maps to its .cmti *)
 let index ~build_root =
   let tbl = Hashtbl.create 128 in
   List.iter
     (fun cmt_path ->
       match Cmt_format.read_cmt cmt_path with
       | { Cmt_format.cmt_sourcefile = Some src; _ }
-        when Filename.check_suffix src ".ml" ->
+        when Filename.check_suffix src ".ml" || Filename.check_suffix src ".mli"
+        ->
           if not (Hashtbl.mem tbl src) then Hashtbl.replace tbl src cmt_path
       | _ -> ()
       | exception _ -> ())

@@ -22,8 +22,9 @@ val default_build_root : unit -> string
     root), ["."] otherwise (inside the dune context). *)
 
 val index : build_root:string -> (string, string) Hashtbl.t
-(** Source path -> cmt path, for every implementation [.cmt] under
-    [build_root].  Generated [.ml-gen] alias modules are skipped. *)
+(** Source path -> artifact path, for every implementation [.cmt] and
+    interface [.cmti] under [build_root].  Generated [.ml-gen] alias
+    modules are skipped. *)
 
 val load :
   index:(string, string) Hashtbl.t ->
