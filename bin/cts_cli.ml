@@ -671,10 +671,6 @@ let cac_sweep_cmd =
     let doc = "Re-run sequentially and verify bit-identical results." in
     Arg.(value & flag & info [ "check-sequential" ] ~doc)
   in
-  let task_retries_arg =
-    let doc = "Retries per failing sweep task before it reports ERROR." in
-    Arg.(value & opt int 1 & info [ "task-retries" ] ~docv:"N" ~doc)
-  in
   let heatmap_arg =
     let doc =
       "After the sweep, print the per-buffer m* distribution heatmap \
@@ -682,8 +678,8 @@ let cac_sweep_cmd =
     in
     Arg.(value & flag & info [ "heatmap" ] ~doc)
   in
-  let run models buffers clrs capacity requests domains seed check task_retries
-      heatmap fault_opts obs_opts =
+  let run models buffers clrs capacity requests domains seed check heatmap
+      fault_opts obs_opts =
     with_obs obs_opts @@ fun () ->
     with_faults fault_opts @@ fun () ->
     let class_names = split_commas models in
@@ -705,7 +701,7 @@ let cac_sweep_cmd =
           ~target_clrs ()
       in
       let t0 = Obs.Clock.wall () in
-      let outcomes = Cac.Sweep.run ?domains ~task_retries scenarios in
+      let outcomes = Cac.Sweep.run ?domains scenarios in
       let elapsed = Obs.Clock.wall () -. t0 in
       Cac.Sweep.print_table outcomes;
       let failed = List.length (Cac.Sweep.failures outcomes) in
@@ -718,7 +714,7 @@ let cac_sweep_cmd =
       end;
       if not check then `Ok ()
       else begin
-        let sequential = Cac.Sweep.run ~domains:1 ~task_retries scenarios in
+        let sequential = Cac.Sweep.run ~domains:1 scenarios in
         if sequential = outcomes then begin
           Printf.printf "sequential re-run: identical\n";
           `Ok ()
@@ -734,7 +730,7 @@ let cac_sweep_cmd =
       ret
         (const run $ models_arg $ buffers_arg $ clrs_arg $ cac_capacity_arg
        $ requests_arg $ domains_arg $ seed_sweep_arg $ check_arg
-       $ task_retries_arg $ heatmap_arg $ fault_term $ obs_term))
+       $ heatmap_arg $ fault_term $ obs_term))
 
 let cac_verify_state_cmd =
   let dir_arg =
@@ -813,7 +809,7 @@ let parse_link_spec s =
       with
       | [ Some capacity; Some buffer_msec; Some target_clr ]
         when id <> "" && Float.is_finite capacity && capacity > 0.0
-             && Float.is_finite buffer_msec && buffer_msec > 0.0
+             && Float.is_finite buffer_msec && buffer_msec >= 0.0
              && target_clr > 0.0 && target_clr < 1.0 ->
           Some (id, capacity, buffer_msec, target_clr)
       | _ -> None)

@@ -17,7 +17,7 @@ type row = {
   cache_hit_rate : float option;
 }
 
-type failure = { scenario : scenario; error : string; attempts : int }
+type failure = { scenario : scenario; error : string }
 type outcome = Row of row | Failed of failure
 
 let grid ?(capacity = 16140.0) ?(requests = 0) ?(load_factor = 1.1)
@@ -54,8 +54,7 @@ let grid ?(capacity = 16140.0) ?(requests = 0) ?(load_factor = 1.1)
 let () =
   Obs.Registry.set_histogram_spec ~lo:0.0 ~hi:2_000_000.0 ~bins:80
     "cac.sweep.task_us";
-  Obs.Registry.declare_counter "cac.sweep.task_errors";
-  Obs.Registry.declare_counter "cac.sweep.task_retries"
+  Obs.Registry.declare_counter "cac.sweep.task_errors"
 
 let evaluate scenario =
   (* Everything domain-local: fresh class (private variance-growth
@@ -128,38 +127,24 @@ let evaluate_instrumented ~worker scenario =
 
 (* One task, crash-proof: the fault stream is re-armed from the
    scenario seed (so faults are deterministic whatever domain claims
-   the task), the [cac.sweep.task] injection point may kill the
-   attempt, and any exception — injected or organic — is caught and
-   retried up to [task_retries] times before the scenario is returned
-   as a [Failed] outcome instead of crashing the worker domain. *)
-let evaluate_protected ~task_retries ~worker scenario =
+   the task), the [cac.sweep.task] injection point may kill it, and
+   any exception — injected or organic — is caught and the scenario
+   returned as a [Failed] outcome instead of crashing the worker
+   domain. *)
+let evaluate_protected ~worker scenario =
   Resilience.Fault.reseed scenario.seed;
-  let rec go attempt =
-    match
-      Resilience.Fault.inject "cac.sweep.task";
-      evaluate_instrumented ~worker scenario
-    with
-    | row -> Row row
-    | exception ((Out_of_memory | Stack_overflow) as exn) -> raise exn
-    | exception exn ->
-        Obs.Registry.incr "cac.sweep.task_errors";
-        if attempt < task_retries then begin
-          Obs.Registry.incr "cac.sweep.task_retries";
-          go (attempt + 1)
-        end
-        else
-          Failed
-            {
-              scenario;
-              error = Printexc.to_string exn;
-              attempts = attempt + 1;
-            }
-  in
-  go 0
+  match
+    Resilience.Fault.inject "cac.sweep.task";
+    evaluate_instrumented ~worker scenario
+  with
+  | row -> Row row
+  | exception ((Out_of_memory | Stack_overflow) as exn) -> raise exn
+  | exception exn ->
+      Obs.Registry.incr "cac.sweep.task_errors";
+      Failed { scenario; error = Printexc.to_string exn }
 
-let run ?domains ?(task_retries = 1) scenarios =
+let run ?domains scenarios =
   Obs.Span.with_ ~name:"cac.sweep.run" @@ fun () ->
-  if task_retries < 0 then invalid_arg "Sweep.run: task_retries < 0";
   let scenarios = Array.of_list scenarios in
   let n = Array.length scenarios in
   let domains =
@@ -181,7 +166,7 @@ let run ?domains ?(task_retries = 1) scenarios =
   if domains <= 1 then
     Array.iteri
       (fun i s ->
-        rows.(i) <- Some (evaluate_protected ~task_retries ~worker:0 s))
+        rows.(i) <- Some (evaluate_protected ~worker:0 s))
       scenarios
   else begin
     let next = Atomic.make 0 in
@@ -190,8 +175,7 @@ let run ?domains ?(task_retries = 1) scenarios =
       let rec loop () =
         let i = Atomic.fetch_and_add next 1 in
         if i < n then begin
-          rows.(i) <-
-            Some (evaluate_protected ~task_retries ~worker:slot scenarios.(i));
+          rows.(i) <- Some (evaluate_protected ~worker:slot scenarios.(i));
           loop ()
         end
       in
@@ -215,7 +199,6 @@ let run ?domains ?(task_retries = 1) scenarios =
             {
               scenario = scenarios.(i);
               error = "task never completed (worker domain lost)";
-              attempts = 0;
             })
     rows
 
@@ -238,9 +221,7 @@ let print_table outcomes =
           let s = f.scenario in
           Obs.Sink.printf "%-8s %10g %8.0e %s\n" s.class_name s.buffer_msec
             s.target_clr
-            (Printf.sprintf "ERROR after %d attempt%s: %s" f.attempts
-               (if f.attempts = 1 then "" else "s")
-               f.error)
+            ("ERROR: " ^ f.error)
       | Row row ->
           let s = row.scenario in
           Obs.Sink.printf "%-8s %10g %8.0e %8d %5.1f%% %8s %9s %8s\n"

@@ -12,13 +12,15 @@
     {!Source_class.fresh} instance: variance-growth tables and decision
     caches mutate on use and must never be shared across domains.
 
-    Sweeps are crash-proof: each task runs under a catch-and-retry
+    Sweeps are crash-proof: each task runs once under a catch-all
     wrapper (and re-arms the {!Resilience.Fault} stream from its
     scenario seed, so injected faults are deterministic whatever
-    domain claims the task).  A task that still fails after its
-    retries becomes a {!Failed} outcome carrying the error — one bad
-    scenario can no longer take down the whole run, and worker domains
-    never die on a task exception. *)
+    domain claims the task).  A task that raises becomes a {!Failed}
+    outcome carrying the error — one bad scenario can no longer take
+    down the whole run, and worker domains never die on a task
+    exception.  A failed task is not retried: a scenario is a
+    deterministic function of its parameters and seed, so a second
+    attempt would repeat the failure. *)
 
 type scenario = {
   class_name : string;  (** resolved per-domain via {!Source_class.fresh} *)
@@ -44,8 +46,7 @@ type row = {
 
 type failure = {
   scenario : scenario;
-  error : string;  (** [Printexc.to_string] of the last attempt's exception *)
-  attempts : int;  (** evaluation attempts made (retries included) *)
+  error : string;  (** [Printexc.to_string] of the task's exception *)
 }
 
 type outcome = Row of row | Failed of failure
@@ -66,14 +67,12 @@ val grid :
     [requests = 0], [load_factor = 1.1], [seed = 1996].  Seeds are
     derived per scenario from [seed] and the scenario index. *)
 
-val run : ?domains:int -> ?task_retries:int -> scenario list -> outcome array
+val run : ?domains:int -> scenario list -> outcome array
 (** Evaluate every scenario, fanning across [domains] OCaml domains
     (default [Domain.recommended_domain_count], capped by the number
     of scenarios; 1 means fully sequential).  Outcome order matches
     the input order regardless of parallelism.  Each task that raises
-    is retried up to [task_retries] times (default 1) before becoming
-    a {!Failed} outcome; task errors and retries tick
-    [cac.sweep.task_errors] / [cac.sweep.task_retries]. *)
+    becomes a {!Failed} outcome and ticks [cac.sweep.task_errors]. *)
 
 val rows : outcome array -> row array
 (** The successful rows, in input order. *)

@@ -40,15 +40,6 @@ let max x =
   assert (Array.length x > 0);
   Array.fold_left Stdlib.max x.(0) x
 
-let dot a b =
-  let n = Array.length a in
-  assert (Array.length b = n);
-  let acc = ref 0.0 in
-  for i = 0 to n - 1 do
-    acc := !acc +. (a.(i) *. b.(i))
-  done;
-  !acc
-
 let prefix_sums x =
   let n = Array.length x in
   let out = Array.make (n + 1) 0.0 in

@@ -18,10 +18,6 @@ val std : float array -> float
 val min : float array -> float
 val max : float array -> float
 
-val dot : float array -> float array -> float
-[@@lint.allow "U1"] (* test-only: float_array "min max dot" *)
-(** Inner product of equal-length arrays. *)
-
 val prefix_sums : float array -> float array
 [@@lint.allow "U1"] (* test-only: float_array "prefix sums" *)
 (** [prefix_sums x] has length [n + 1] with element [i] holding the sum

@@ -19,87 +19,6 @@ let golden_section ~f ~lo ~hi ~tol =
   let x2 = lo +. (golden_ratio *. (hi -. lo)) in
   loop lo hi x1 x2 (f x1) (f x2)
 
-(* Brent's minimisation, following the classical Numerical-Recipes-style
-   formulation. *)
-let brent ~f ~lo ~hi ~tol =
-  assert (hi > lo && tol > 0.0);
-  let cgold = 0.3819660 in
-  let zeps = 1e-12 in
-  let a = ref lo and b = ref hi in
-  let x = ref (lo +. (cgold *. (hi -. lo))) in
-  let w = ref !x and v = ref !x in
-  let fx = ref (f !x) in
-  let fw = ref !fx and fv = ref !fx in
-  let e = ref 0.0 and d = ref 0.0 in
-  let answer = ref None in
-  let iter = ref 0 in
-  while !answer = None && !iter < 200 do
-    incr iter;
-    let xm = 0.5 *. (!a +. !b) in
-    let tol1 = (tol *. Float.abs !x) +. zeps in
-    let tol2 = 2.0 *. tol1 in
-    if Float.abs (!x -. xm) <= tol2 -. (0.5 *. (!b -. !a)) then answer := Some !x
-    else begin
-      if Float.abs !e > tol1 then begin
-        (* Attempt a parabolic step through x, w, v. *)
-        let r = (!x -. !w) *. (!fx -. !fv) in
-        let q = (!x -. !v) *. (!fx -. !fw) in
-        let p = ((!x -. !v) *. q) -. ((!x -. !w) *. r) in
-        let q = 2.0 *. (q -. r) in
-        let p = if q > 0.0 then -.p else p in
-        let q = Float.abs q in
-        let etemp = !e in
-        e := !d;
-        if
-          Float.abs p >= Float.abs (0.5 *. q *. etemp)
-          || p <= q *. (!a -. !x)
-          || p >= q *. (!b -. !x)
-        then begin
-          e := (if !x >= xm then !a -. !x else !b -. !x);
-          d := cgold *. !e
-        end
-        else begin
-          d := p /. q;
-          let u = !x +. !d in
-          if u -. !a < tol2 || !b -. u < tol2 then
-            d := (if xm -. !x >= 0.0 then tol1 else -.tol1)
-        end
-      end
-      else begin
-        e := (if !x >= xm then !a -. !x else !b -. !x);
-        d := cgold *. !e
-      end;
-      let u =
-        if Float.abs !d >= tol1 then !x +. !d
-        else !x +. (if !d >= 0.0 then tol1 else -.tol1)
-      in
-      let fu = f u in
-      if fu <= !fx then begin
-        if u >= !x then a := !x else b := !x;
-        v := !w;
-        w := !x;
-        x := u;
-        fv := !fw;
-        fw := !fx;
-        fx := fu
-      end
-      else begin
-        if u < !x then a := u else b := u;
-        if fu <= !fw || Float.equal !w !x then begin
-          v := !w;
-          fv := !fw;
-          w := u;
-          fw := fu
-        end
-        else if fu <= !fv || Float.equal !v !x || Float.equal !v !w then begin
-          v := u;
-          fv := fu
-        end
-      end
-    end
-  done;
-  match !answer with Some x -> x | None -> !x
-
 type integer_argmin = { argmin : int; minimum : float; scanned_up_to : int }
 
 let integer_argmin ~f ~lo ?(hard_cap = 2_000_000) ~stop () =

@@ -1,6 +1,6 @@
 (** One-dimensional minimisation, continuous and integer.
 
-    The continuous routines assume a unimodal objective on the given
+    The continuous routine assumes a unimodal objective on the given
     bracket.  The integer scan used for the Critical Time Scale search
     makes no unimodality assumption: it scans with a certified stopping
     rule supplied by the caller. *)
@@ -9,10 +9,6 @@ val golden_section : f:(float -> float) -> lo:float -> hi:float -> tol:float -> 
 [@@lint.allow "U1"] (* test-only: optimize "golden section" *)
 (** [golden_section ~f ~lo ~hi ~tol] is the abscissa of the minimum of
     the unimodal [f] on [lo, hi], located to within [tol]. *)
-
-val brent : f:(float -> float) -> lo:float -> hi:float -> tol:float -> float
-(** Brent's method (golden section with parabolic interpolation);
-    typically far fewer evaluations than pure golden section. *)
 
 type integer_argmin = {
   argmin : int;           (** location of the smallest value found *)

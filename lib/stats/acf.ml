@@ -43,31 +43,3 @@ let autocorrelation_fft x ~max_lag =
   let r = normalize (autocovariance_fft x ~max_lag) in
   if Array.length r > 0 && Float.equal r.(0) 0.0 then r.(0) <- 1.0;
   r
-
-let partial_autocorrelation x ~max_lag =
-  let r = autocorrelation x ~max_lag in
-  let pacf = Array.make (max_lag + 1) 0.0 in
-  pacf.(0) <- 1.0;
-  if max_lag >= 1 then begin
-    (* Durbin-Levinson: phi.(k) holds phi_{m,k} at the current order m. *)
-    let phi = Array.make (max_lag + 1) 0.0 in
-    let prev = Array.make (max_lag + 1) 0.0 in
-    phi.(1) <- r.(1);
-    pacf.(1) <- r.(1);
-    let v = ref (1.0 -. (r.(1) *. r.(1))) in
-    for m = 2 to max_lag do
-      Array.blit phi 0 prev 0 (max_lag + 1);
-      let num = ref r.(m) in
-      for k = 1 to m - 1 do
-        num := !num -. (prev.(k) *. r.(m - k))
-      done;
-      let phi_mm = if !v > 0.0 then !num /. !v else 0.0 in
-      phi.(m) <- phi_mm;
-      for k = 1 to m - 1 do
-        phi.(k) <- prev.(k) -. (phi_mm *. prev.(m - k))
-      done;
-      v := !v *. (1.0 -. (phi_mm *. phi_mm));
-      pacf.(m) <- phi_mm
-    done
-  end;
-  pacf

@@ -80,54 +80,6 @@ let aggregated_variance ?(min_block = 4) ?(num_scales = 12) series =
     points;
   }
 
-let variance_of_sums ?(min_block = 2) ?(num_scales = 14) series =
-  let n = Array.length series in
-  assert (n >= 16 * min_block);
-  let blocks = geometric_blocks ~min_block ~max_block:(n / 8) ~num_scales in
-  let points =
-    Array.map
-      (fun m ->
-        let agg = Numerics.Float_array.aggregate series ~block:m in
-        (* aggregate averages, so multiply back to block sums. *)
-        let sums = Array.map (fun v -> v *. float_of_int m) agg in
-        (float_of_int m, Numerics.Float_array.variance_population sums))
-      blocks
-  in
-  let fit = fit_of_points points in
-  {
-    h = fit.Regression.slope /. 2.0;
-    r_squared = fit.Regression.r_squared;
-    points;
-  }
-
-let local_whittle ?(fraction = 0.1) series =
-  assert (fraction > 0.0 && fraction <= 1.0);
-  let spectrum = Numerics.Fft.periodogram series in
-  let m =
-    Stdlib.max 8 (int_of_float (fraction *. float_of_int (Array.length spectrum)))
-  in
-  let m = Stdlib.min m (Array.length spectrum) in
-  let points = Array.sub spectrum 0 m in
-  let mf = float_of_int m in
-  let mean_log_w =
-    Array.fold_left (fun acc (w, _) -> acc +. log w) 0.0 points /. mf
-  in
-  (* Robinson's objective; unimodal in H on (0, 1) for LRD-like data. *)
-  let objective h =
-    let exponent = (2.0 *. h) -. 1.0 in
-    let avg =
-      Array.fold_left
-        (fun acc (w, i) -> acc +. ((w ** exponent) *. i))
-        0.0 points
-      /. mf
-    in
-    log avg -. (exponent *. mean_log_w)
-  in
-  let h =
-    Numerics.Optimize.brent ~f:objective ~lo:0.01 ~hi:0.99 ~tol:1e-8
-  in
-  { h; r_squared = 1.0; points }
-
 let periodogram ?(fraction = 0.1) series =
   assert (fraction > 0.0 && fraction <= 1.0);
   let spectrum = Numerics.Fft.periodogram series in

@@ -48,10 +48,3 @@ let load_csv ~path =
 let mean t = Numerics.Float_array.mean t.frames
 let variance t = Numerics.Float_array.variance t.frames
 let acf t ~max_lag = Stats.Acf.autocorrelation_fft t.frames ~max_lag
-
-let aggregate t ~block =
-  {
-    frames = Numerics.Float_array.aggregate t.frames ~block;
-    ts = t.ts *. float_of_int block;
-    name = Printf.sprintf "%s[x%d]" t.name block;
-  }

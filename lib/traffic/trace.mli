@@ -23,7 +23,3 @@ val variance : t -> float
 
 val acf : t -> max_lag:int -> float array
 (** Sample autocorrelation of the trace. *)
-
-val aggregate : t -> block:int -> t
-[@@lint.allow "U1"] (* test-only: trace "stats and aggregation" *)
-(** Block-averaged trace (frame duration scales by [block]). *)

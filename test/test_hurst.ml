@@ -48,24 +48,6 @@ let test_periodogram_fgn () =
         h est.Stats.Hurst.h)
     [ 0.7; 0.9 ]
 
-let test_variance_of_sums_fgn () =
-  let h = 0.85 in
-  let est = Stats.Hurst.variance_of_sums (fgn ~seed:61 ~h 65536) in
-  check_close ~tol:0.08 "variance-of-sums on fGn(0.85)" h est.Stats.Hurst.h
-
-let test_local_whittle_fgn () =
-  List.iter
-    (fun h ->
-      let est = Stats.Hurst.local_whittle (fgn ~seed:65 ~h 65536) in
-      check_close ~tol:0.06
-        (Printf.sprintf "local whittle on fGn(%g)" h)
-        h est.Stats.Hurst.h)
-    [ 0.6; 0.75; 0.9 ]
-
-let test_local_whittle_white () =
-  let est = Stats.Hurst.local_whittle (white ~seed:67 65536) in
-  check_close ~tol:0.08 "local whittle on white noise" 0.5 est.Stats.Hurst.h
-
 let test_fit_quality_reported () =
   let est = Stats.Hurst.aggregated_variance (fgn ~seed:63 ~h:0.8 32768) in
   check_true "r^2 of the regression is high"
@@ -79,8 +61,5 @@ let suite =
     case "aggregated variance on white noise" test_aggvar_white;
     slow_case "aggregated variance on fGn" test_aggvar_fgn;
     slow_case "periodogram on fGn" test_periodogram_fgn;
-    case "variance of sums on fGn" test_variance_of_sums_fgn;
-    slow_case "local whittle on fGn" test_local_whittle_fgn;
-    case "local whittle on white noise" test_local_whittle_white;
     case "fit diagnostics" test_fit_quality_reported;
   ]

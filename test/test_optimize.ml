@@ -5,16 +5,6 @@ let test_golden_quadratic () =
   let x = Numerics.Optimize.golden_section ~f ~lo:0.0 ~hi:10.0 ~tol:1e-8 in
   check_close ~tol:1e-6 "golden section on quadratic" 2.5 x
 
-let test_brent_quadratic () =
-  let f x = ((x +. 1.25) ** 2.0) -. 3.0 in
-  let x = Numerics.Optimize.brent ~f ~lo:(-10.0) ~hi:10.0 ~tol:1e-10 in
-  check_close ~tol:1e-6 "brent on quadratic" (-1.25) x
-
-let test_brent_nonsmooth () =
-  let f x = Float.abs (x -. 0.7) in
-  let x = Numerics.Optimize.brent ~f ~lo:0.0 ~hi:2.0 ~tol:1e-9 in
-  check_close ~tol:1e-5 "brent on |x - a|" 0.7 x
-
 let test_integer_argmin_basic () =
   let f m = float_of_int ((m - 17) * (m - 17)) in
   let r =
@@ -54,8 +44,6 @@ let test_roots_brent () =
 let suite =
   [
     case "golden section" test_golden_quadratic;
-    case "brent minimise quadratic" test_brent_quadratic;
-    case "brent minimise |x-a|" test_brent_nonsmooth;
     case "integer argmin" test_integer_argmin_basic;
     case "integer argmin hard cap" test_integer_argmin_hard_cap;
     case "bisect" test_roots_bisect;
@@ -75,5 +63,11 @@ let suite =
       (fun target ->
         let f x = (x ** 3.0) +. x -. ((target ** 3.0) +. target) in
         let x = Numerics.Roots.bisect ~f ~lo:(-3.0) ~hi:3.0 ~tol:1e-10 in
+        Float.abs (x -. target) < 1e-6);
+    qcheck "brent root solves x = u on monotone cubic"
+      QCheck2.Gen.(float_range (-2.0) 2.0)
+      (fun target ->
+        let f x = (x ** 3.0) +. x -. ((target ** 3.0) +. target) in
+        let x = Numerics.Roots.brent ~f ~lo:(-3.0) ~hi:3.0 ~tol:1e-10 in
         Float.abs (x -. target) < 1e-6);
   ]

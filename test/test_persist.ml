@@ -983,7 +983,41 @@ let test_cli_refuses_bad_links () =
       usage_error
         (String.concat " " cmd ^ " --max-retries")
         (cmd @ [ "--max-retries"; "1" ]))
-    [ [ "cac"; "decide" ]; [ "cac"; "replay" ]; [ "serve"; "--port"; "0" ] ]
+    [ [ "cac"; "decide" ]; [ "cac"; "replay" ]; [ "serve"; "--port"; "0" ] ];
+  usage_error "cac sweep --task-retries"
+    [ "cac"; "sweep"; "--task-retries"; "1" ]
+
+(* A zero buffer is a link dimension the engine accepts (as
+   [cac decide --buffer-msec 0] does), so [serve --link] boots with
+   one and decides on it. *)
+let test_serve_zero_buffer_link () =
+  let pid, log =
+    spawn_daemon [ "serve"; "--port"; "0"; "--link"; "z=16140:0:1e-6" ]
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
+      try Sys.remove log with Sys_error _ -> ())
+    (fun () ->
+      wait_for_pattern log "listening on";
+      let port = bound_port_of_log log in
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+          let body = {|{"link":"z","class":"dar1"}|} in
+          Srv.Io.write_string fd
+            (Printf.sprintf
+               "POST /v1/decide HTTP/1.1\r\ncontent-length: %d\r\n\r\n%s"
+               (String.length body) body);
+          match read_response (Srv.Io.reader fd) with
+          | Some (200, _) -> ()
+          | Some (st, body) ->
+              Alcotest.failf "decide on a zero-buffer link answered %d: %s" st
+                body
+          | None -> Alcotest.fail "daemon hung up mid-decide"))
 
 let test_verify_state_cli () =
   with_tmp_dir @@ fun dir ->
@@ -1081,6 +1115,7 @@ let suite =
       test_crash_recovery_under_faults;
     slow_case "verify-state CLI exit codes" test_verify_state_cli;
     case "bad link dimensions are usage errors" test_cli_refuses_bad_links;
+    case "serve accepts a zero-buffer link" test_serve_zero_buffer_link;
     slow_case "state dir is single-owner (kernel lock)"
       test_store_lock_single_owner;
     slow_case "SIGHUP reopens the access log" test_sighup_reopens_access_log;

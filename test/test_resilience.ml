@@ -433,40 +433,29 @@ let sweep_scenarios () =
 
 let test_sweep_survives_faults () =
   with_faults ~seed:31 "cac.sweep.task=raise:0.5" @@ fun () ->
-  let outcomes = Cac.Sweep.run ~domains:2 ~task_retries:0 (sweep_scenarios ()) in
+  let errors = Obs.Registry.counter_value "cac.sweep.task_errors" in
+  let outcomes = Cac.Sweep.run ~domains:2 (sweep_scenarios ()) in
   check_int "one outcome per scenario" 4 (Array.length outcomes);
   let failed = Cac.Sweep.failures outcomes in
   check_true "the armed faults killed at least one task" (failed <> []);
+  check_int "each failed task ran once" (List.length failed)
+    (Obs.Registry.counter_value "cac.sweep.task_errors" - errors);
   check_true "and not all of them"
     (Array.length (Cac.Sweep.rows outcomes) > 0);
   List.iter
     (fun f ->
       check_true "failure names the injected fault"
-        (contains_substring f.Cac.Sweep.error "cac.sweep.task");
-      check_int "retries were disabled" 1 f.Cac.Sweep.attempts)
+        (contains_substring f.Cac.Sweep.error "cac.sweep.task"))
     failed;
   (* Determinism across domain counts: per-task reseeding makes the
      fault pattern a function of the scenario, not the scheduler. *)
-  let sequential =
-    Cac.Sweep.run ~domains:1 ~task_retries:0 (sweep_scenarios ())
-  in
+  let sequential = Cac.Sweep.run ~domains:1 (sweep_scenarios ()) in
   check_true "parallel chaos run equals sequential" (outcomes = sequential)
-
-let test_sweep_retry_recovers () =
-  (* At rate 1 every attempt dies: retries are spent and every row
-     fails with the right attempt count. *)
-  with_faults ~seed:31 "cac.sweep.task=raise" @@ fun () ->
-  let outcomes = Cac.Sweep.run ~domains:1 ~task_retries:2 (sweep_scenarios ()) in
-  check_int "all scenarios failed" 4
-    (List.length (Cac.Sweep.failures outcomes));
-  List.iter
-    (fun f -> check_int "three attempts each" 3 f.Cac.Sweep.attempts)
-    (Cac.Sweep.failures outcomes)
 
 let test_sweep_table_renders_failures () =
   let outcomes =
     with_faults ~seed:31 "cac.sweep.task=raise:0.5" @@ fun () ->
-    Cac.Sweep.run ~domains:1 ~task_retries:0 (sweep_scenarios ())
+    Cac.Sweep.run ~domains:1 (sweep_scenarios ())
   in
   let path = Filename.temp_file "cts_sweep" ".txt" in
   let oc = open_out path in
@@ -482,7 +471,7 @@ let test_sweep_table_renders_failures () =
   let table = really_input_string ic (in_channel_length ic) in
   close_in ic;
   check_true "failed scenarios render as ERROR rows"
-    (contains_substring table "ERROR");
+    (contains_substring table "ERROR: ");
   check_true "no raw inf leaks into the table"
     (not (contains_substring table "inf"))
 
@@ -597,7 +586,6 @@ let suite =
     case "workload survives admit faults" test_workload_counts_errors;
     case "workload spec validation" test_workload_spec_validation;
     case "sweep survives task faults" test_sweep_survives_faults;
-    case "sweep retries are bounded and counted" test_sweep_retry_recovers;
     case "sweep table renders failures and no inf" test_sweep_table_renders_failures;
     case "remove_link keeps release accounting exact"
       test_remove_link_accounting;

@@ -64,13 +64,6 @@ let test_acf_fft_agrees () =
     check_close ~tol:1e-9 (Printf.sprintf "lag %d" k) direct.(k) fast.(k)
   done
 
-let test_pacf_ar1_cutoff () =
-  let pacf = Stats.Acf.partial_autocorrelation (ar1_sample ~rho:0.7 200_000) ~max_lag:5 in
-  check_close ~tol:0.02 "pacf lag 1 = rho" 0.7 pacf.(1);
-  for k = 2 to 5 do
-    check_close ~tol:0.02 (Printf.sprintf "pacf cuts off at %d" k) 0.0 pacf.(k)
-  done
-
 let test_histogram () =
   let h = Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~bins:5 in
   List.iter (Stats.Histogram.add h) [ -1.0; 0.5; 1.5; 2.5; 9.9; 11.0; 10.0 ];
@@ -101,24 +94,6 @@ let test_ci () =
   check_true "99% wider than 95%"
     (ci99.Stats.Ci.half_width > ci.Stats.Ci.half_width)
 
-let test_batch_means () =
-  (* On iid data the batch-means interval agrees with the plain one up
-     to degrees-of-freedom differences. *)
-  let iid = gaussian_sample ~seed:43 10_000 in
-  let plain = Stats.Ci.mean_ci iid in
-  let batched = Stats.Ci.batch_means_ci ~batches:20 iid in
-  check_close ~tol:0.05 "points agree" plain.Stats.Ci.point
-    batched.Stats.Ci.point;
-  check_close ~tol:0.02 "widths comparable" plain.Stats.Ci.half_width
-    batched.Stats.Ci.half_width;
-  (* On positively correlated data the batch-means interval must be
-     wider than the (invalid) iid interval. *)
-  let correlated = ar1_sample ~seed:45 ~rho:0.95 10_000 in
-  let naive = Stats.Ci.mean_ci correlated in
-  let honest = Stats.Ci.batch_means_ci ~batches:20 correlated in
-  check_true "batch means widens the interval under correlation"
-    (honest.Stats.Ci.half_width > 2.0 *. naive.Stats.Ci.half_width)
-
 let test_regression_exact () =
   let x = [| 1.0; 2.0; 3.0; 4.0; 5.0 |] in
   let y = Array.map (fun v -> (2.5 *. v) -. 1.0) x in
@@ -144,11 +119,9 @@ let suite =
     case "acf of iid noise" test_acf_iid;
     case "acf of AR(1)" test_acf_ar1;
     case "acf fft vs direct" test_acf_fft_agrees;
-    case "pacf cutoff for AR(1)" test_pacf_ar1_cutoff;
     case "histogram counting" test_histogram;
     case "chi-square vs gaussian" test_histogram_chi_square_gaussian;
     case "confidence interval" test_ci;
-    case "batch means" test_batch_means;
     case "regression exact line" test_regression_exact;
     case "regression log-log power law" test_regression_log_log;
     qcheck "acf bounded by 1" QCheck2.Gen.(int_range 1 20)
