@@ -591,44 +591,46 @@ let cac_replay_cmd =
                   in
                   1.1 *. float_of_int (Stdlib.max 1 n_max) /. holding
             in
-            let spec =
-              Cac.Workload.spec ~mean_holding:holding ~arrival_rate ~requests ~mix
-                ()
-            in
-            let engine = make_engine () in
-            let t0 = Obs.Clock.wall () in
-            let result =
-              Cac.Workload.run engine ~link:"link" spec
-                (Numerics.Rng.create ~seed)
-            in
-            let elapsed = Obs.Clock.wall () -. t0 in
-            Printf.printf
-              "replayed %d connection attempts (%.2f Erlangs offered) in %.2f s\n"
-              result.Cac.Workload.offered
-              (Cac.Workload.offered_load spec)
-              elapsed;
-            Printf.printf "admitted       %d\n" result.Cac.Workload.admitted;
-            Printf.printf "rejected       %d\n" result.Cac.Workload.rejected;
-            if result.Cac.Workload.errors > 0 || result.Cac.Workload.degraded > 0
-            then
+            match
+              Cac.Workload.spec ~mean_holding:holding ~arrival_rate ~requests
+                ~mix ()
+            with
+            | exception Invalid_argument msg -> `Error (false, msg)
+            | spec ->
+              let engine = make_engine () in
+              let t0 = Obs.Clock.wall () in
+              let result =
+                Cac.Workload.run engine ~link:"link" spec
+                  (Numerics.Rng.create ~seed)
+              in
+              let elapsed = Obs.Clock.wall () -. t0 in
               Printf.printf
-                "resilience     %d engine errors (fail-closed), %d degraded \
-                 peak-rate decisions\n"
-                result.Cac.Workload.errors result.Cac.Workload.degraded;
-            Printf.printf "blocking       %.4f overall, %.4f steady-state\n"
-              result.Cac.Workload.blocking result.Cac.Workload.steady_blocking;
-            Printf.printf "occupancy      %.1f mean, %d peak, %d at end\n"
-              result.Cac.Workload.mean_occupancy result.Cac.Workload.peak_occupancy
-              result.Cac.Workload.final_occupancy;
-            Printf.printf "cache          %.1f%% hits overall, %.1f%% steady-state\n"
-              (100.0 *. result.Cac.Workload.cache_hit_rate)
-              (100.0 *. result.Cac.Workload.steady_cache_hit_rate);
-            Printf.printf "latency        %.2f us mean per decision\n"
-              result.Cac.Workload.mean_latency_us;
-            let stats = Cac.Engine.cache_stats engine in
-            Printf.printf "cache entries  %d (%d evictions)\n"
-              stats.Cac.Decision_cache.entries stats.Cac.Decision_cache.evictions;
-            `Ok ())
+                "replayed %d connection attempts (%.2f Erlangs offered) in %.2f s\n"
+                result.Cac.Workload.offered
+                (Cac.Workload.offered_load spec)
+                elapsed;
+              Printf.printf "admitted       %d\n" result.Cac.Workload.admitted;
+              Printf.printf "rejected       %d\n" result.Cac.Workload.rejected;
+              if result.Cac.Workload.errors > 0 || result.Cac.Workload.degraded > 0
+              then
+                Printf.printf
+                  "resilience     %d engine errors (fail-closed), %d degraded \
+                   peak-rate decisions\n"
+                  result.Cac.Workload.errors result.Cac.Workload.degraded;
+              Printf.printf "blocking       %.4f overall, %.4f steady-state\n"
+                result.Cac.Workload.blocking result.Cac.Workload.steady_blocking;
+              Printf.printf "occupancy      %.1f mean, %d peak, %d at end\n"
+                result.Cac.Workload.mean_occupancy result.Cac.Workload.peak_occupancy
+                result.Cac.Workload.final_occupancy;
+              Printf.printf "cache          %.1f%% hits overall, %.1f%% steady-state\n"
+                (100.0 *. result.Cac.Workload.cache_hit_rate)
+                (100.0 *. result.Cac.Workload.steady_cache_hit_rate);
+              Printf.printf "latency        %.2f us mean per decision\n"
+                result.Cac.Workload.mean_latency_us;
+              let stats = Cac.Engine.cache_stats engine in
+              Printf.printf "cache entries  %d (%d evictions)\n"
+                stats.Cac.Decision_cache.entries stats.Cac.Decision_cache.evictions;
+              `Ok ())
   in
   Cmd.v
     (Cmd.info "replay"
@@ -695,6 +697,8 @@ let cac_sweep_cmd =
             class_names_doc )
     else if buffers_msec = [] || target_clrs = [] then
       `Error (false, "need at least one buffer size and one CLR target")
+    else if Option.fold ~none:false ~some:(fun d -> d < 1) domains then
+      `Error (false, "--domains must be at least 1")
     else begin
       let scenarios =
         Cac.Sweep.grid ~capacity ~requests ~seed ~class_names ~buffers_msec

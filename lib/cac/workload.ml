@@ -7,10 +7,12 @@ type spec = {
 }
 
 let spec ?(warmup = 0.2) ?(mean_holding = 60.0) ~arrival_rate ~requests ~mix () =
-  if not (arrival_rate > 0.0 && Float.is_finite arrival_rate) then
-    invalid_arg "Workload.spec: arrival_rate must be positive and finite";
+  (* Holding first: a caller may derive the rate from it, and then a bad
+     holding time would be reported as a bad rate. *)
   if not (mean_holding > 0.0 && Float.is_finite mean_holding) then
     invalid_arg "Workload.spec: mean_holding must be positive and finite";
+  if not (arrival_rate > 0.0 && Float.is_finite arrival_rate) then
+    invalid_arg "Workload.spec: arrival_rate must be positive and finite";
   if requests < 1 then invalid_arg "Workload.spec: requests < 1";
   if mix = [] || List.exists (fun (_, w) -> not (w > 0.0)) mix then
     invalid_arg "Workload.spec: mix must be non-empty with positive weights";

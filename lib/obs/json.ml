@@ -7,28 +7,46 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
+(* The bytes a JSON string must escape: the quote, the backslash and
+   the C0 controls. *)
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+(* Keys, methods, paths and trace ids need no escaping, so the common
+   case returns [s] itself and builds nothing. *)
 let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+  if not (String.exists needs_escape s) then s
+  else begin
+    let buf = Buffer.create (String.length s + 2) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+  end
+
+(* The C primitive that [Printf]'s [%g] conversions end in.  Calling it
+   with a constant format gives the same bytes as [Printf.sprintf]
+   without interpreting the format string on every call. *)
+external format_float : string -> float -> string = "caml_format_float"
 
 let float_repr x =
-  (* Shortest representation that round-trips; JSON has no non-finite
-     literals, so those become null at the call site. *)
-  let s = Printf.sprintf "%.17g" x in
-  let shorter = Printf.sprintf "%.12g" x in
-  if Float.equal (float_of_string shorter) x then shorter else s
+  (* [%.12g] when that reads back as [x], else [%.17g], which always
+     does.  This is not the shortest form that round-trips: [1. /. 3.]
+     prints 0.33333333333333331, 17 digits, although 16 would read
+     back.  Journal and snapshot bytes depend on the rule, so it stays.
+     JSON has no non-finite literals; those become null at the call
+     site. *)
+  let short = format_float "%.12g" x in
+  if Float.equal (float_of_string short) x then short
+  else format_float "%.17g" x
 
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"

@@ -2,8 +2,11 @@
     telemetry sinks and exporters, with no external dependencies.
 
     Encoding notes: non-finite floats become [null] (JSON has no
-    literal for them); floats print with the shortest representation
-    that round-trips through [float_of_string]. *)
+    literal for them); a finite float prints as [%.12g] when that reads
+    back through [float_of_string] as the same float, else as [%.17g].
+    That is not always the shortest form that reads back: [1. /. 3.]
+    prints [0.33333333333333331], where [0.3333333333333333] would do.
+    Journal and snapshot bytes depend on this rule. *)
 
 type t =
   | Null

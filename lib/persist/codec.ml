@@ -1,8 +1,8 @@
 (* JSON wire format for journal records and snapshot state.  One op
-   per WAL record payload; floats render with Obs.Json's
-   shortest-round-trip encoder, so encoding is deterministic — equal
-   values always produce equal bytes (recovery determinism leans on
-   this). *)
+   per WAL record payload; floats render with Obs.Json's rule (%.12g
+   when that reads back as the same float, else %.17g), so encoding is
+   deterministic and lossless — equal values always produce equal
+   bytes (recovery determinism leans on this). *)
 
 module J = Obs.Json
 module E = Cac.Engine

@@ -1,7 +1,8 @@
 (** JSON wire format for journal records and snapshot state.
 
     Encoding is deterministic: equal values produce equal bytes
-    (Obs.Json floats use the shortest round-tripping representation),
+    (an Obs.Json float is [%.12g] when that reads back as the same
+    float, else [%.17g]),
     which is what makes snapshot/replay byte-determinism testable. *)
 
 val encode_op : Cac.Engine.op -> string

@@ -242,14 +242,21 @@ let json_error ~status reason =
 
 let to_string ~keep_alive:ka resp =
   let b = Buffer.create (256 + String.length resp.body) in
-  Buffer.add_string b
-    (Printf.sprintf "HTTP/1.1 %d %s\r\n" resp.status
-       (reason_phrase resp.status));
+  Buffer.add_string b "HTTP/1.1 ";
+  Buffer.add_string b (string_of_int resp.status);
+  Buffer.add_char b ' ';
+  Buffer.add_string b (reason_phrase resp.status);
+  Buffer.add_string b "\r\n";
   List.iter
-    (fun (k, v) -> Buffer.add_string b (Printf.sprintf "%s: %s\r\n" k v))
+    (fun (k, v) ->
+      Buffer.add_string b k;
+      Buffer.add_string b ": ";
+      Buffer.add_string b v;
+      Buffer.add_string b "\r\n")
     resp.resp_headers;
-  Buffer.add_string b
-    (Printf.sprintf "content-length: %d\r\n" (String.length resp.body));
+  Buffer.add_string b "content-length: ";
+  Buffer.add_string b (string_of_int (String.length resp.body));
+  Buffer.add_string b "\r\n";
   Buffer.add_string b
     (if ka then "connection: keep-alive\r\n" else "connection: close\r\n");
   Buffer.add_string b "\r\n";

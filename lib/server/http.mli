@@ -14,7 +14,9 @@ val meth_name : meth -> string
 val meth_equal : meth -> meth -> bool
 
 type limits = {
-  max_line : int;  (** request line / single header line, bytes *)
+  max_line : int;
+      (** request line / single header line: bytes before the LF, a
+          CR among them *)
   max_headers : int;  (** header field count *)
   max_body : int;  (** [Content-Length] bound, bytes *)
 }

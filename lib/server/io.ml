@@ -56,35 +56,51 @@ let refill r deadline =
   in
   read ()
 
-let read_byte r deadline =
-  if r.pos >= r.len && not (refill r deadline) then raise Closed
-  else begin
-    let b = Bytes.get r.buf r.pos in
-    r.pos <- r.pos + 1;
-    b
-  end
-
 exception Line_too_long
 
 (* One CRLF- (or bare-LF-) terminated line, terminator stripped.
    [None] on a clean EOF before any byte of the line; EOF mid-line
-   raises [Closed]; more than [max] bytes before the terminator raises
-   [Line_too_long]. *)
+   raises [Closed]; more than [max] bytes before the LF (a CR among
+   them) raises [Line_too_long].  Each fill is searched for the LF and
+   copied a chunk at a time: a line that lies in one fill is one
+   [Bytes.sub_string], and only a line split across fills collects its
+   pieces in a [Buffer]. *)
 let read_line r ~max deadline =
-  let line = Buffer.create 128 in
-  let rec go started =
-    match read_byte r deadline with
-    | exception Closed -> if started then raise Closed else None
-    | '\n' ->
-        let s = Buffer.contents line in
-        let n = String.length s in
-        Some (if n > 0 && s.[n - 1] = '\r' then String.sub s 0 (n - 1) else s)
-    | c ->
-        if Buffer.length line >= max then raise Line_too_long;
-        Buffer.add_char line c;
-        go true
+  let rec newline i =
+    if i >= r.len then -1
+    else if Bytes.unsafe_get r.buf i = '\n' then i
+    else newline (i + 1)
   in
-  go false
+  (* [seen] holds the line's bytes from earlier fills. *)
+  let rec go seen =
+    if r.pos >= r.len && not (refill r deadline) then
+      if Option.is_some seen then raise Closed else None
+    else begin
+      let start = r.pos in
+      let lf = newline start in
+      let stop = if lf < 0 then r.len else lf in
+      let before = match seen with None -> 0 | Some b -> Buffer.length b in
+      if before + (stop - start) > max then raise Line_too_long;
+      r.pos <- (if lf < 0 then r.len else lf + 1);
+      match seen with
+      | None when lf >= 0 ->
+          let stop =
+            if stop > start && Bytes.get r.buf (stop - 1) = '\r' then stop - 1
+            else stop
+          in
+          Some (Bytes.sub_string r.buf start (stop - start))
+      | _ ->
+          let b = match seen with Some b -> b | None -> Buffer.create 256 in
+          Buffer.add_subbytes b r.buf start (stop - start);
+          if lf < 0 then go (Some b)
+          else begin
+            let n = Buffer.length b in
+            let n = if n > 0 && Buffer.nth b (n - 1) = '\r' then n - 1 else n in
+            Some (Buffer.sub b 0 n)
+          end
+    end
+  in
+  go None
 
 (* Exactly [n] bytes; raises [Closed] if the peer quits early. *)
 let read_exact r n deadline =

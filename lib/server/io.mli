@@ -1,8 +1,8 @@
 (** Buffered socket I/O with absolute deadlines.
 
     The serving layer reads requests through a {!reader}: a fixed
-    buffer over a [Unix.file_descr] with byte-, line- and
-    exact-length reads, each bounded by an absolute monotonic
+    buffer over a [Unix.file_descr] with line and exact-length
+    reads, each bounded by an absolute monotonic
     {!deadline} so a trickling peer cannot hold a worker forever.
     Writes are unbuffered ([write] until done) — responses are
     serialized into one string first (see {!Http.write_response}). *)
@@ -32,7 +32,8 @@ val reader : ?buf_size:int -> Unix.file_descr -> reader
 val read_line : reader -> max:int -> deadline -> string option
 (** One line, CRLF or LF terminated, terminator stripped.  [None] on
     clean EOF before the first byte; raises {!Closed} on EOF mid-line
-    and {!Line_too_long} past [max] bytes. *)
+    and {!Line_too_long} past [max] bytes before the LF (a CR counts
+    toward [max]). *)
 
 val read_exact : reader -> int -> deadline -> string
 (** Exactly [n] bytes; raises {!Closed} on early EOF. *)

@@ -606,6 +606,61 @@ let test_json_roundtrip () =
   | Some parsed -> check_true "round-trips structurally" (parsed = doc)
   | None -> Alcotest.fail "encoder output did not parse"
 
+(* The reference for the encoder's float rule, spelled with [Printf]:
+   [%.12g] if that reads back as [x], else [%.17g]; non-finite is null.
+   Journal and snapshot bytes depend on it, so the encoder must match it
+   byte for byte. *)
+let printf_float_json x =
+  if not (Float.is_finite x) then "null"
+  else
+    let short = Printf.sprintf "%.12g" x in
+    if Float.equal (float_of_string short) x then short
+    else Printf.sprintf "%.17g" x
+
+let test_json_float_bytes () =
+  let rng = Random.State.make [| 1996 |] in
+  let checked = ref 0 in
+  let check x =
+    incr checked;
+    let got = Obs.Json.to_string (Obs.Json.Float x) in
+    let want = printf_float_json x in
+    if not (String.equal got want) then
+      Alcotest.failf "%h (%Ld): encoder %S, Printf rule %S" x
+        (Int64.bits_of_float x) got want
+  in
+  List.iter check
+    [ 0.0; -0.0; 0.1 +. 0.2; 1.0 /. 3.0; max_float; -.max_float; min_float;
+      Float.epsilon; 4.9e-324; -4.9e-324; Float.pred min_float; 1e12; -1e12;
+      nan; infinity; neg_infinity ];
+  Alcotest.(check string) "1/3 takes 17 digits" "0.33333333333333331"
+    (Obs.Json.to_string (Obs.Json.Float (1.0 /. 3.0)));
+  Alcotest.(check string) "0.1 + 0.2" "0.30000000000000004"
+    (Obs.Json.to_string (Obs.Json.Float (0.1 +. 0.2)));
+  (* Powers of ten across the whole range, and their neighbours. *)
+  for e = -323 to 308 do
+    let p = float_of_string ("1e" ^ string_of_int e) in
+    List.iter check [ p; -.p; Float.succ p; Float.pred p ]
+  done;
+  (* Integers on both sides of 1e12, where %.12g stops being exact. *)
+  for i = -2000 to 2000 do
+    check (1e12 +. float_of_int i);
+    check (-1e12 -. float_of_int i);
+    check (float_of_int i)
+  done;
+  for _ = 1 to 100_000 do
+    check (Float.of_int (Random.State.int rng 0x3FFFFFFF - 0x1FFFFFFF));
+    check (Float.round (Random.State.float rng 1e15))
+  done;
+  (* Random 64-bit patterns: every exponent, subnormals and NaNs. *)
+  for _ = 1 to 600_000 do
+    check (Int64.float_of_bits (Random.State.bits64 rng))
+  done;
+  (* Uniform values, as the daemon's latencies and rates are. *)
+  for _ = 1 to 200_000 do
+    check (Random.State.float rng 1000.0)
+  done;
+  check_true "at least a million doubles" (!checked >= 1_000_000)
+
 let test_json_rejects_garbage () =
   List.iter
     (fun s ->
@@ -805,6 +860,7 @@ let suite =
     case "heatmap: self-contained html" test_heatmap_html;
     case "json: encode/parse round-trip" test_json_roundtrip;
     case "json: rejects malformed input" test_json_rejects_garbage;
+    case "json: float bytes match the Printf rule" test_json_float_bytes;
     case "sink: jsonl message round-trip" test_jsonl_message_roundtrip;
     case "sink: jsonl lines from concurrent domains" test_jsonl_concurrent_lines;
     case "prometheus: golden exposition" test_prometheus_golden;

@@ -954,8 +954,9 @@ let test_store_lock_single_owner () =
   in
   Persist.Store.close again
 
-(* Bad link dimensions and removed flags are usage errors (cmdliner's
-   124), caught before the daemon touches its state directory: an
+(* Bad link dimensions, bad workload or pool sizes and removed flags
+   are usage errors (cmdliner's 124), not uncaught exceptions (125).
+   A bad link is caught before the daemon touches its state directory: an
    infinite capacity would otherwise be journaled as JSON null and
    fail the next boot on the same directory. *)
 let test_cli_refuses_bad_links () =
@@ -985,7 +986,12 @@ let test_cli_refuses_bad_links () =
         (cmd @ [ "--max-retries"; "1" ]))
     [ [ "cac"; "decide" ]; [ "cac"; "replay" ]; [ "serve"; "--port"; "0" ] ];
   usage_error "cac sweep --task-retries"
-    [ "cac"; "sweep"; "--task-retries"; "1" ]
+    [ "cac"; "sweep"; "--task-retries"; "1" ];
+  (* Bad workload and pool sizes are refused before any work starts. *)
+  usage_error "cac replay --requests 0" [ "cac"; "replay"; "--requests"; "0" ];
+  usage_error "cac replay --holding 0" [ "cac"; "replay"; "--holding"; "0" ];
+  usage_error "cac replay --rate=-1" [ "cac"; "replay"; "--rate=-1" ];
+  usage_error "cac sweep --domains 0" [ "cac"; "sweep"; "--domains"; "0" ]
 
 (* A zero buffer is a link dimension the engine accepts (as
    [cac decide --buffer-msec 0] does), so [serve --link] boots with

@@ -136,7 +136,29 @@ let test_parse_truncated () =
   check_int "cut mid-headers" 400
     (parse_error_status "GET /x HTTP/1.1\r\nHost: cts");
   check_int "cut mid-body" 400
-    (parse_error_status "POST /x HTTP/1.1\r\ncontent-length: 10\r\n\r\nhi")
+    (parse_error_status "POST /x HTTP/1.1\r\ncontent-length: 10\r\n\r\nhi");
+  (* EOF at every byte maps to a parse outcome; nothing raises.  Mid
+     request line is a quiet [Eof]; past it, a 400 that names where the
+     peer left. *)
+  let request_line = "POST /v1/decide HTTP/1.1\r\n" in
+  let head = request_line ^ "Host: cts\r\ncontent-length: 5\r\n\r\n" in
+  let full = head ^ "hello" in
+  for p = 0 to String.length full do
+    let expected =
+      if p < String.length request_line then "eof"
+      else if p < String.length head then "400 connection closed mid-headers"
+      else if p < String.length full then "400 connection closed mid-body"
+      else "request"
+    in
+    let got =
+      match parse (String.sub full 0 p) with
+      | Http.Eof -> "eof"
+      | Http.Error { status; reason } -> Printf.sprintf "%d %s" status reason
+      | Http.Request _ -> "request"
+    in
+    check_str (Printf.sprintf "EOF after %d of %d bytes" p (String.length full))
+      expected got
+  done
 
 let test_parse_oversized () =
   let limits = { Http.max_line = 48; max_headers = 2; max_body = 64 } in
@@ -146,6 +168,31 @@ let test_parse_oversized () =
   check_int "header line too long" 431
     (parse_error_status ~limits
        (Printf.sprintf "GET /x HTTP/1.1\r\nx: %s\r\n\r\n" long));
+  (* At the limit: a line holds [max_line] bytes before its LF, a CR
+     among them, and one more byte refuses it. *)
+  let request_line n =
+    "GET /" ^ String.make (n - String.length "GET / HTTP/1.1") 'a' ^ " HTTP/1.1"
+  in
+  let header_line n = "x: " ^ String.make (n - 3) 'v' in
+  let accepted what bytes =
+    match parse ~limits bytes with
+    | Http.Request _ -> ()
+    | _ -> Alcotest.failf "%s: %S refused" what bytes
+  in
+  accepted "CRLF request line of max_line bytes" (request_line 47 ^ "\r\n\r\n");
+  accepted "LF request line of max_line bytes" (request_line 48 ^ "\n\n");
+  check_int "CRLF request line of max_line + 1 bytes" 414
+    (parse_error_status ~limits (request_line 48 ^ "\r\n\r\n"));
+  check_int "LF request line of max_line + 1 bytes" 414
+    (parse_error_status ~limits (request_line 49 ^ "\n\n"));
+  accepted "CRLF header line of max_line bytes"
+    ("GET /x HTTP/1.1\r\n" ^ header_line 47 ^ "\r\n\r\n");
+  accepted "LF header line of max_line bytes"
+    ("GET /x HTTP/1.1\n" ^ header_line 48 ^ "\n\n");
+  check_int "CRLF header line of max_line + 1 bytes" 431
+    (parse_error_status ~limits ("GET /x HTTP/1.1\r\n" ^ header_line 48 ^ "\r\n\r\n"));
+  check_int "LF header line of max_line + 1 bytes" 431
+    (parse_error_status ~limits ("GET /x HTTP/1.1\n" ^ header_line 49 ^ "\n\n"));
   check_int "too many headers" 431
     (parse_error_status ~limits
        "GET /x HTTP/1.1\r\na: 1\r\nb: 2\r\nc: 3\r\n\r\n");
@@ -172,6 +219,219 @@ let test_keep_alive_semantics () =
     (ka "GET /x HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n");
   check_true "1.1 opts out with close"
     (not (ka "GET /x HTTP/1.1\r\nconnection: close\r\n\r\n"))
+
+(* Bare-LF lines are lines, alone and mixed with CRLF ones. *)
+let test_parse_bare_lf () =
+  match
+    parse "POST /v1/decide?x=1 HTTP/1.1\nHost: cts\r\ncontent-length: 4\n\na\r\nb"
+  with
+  | Http.Request req ->
+      check_str "path" "/v1/decide" req.Http.path;
+      check_str "CRLF header among LF ones" "cts"
+        (Option.value ~default:"?" (Http.header req "host"));
+      check_str "body" "a\r\nb" req.Http.body
+  | _ -> Alcotest.fail "bare-LF request did not parse"
+
+(* {2 Pipelined requests cut at arbitrary points}
+
+   Each chunk is written only once the reader has taken the previous
+   one off the socket, so the parser's reads end exactly at the cuts.
+   Two pipelined requests and the EOF after them must parse the same
+   whatever the cuts.  The second request parses right only if reading
+   the first body took nothing past its length. *)
+
+type wire = {
+  w_meth : string;
+  w_path : string;
+  w_query : (string * string) list;
+  w_headers : (string * string) list;  (** as sent: any case, padded values *)
+  w_body : string;
+  w_eol : string;  (** "\r\n" or "\n" *)
+}
+
+let wire_target w =
+  match w.w_query with
+  | [] -> w.w_path
+  | q -> w.w_path ^ "?" ^ String.concat "&" (List.map (fun (k, v) -> k ^ "=" ^ v) q)
+
+let wire_bytes w =
+  let b = Buffer.create 256 in
+  let line s =
+    Buffer.add_string b s;
+    Buffer.add_string b w.w_eol
+  in
+  line (w.w_meth ^ " " ^ wire_target w ^ " HTTP/1.1");
+  List.iter (fun (k, v) -> line (k ^ ":" ^ v)) w.w_headers;
+  line ("Content-Length: " ^ string_of_int (String.length w.w_body));
+  line "";
+  Buffer.add_string b w.w_body;
+  Buffer.contents b
+
+(* The request the parser must make of [w]. *)
+let wire_matches w (req : Http.request) =
+  String.equal (Http.meth_name req.Http.meth) w.w_meth
+  && String.equal req.Http.target (wire_target w)
+  && String.equal req.Http.path w.w_path
+  && req.Http.query = w.w_query
+  && req.Http.version = Http.Http_1_1
+  && req.Http.headers
+     = List.map (fun (k, v) -> (String.lowercase_ascii k, String.trim v)) w.w_headers
+       @ [ ("content-length", string_of_int (String.length w.w_body)) ]
+  && String.equal req.Http.body w.w_body
+
+(* Write [chunks] in turn, each once the last has been read, then
+   close; return what three [read_request]s made of them. *)
+let parse_chunks chunks =
+  with_socketpair (fun client server ->
+      let reader =
+        Domain.spawn (fun () ->
+            let r = Io.reader server in
+            let read () = Http.read_request r (Io.deadline_in 5.0) in
+            let first = read () in
+            let second = read () in
+            let third = read () in
+            [ first; second; third ])
+      in
+      let rec drained tries =
+        match Unix.select [ server ] [] [] 0.0 with
+        | [], _, _ -> ()
+        | _ ->
+            (* A reader that stopped early leaves bytes behind; give up
+               after a second and let the results show it. *)
+            if tries > 0 then begin
+              Unix.sleepf 0.0001;
+              drained (tries - 1)
+            end
+      in
+      List.iter
+        (fun chunk ->
+          Io.write_string client chunk;
+          drained 10_000)
+        chunks;
+      Unix.close client;
+      Domain.join reader)
+
+let cut s cuts =
+  let rec go from = function
+    | [] -> [ String.sub s from (String.length s - from) ]
+    | c :: rest -> String.sub s from (c - from) :: go c rest
+  in
+  go 0 cuts
+
+let pipelined_parse_ok w1 w2 results =
+  match results with
+  | [ Http.Request r1; Http.Request r2; Http.Eof ] ->
+      wire_matches w1 r1 && wire_matches w2 r2
+  | _ -> false
+
+let gen_wire =
+  let open QCheck2.Gen in
+  let alnum = oneofl (List.init 62 (fun i ->
+      if i < 10 then Char.chr (48 + i)
+      else if i < 36 then Char.chr (55 + i)
+      else Char.chr (61 + i)))
+  in
+  let token lo hi = string_size ~gen:alnum (int_range lo hi) in
+  let* w_meth = oneofl [ "GET"; "POST"; "PUT"; "DELETE"; "HEAD"; "OPTIONS"; "PATCH" ] in
+  let* segments = list_size (int_range 0 3) (token 1 8) in
+  let* w_query = list_size (int_range 0 3) (pair (token 1 6) (token 0 6)) in
+  let* w_headers =
+    list_size (int_range 0 6)
+      (pair
+         (map2 (fun x t -> x ^ "-" ^ t) (oneofl [ "x"; "X" ]) (token 1 10))
+         (string_size ~gen:(char_range ' ' '~') (int_range 0 24)))
+  in
+  let* w_body = string_size ~gen:char (int_range 0 80) in
+  let+ w_eol = oneofl [ "\r\n"; "\n" ] in
+  { w_meth; w_path = "/" ^ String.concat "/" segments; w_query; w_headers; w_body; w_eol }
+
+(* Positions in (0, n), sorted and distinct, from raw draws. *)
+let cut_points n raw =
+  List.sort_uniq Int.compare (List.map (fun c -> 1 + (c mod (n - 1))) raw)
+
+let print_pipelined (w1, w2, raw) =
+  let stream = wire_bytes w1 ^ wire_bytes w2 in
+  Printf.sprintf "%S cut at [%s]" stream
+    (String.concat "; "
+       (List.map string_of_int (cut_points (String.length stream) raw)))
+
+let prop_pipelined_cuts (w1, w2, raw) =
+  let stream = wire_bytes w1 ^ wire_bytes w2 in
+  let whole = parse_chunks [ stream ] in
+  pipelined_parse_ok w1 w2 whole
+  && parse_chunks (cut stream (cut_points (String.length stream) raw)) = whole
+
+let test_pipelined_cuts =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 1996 |])
+    (QCheck2.Test.make ~count:200
+       ~name:"parser: pipelined requests cut at random points"
+       ~print:print_pipelined
+       QCheck2.Gen.(triple gen_wire gen_wire (list_size (int_range 1 4) (int_range 0 100_000)))
+       prop_pipelined_cuts)
+
+(* One fixed pair, cut once at every byte boundary. *)
+let test_pipelined_every_boundary () =
+  let w1 =
+    {
+      w_meth = "POST";
+      w_path = "/v1/admit";
+      w_query = [];
+      w_headers = [ ("Host", " cts "); ("X-Trace", "on") ];
+      w_body = "{\"link\":\"big\",\r\n\"class\":\"z0.975\"}\n";
+      w_eol = "\r\n";
+    }
+  in
+  let w2 =
+    {
+      w_meth = "GET";
+      w_path = "/healthz";
+      w_query = [ ("q", "long"); ("n", "3") ];
+      w_headers = [ ("connection", "close") ];
+      w_body = "";
+      w_eol = "\n";
+    }
+  in
+  let stream = wire_bytes w1 ^ wire_bytes w2 in
+  let whole = parse_chunks [ stream ] in
+  check_true "unsplit stream parses to both requests" (pipelined_parse_ok w1 w2 whole);
+  for p = 1 to String.length stream - 1 do
+    if parse_chunks (cut stream [ p ]) <> whole then
+      Alcotest.failf "cut at byte %d of %d parses differently" p (String.length stream)
+  done
+
+(* {2 Response bytes} *)
+
+let test_response_golden () =
+  let resp =
+    Http.add_header
+      (Http.json
+         (Obs.Json.Obj
+            [
+              ("admitted", Obs.Json.Bool true);
+              ("conn", Obs.Json.Int 7);
+              ("log10_bop", Obs.Json.Float (-6.25));
+            ]))
+      ("traceparent", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+  in
+  let bytes connection =
+    "HTTP/1.1 200 OK\r\n\
+     traceparent: 00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01\r\n\
+     content-type: application/json\r\n\
+     content-length: 45\r\n\
+     connection: " ^ connection ^ "\r\n\
+     \r\n\
+     {\"admitted\":true,\"conn\":7,\"log10_bop\":-6.25}\n"
+  in
+  check_str "keep-alive" (bytes "keep-alive") (Http.to_string ~keep_alive:true resp);
+  check_str "close" (bytes "close") (Http.to_string ~keep_alive:false resp);
+  check_str "error answer"
+    "HTTP/1.1 503 Service Unavailable\r\n\
+     content-type: application/json\r\n\
+     content-length: 23\r\n\
+     connection: close\r\n\
+     \r\n\
+     {\"error\":\"queue full\"}\n"
+    (Http.to_string ~keep_alive:false (Http.json_error ~status:503 "queue full"))
 
 (* {2 Router} *)
 
@@ -1082,4 +1342,9 @@ let suite =
       test_daemon_failed_listen_releases_state_dir;
     slow_case "daemon: reopen_logs hands off the access log and trace"
       test_daemon_reopen_logs;
+    case "parser: bare-LF lines" test_parse_bare_lf;
+    test_pipelined_cuts;
+    case "parser: a pipelined pair cut at every byte"
+      test_pipelined_every_boundary;
+    case "http: response bytes golden" test_response_golden;
   ]
