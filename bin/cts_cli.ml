@@ -291,6 +291,14 @@ let buffer_arg =
   let doc = "Total buffer size as maximum drain delay, msec." in
   Arg.(value & opt float 10.0 & info [ "buffer-msec" ] ~docv:"MSEC" ~doc)
 
+let capacity_arg =
+  let doc = "Total link capacity, cells/frame." in
+  Arg.(value & opt float 16140.0 & info [ "capacity" ] ~docv:"CELLS" ~doc)
+
+let clr_arg =
+  let doc = "Target cell loss rate." in
+  Arg.(value & opt float 1e-6 & info [ "clr" ] ~docv:"CLR" ~doc)
+
 let analyze_cmd =
   let run model_name n c buffer_msec =
     with_model model_name @@ fun model vg ->
@@ -327,14 +335,6 @@ let analyze_cmd =
     Term.(ret (const run $ model_arg $ n_arg $ c_arg $ buffer_arg))
 
 let admit_cmd =
-  let capacity_arg =
-    let doc = "Total link capacity, cells/frame." in
-    Arg.(value & opt float 16140.0 & info [ "capacity" ] ~docv:"CELLS" ~doc)
-  in
-  let target_arg =
-    let doc = "Target cell loss rate." in
-    Arg.(value & opt float 1e-6 & info [ "clr" ] ~docv:"CLR" ~doc)
-  in
   let run model_name capacity buffer_msec target_clr =
     with_model model_name @@ fun model vg ->
     let total_buffer =
@@ -354,7 +354,7 @@ let admit_cmd =
   Cmd.v
     (Cmd.info "admit"
        ~doc:"Connection admission count for a link, buffer and CLR target")
-    Term.(ret (const run $ model_arg $ capacity_arg $ buffer_arg $ target_arg))
+    Term.(ret (const run $ model_arg $ capacity_arg $ buffer_arg $ clr_arg))
 
 let simulate_cmd =
   let frames_sim_arg =
@@ -434,18 +434,6 @@ let parse_mix s =
          entries
   then None
   else Some (List.map Option.get entries)
-
-let cac_capacity_arg =
-  let doc = "Total link capacity, cells/frame." in
-  Arg.(value & opt float 16140.0 & info [ "capacity" ] ~docv:"CELLS" ~doc)
-
-let cac_clr_arg =
-  let doc = "Target cell loss rate." in
-  Arg.(value & opt float 1e-6 & info [ "clr" ] ~docv:"CLR" ~doc)
-
-let cac_class_arg =
-  let doc = Printf.sprintf "Traffic class: one of %s." class_names_doc in
-  Arg.(value & opt string "z0.975" & info [ "model" ] ~docv:"CLASS" ~doc)
 
 let cac_decide_cmd =
   let existing_arg =
@@ -529,7 +517,7 @@ let cac_decide_cmd =
        ~doc:"One admission decision against a link with existing load")
     Term.(
       ret
-        (const run $ cac_class_arg $ cac_capacity_arg $ buffer_arg $ cac_clr_arg
+        (const run $ model_arg $ capacity_arg $ buffer_arg $ clr_arg
        $ existing_arg $ fault_term $ obs_term))
 
 let cac_replay_cmd =
@@ -637,7 +625,7 @@ let cac_replay_cmd =
        ~doc:"Replay a Poisson/exponential connection workload on one link")
     Term.(
       ret
-        (const run $ mix_arg $ cac_capacity_arg $ buffer_arg $ cac_clr_arg
+        (const run $ mix_arg $ capacity_arg $ buffer_arg $ clr_arg
        $ requests_arg $ rate_arg $ holding_arg $ seed_replay_arg $ fault_term
        $ obs_term))
 
@@ -732,7 +720,7 @@ let cac_sweep_cmd =
        ~doc:"Domain-parallel capacity-planning sweep over (class, buffer, CLR)")
     Term.(
       ret
-        (const run $ models_arg $ buffers_arg $ clrs_arg $ cac_capacity_arg
+        (const run $ models_arg $ buffers_arg $ clrs_arg $ capacity_arg
        $ requests_arg $ domains_arg $ seed_sweep_arg $ check_arg
        $ heatmap_arg $ fault_term $ obs_term))
 
@@ -859,18 +847,6 @@ let serve_cmd =
     let doc = "Decision-cache capacity (0 disables caching)." in
     Arg.(value & opt int 4096 & info [ "cache-capacity" ] ~docv:"N" ~doc)
   in
-  let breaker_cooldown_s_arg =
-    let doc =
-      "Wall-clock circuit-breaker cooldown, seconds (default: the \
-       deterministic eval-count cooldown).  A tripped breaker probes again \
-       after this long regardless of traffic — the right mode for a \
-       long-running daemon."
-    in
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "breaker-cooldown-s" ] ~docv:"SEC" ~doc)
-  in
   let state_dir_arg =
     let doc =
       "Durable state directory: journal every admitted/released connection \
@@ -905,8 +881,8 @@ let serve_cmd =
       value & opt (some string) None & info [ "access-log" ] ~docv:"PATH" ~doc)
   in
   let run host port domains queue read_timeout max_body links cache_capacity
-      breaker_cooldown_s state_dir fsync_policy snapshot_every
-      access_log quiet fault_opts obs_opts =
+      state_dir fsync_policy snapshot_every access_log quiet fault_opts
+      obs_opts =
     (* The daemon owns the --trace file: SIGHUP reopens it. *)
     with_obs { obs_opts with trace = None } @@ fun () ->
     with_faults fault_opts @@ fun () ->
@@ -914,11 +890,10 @@ let serve_cmd =
     let parsed = List.map parse_link_spec links in
     if queue < 1 then `Error (false, "--queue-capacity must be >= 1")
     else if max_body < 0 then `Error (false, "--max-body must be >= 0")
-    else if
-      match breaker_cooldown_s with
-      | Some s when not (Float.is_finite s && s >= 0.0) -> true
-      | _ -> false
-    then `Error (false, "--breaker-cooldown-s must be finite and >= 0")
+    else if cache_capacity < 0 then
+      `Error (false, "--cache-capacity must be >= 0")
+    else if not (Float.is_finite read_timeout && read_timeout >= 0.0) then
+      `Error (false, "--read-timeout must be finite and >= 0")
     else if snapshot_every < 0 then
       `Error (false, "--snapshot-every must be >= 0")
     else if List.mem None parsed then
@@ -942,7 +917,6 @@ let serve_cmd =
                 max_body;
                 links = List.filter_map Fun.id parsed;
                 cache_capacity;
-                breaker_cooldown_s;
                 state_dir;
                 fsync_policy;
                 snapshot_every;
@@ -992,9 +966,8 @@ let serve_cmd =
       ret
         (const run $ host_arg $ port_arg $ domains_arg $ queue_arg
        $ read_timeout_arg $ max_body_arg $ links_arg $ cache_arg
-       $ breaker_cooldown_s_arg $ state_dir_arg
-       $ fsync_policy_arg $ snapshot_every_arg $ access_log_file_arg
-       $ quiet_arg $ fault_term $ obs_term))
+       $ state_dir_arg $ fsync_policy_arg $ snapshot_every_arg
+       $ access_log_file_arg $ quiet_arg $ fault_term $ obs_term))
 
 (* {2 The obs command group} *)
 

@@ -37,10 +37,6 @@ type t = {
   (* One circuit breaker per (link, class) pair, created on first
      kernel failure path use; see [breaker]. *)
   breakers : (string, Guard.Breaker.t) Hashtbl.t;
-  breaker_threshold : int;
-  breaker_cooldown : int;
-  breaker_cooldown_s : float option;
-      (* Some s: wall-clock breaker mode for long-running servers *)
   mutable next_conn : int;
   (* The durability hook: called with each completed mutation, inside
      whatever critical section the caller runs the engine under.  Must
@@ -62,14 +58,7 @@ type verdict = {
   degraded : bool;
 }
 
-let create ?(cache_capacity = 4096) ?(clock = Obs.Clock.wall)
-    ?(breaker_threshold = 5) ?(breaker_cooldown = 32) ?breaker_cooldown_s () =
-  if breaker_threshold < 1 then invalid_arg "Engine.create: breaker_threshold < 1";
-  if breaker_cooldown < 0 then invalid_arg "Engine.create: breaker_cooldown < 0";
-  (match breaker_cooldown_s with
-  | Some s when not (Float.is_finite s && s >= 0.0) ->
-      invalid_arg "Engine.create: breaker_cooldown_s must be finite and >= 0"
-  | _ -> ());
+let create ?(cache_capacity = 4096) ?(clock = Obs.Clock.wall) () =
   {
     links = Hashtbl.create 8;
     link_telemetry = Hashtbl.create 8;
@@ -78,9 +67,6 @@ let create ?(cache_capacity = 4096) ?(clock = Obs.Clock.wall)
     metrics = Metrics.create ();
     clock;
     breakers = Hashtbl.create 16;
-    breaker_threshold;
-    breaker_cooldown;
-    breaker_cooldown_s;
     next_conn = 0;
     journal = None;
   }
@@ -208,11 +194,7 @@ let breaker t ~link_id ~(cls : Source_class.t) =
   match Hashtbl.find_opt t.breakers key with
   | Some b -> b
   | None ->
-      let b =
-        Guard.Breaker.create ~threshold:t.breaker_threshold
-          ~cooldown:t.breaker_cooldown ?cooldown_s:t.breaker_cooldown_s
-          ~label:key ()
-      in
+      let b = Guard.Breaker.create () in
       Hashtbl.replace t.breakers key b;
       b
 

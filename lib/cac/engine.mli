@@ -50,11 +50,10 @@
     [sum n_k * peak_k <= C], with [peak_k] the class's
     {!Source_class.peak} proxy — cruder and strictly more conservative
     in spirit, and independent of the numerics that just failed.
-    After [breaker_threshold] consecutive failures the breaker opens
-    and decisions skip the kernel entirely for [breaker_cooldown]
-    calls, then a half-open probe retries it; recovery closes the
-    breaker.  Degraded verdicts carry [degraded = true] and tick
-    [cac.guard.fallbacks].
+    After 5 consecutive failures the breaker opens and decisions skip
+    the kernel entirely for 32 calls, then a half-open probe retries
+    it; recovery closes the breaker.  Degraded verdicts carry
+    [degraded = true] and tick [cac.guard.fallbacks].
 
     {2 Durability hook}
 
@@ -112,23 +111,10 @@ type verdict = {
           decision fell back to peak-rate allocation *)
 }
 
-val create :
-  ?cache_capacity:int ->
-  ?clock:(unit -> float) ->
-  ?breaker_threshold:int ->
-  ?breaker_cooldown:int ->
-  ?breaker_cooldown_s:float ->
-  unit ->
-  t
+val create : ?cache_capacity:int -> ?clock:(unit -> float) -> unit -> t
 (** [cache_capacity] bounds the decision cache (default 4096; 0
     disables caching).  [clock] supplies wall-clock seconds for latency
-    metrics (default {!Obs.Clock.wall}).  [breaker_threshold]
-    (default 5) is the consecutive-failure trip point and
-    [breaker_cooldown] (default 32) the number of fast-failed
-    decisions before a half-open probe.  [breaker_cooldown_s] switches
-    the per-(link, class) breakers to wall-clock cooldowns of that
-    many seconds (see {!Resilience.Guard.Breaker.create}) — meant for
-    [cts serve], where recovery should not wait for traffic. *)
+    metrics (default {!Obs.Clock.wall}). *)
 
 val add_link :
   t -> id:string -> capacity:float -> buffer:float -> target_clr:float -> Link.t

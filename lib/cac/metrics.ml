@@ -58,8 +58,8 @@ let latency_mean_us t =
   let d = decisions t in
   if d = 0 then 0.0 else t.latency_sum_us /. float_of_int d
 
-let print ?sink ?(label = "cac") t =
-  let sink = match sink with Some s -> s | None -> Obs.Sink.human_sink () in
+let print ?(label = "cac") t =
+  let sink = Obs.Sink.human_sink () in
   Obs.Sink.messagef sink "%s: %d admits, %d rejects, %d releases (blocking %.4f)"
     label t.admits t.rejects t.releases (blocking_probability t);
   if t.fallbacks > 0 then

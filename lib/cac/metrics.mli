@@ -50,6 +50,6 @@ val latency_sum_us : t -> float
 val latency_mean_us : t -> float
 (** Mean decision latency in microseconds; 0 when empty. *)
 
-val print : ?sink:Obs.Sink.t -> ?label:string -> t -> unit
-(** Human-readable summary, routed through the given sink (default:
-    the process {!Obs.Sink.human_sink}, so [--quiet] silences it). *)
+val print : ?label:string -> t -> unit
+(** Human-readable summary, routed through the process
+    {!Obs.Sink.human_sink}, so [--quiet] silences it. *)

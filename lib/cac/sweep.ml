@@ -4,7 +4,6 @@ type scenario = {
   buffer_msec : float;
   target_clr : float;
   requests : int;
-  load_factor : float;
   seed : int;
 }
 
@@ -20,8 +19,8 @@ type row = {
 type failure = { scenario : scenario; error : string }
 type outcome = Row of row | Failed of failure
 
-let grid ?(capacity = 16140.0) ?(requests = 0) ?(load_factor = 1.1)
-    ?(seed = 1996) ~class_names ~buffers_msec ~target_clrs () =
+let grid ?(capacity = 16140.0) ?(requests = 0) ?(seed = 1996) ~class_names
+    ~buffers_msec ~target_clrs () =
   let scenarios = ref [] in
   let index = ref 0 in
   List.iter
@@ -37,7 +36,6 @@ let grid ?(capacity = 16140.0) ?(requests = 0) ?(load_factor = 1.1)
                   buffer_msec;
                   target_clr;
                   requests;
-                  load_factor;
                   (* Per-scenario seeds keep every cell's workload
                      independent of evaluation order. *)
                   seed = seed + (7919 * !index);
@@ -82,8 +80,10 @@ let evaluate scenario =
   let blocking, cache_hit_rate =
     if scenario.requests <= 0 || n_max = 0 then (None, None)
     else begin
+      (* Offer 10% more load than the fill boundary, so the replay
+         meets blocking. *)
       let mean_holding = 60.0 in
-      let offered = scenario.load_factor *. float_of_int n_max in
+      let offered = 1.1 *. float_of_int n_max in
       let spec =
         Workload.spec ~mean_holding
           ~arrival_rate:(offered /. mean_holding)

@@ -27,9 +27,9 @@ type scenario = {
   capacity : float;  (** link capacity, cells/frame *)
   buffer_msec : float;
   target_clr : float;
-  requests : int;  (** workload attempts; 0 skips the replay *)
-  load_factor : float;
-      (** offered load as a fraction of the fill boundary [n_max] *)
+  requests : int;
+      (** workload attempts, offered at 1.1 times the fill boundary
+          [n_max]; 0 skips the replay *)
   seed : int;
 }
 
@@ -55,7 +55,6 @@ type outcome = Row of row | Failed of failure
 val grid :
   ?capacity:float ->
   ?requests:int ->
-  ?load_factor:float ->
   ?seed:int ->
   class_names:string list ->
   buffers_msec:float list ->
@@ -64,8 +63,8 @@ val grid :
   scenario list
 (** The cartesian product, in row-major (class, buffer, clr) order.
     Defaults: [capacity = 16140] (the paper's OC-3-ish link),
-    [requests = 0], [load_factor = 1.1], [seed = 1996].  Seeds are
-    derived per scenario from [seed] and the scenario index. *)
+    [requests = 0], [seed = 1996].  Seeds are derived per scenario
+    from [seed] and the scenario index. *)
 
 val run : ?domains:int -> scenario list -> outcome array
 (** Evaluate every scenario, fanning across [domains] OCaml domains

@@ -13,20 +13,16 @@ type spec = {
   requests : int;  (** connection attempts to replay *)
   mix : (Source_class.t * float) list;
       (** classes with positive sampling weights *)
-  warmup : float;
-      (** fraction of requests treated as warm-up when reporting
-          steady-state figures (in [0, 1)) *)
 }
 
 val spec :
-  ?warmup:float ->
   ?mean_holding:float ->
   arrival_rate:float ->
   requests:int ->
   mix:(Source_class.t * float) list ->
   unit ->
   spec
-(** Defaults: [warmup = 0.2], [mean_holding = 60.0]. *)
+(** Default: [mean_holding = 60.0]. *)
 
 val offered_load : spec -> float
 (** [arrival_rate * mean_holding]: mean number of simultaneously
@@ -45,7 +41,9 @@ type result = {
       (** decisions taken through the engine's peak-rate fallback
           (the {!Metrics.fallbacks} delta across this run) *)
   blocking : float;  (** (rejected + errors) / offered *)
-  steady_blocking : float;  (** same, over the post-warm-up portion *)
+  steady_blocking : float;
+      (** same, over the post-warm-up portion (the last 80% of
+          requests) *)
   cache_hit_rate : float;  (** over the whole replay *)
   steady_cache_hit_rate : float;  (** over the post-warm-up portion *)
   mean_occupancy : float;  (** time-average of active connections *)

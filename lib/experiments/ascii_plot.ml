@@ -2,9 +2,11 @@ let markers = "abcdefghijklmnopqrstuvwxyz"
 
 let finite (_, y) = Float.is_finite y
 
-let render ?(width = 72) ?(height = 20) ?(logx = false) ~series ~xlabel ~ylabel
-    () =
-  assert (width >= 16 && height >= 4);
+(* The canvas, in characters. *)
+let width = 72
+let height = 20
+
+let render ?(logx = false) ~series ~xlabel ~ylabel () =
   let all_points =
     List.concat_map (fun (_, pts) -> List.filter finite (Array.to_list pts)) series
   in
@@ -64,8 +66,8 @@ let render ?(width = 72) ?(height = 20) ?(logx = false) ~series ~xlabel ~ylabel
     Buffer.contents buffer
   end
 
-let render_figure ?width ?height ?logx (fig : Common.figure) =
-  render ?width ?height ?logx
+let render_figure ?logx (fig : Common.figure) =
+  render ?logx
     ~series:
       (List.map (fun s -> (s.Common.label, s.Common.points)) fig.Common.series)
     ~xlabel:fig.Common.xlabel ~ylabel:fig.Common.ylabel ()

@@ -3,20 +3,18 @@
     numbers.  Pure text, no dependencies. *)
 
 val render :
-  ?width:int ->
-  ?height:int ->
   ?logx:bool ->
   series:(string * (float * float) array) list ->
   xlabel:string ->
   ylabel:string ->
   unit ->
   string
-(** [render ~series ~xlabel ~ylabel ()] draws all series on one canvas
-    (default 72x20).  Each series is assigned a marker character
+(** [render ~series ~xlabel ~ylabel ()] draws all series on one 72x20
+    canvas.  Each series is assigned a marker character
     (a, b, c, ...); overlapping points show the later series' marker.
     Non-finite y values are skipped.  Returns the multi-line string. *)
 
-val render_figure : ?width:int -> ?height:int -> ?logx:bool -> Common.figure -> string
+val render_figure : ?logx:bool -> Common.figure -> string
 (** Render a {!Common.figure}'s series. *)
 
 val emit : ?logx:bool -> Common.figure -> unit

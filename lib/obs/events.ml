@@ -226,7 +226,6 @@ type t = {
   c_pause_ns : int Atomic.t array;  (* cumulative, per ring *)
   c_top : pause list ref;  (* guarded by c_top_mutex, length <= top_capacity *)
   c_top_mutex : Mutex.t;
-  c_poll_interval_s : float;
 }
 
 let top_capacity = 32
@@ -266,11 +265,11 @@ let record ~pause_ns ~top ~top_mutex p =
       in
       top := List.filteri (fun i _ -> i < top_capacity) merged)
 
-let default_poll_interval_s = 0.005
+(* The consumer's read cadence: the most a pause can lag behind the
+   request it overlapped. *)
+let poll_interval_s = 0.005
 
-let start ?(poll_interval_s = default_poll_interval_s) () =
-  if not (Float.is_finite poll_interval_s && poll_interval_s > 0.0) then
-    invalid_arg "Obs.Events.start: poll_interval_s must be finite and > 0";
+let start () =
   match Atomic.get current with
   | Some t -> t
   | None ->
@@ -327,7 +326,6 @@ let start ?(poll_interval_s = default_poll_interval_s) () =
           c_pause_ns = pause_ns;
           c_top = top;
           c_top_mutex = top_mutex;
-          c_poll_interval_s = poll_interval_s;
         }
       in
       Atomic.set current (Some t);
@@ -363,11 +361,11 @@ let top_pauses () =
 
 let debug_json () =
   with_consumer
-    (fun t ->
+    (fun _ ->
       Json.Obj
         [
           ("running", Json.Bool true);
-          ("poll_interval_s", Json.Float t.c_poll_interval_s);
+          ("poll_interval_s", Json.Float poll_interval_s);
           ("top_pauses", Json.List (List.map pause_json (top_pauses ())));
         ])
     (Json.Obj [ ("running", Json.Bool false) ])

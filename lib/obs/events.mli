@@ -33,7 +33,7 @@
 
     Pause timestamps come from the runtime's own event clock, so
     pauses are measured exactly — but they reach the registry with up
-    to one [poll_interval_s] of delay (the consumer's cadence), which
+    to one 5 ms poll interval of delay (the consumer's cadence), which
     bounds the attribution error of a single request.
 
     The ring itself is the runtime's file
@@ -53,12 +53,10 @@ type pause = {
 
 type t
 
-val start : ?poll_interval_s:float -> unit -> t
+val start : unit -> t
 (** Start event collection ([Runtime_events.start]) and spawn the
-    consumer domain.  [poll_interval_s] (default 5 ms) is the
-    consumer's read cadence.  Idempotent: if a consumer is already
-    running, returns it unchanged.  Raises [Invalid_argument] on a
-    non-positive or non-finite interval. *)
+    consumer domain, which reads the ring every 5 ms.  Idempotent: if
+    a consumer is already running, returns it unchanged. *)
 
 val stop : t -> unit
 (** Flag the consumer, join its domain (it drains the ring once more

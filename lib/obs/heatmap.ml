@@ -11,7 +11,6 @@ type row = {
 
 type t = {
   name : string;
-  label_key : string;
   lo : float;
   hi : float;
   bins : int;
@@ -19,10 +18,9 @@ type t = {
 }
 
 let default_name = "cts.m_star"
-let default_label_key = "buffer_cells"
+let label_key = "buffer_cells"
 
-let of_snapshot ?(name = default_name) ?(label_key = default_label_key)
-    (snap : Registry.snapshot) =
+let of_snapshot ?(name = default_name) (snap : Registry.snapshot) =
   let rows =
     List.filter_map
       (fun ((n, labels), h) ->
@@ -60,7 +58,6 @@ let of_snapshot ?(name = default_name) ?(label_key = default_label_key)
       Some
         {
           name;
-          label_key;
           lo = first.snap.Registry.hlo;
           hi = first.snap.Registry.hhi;
           bins;
@@ -88,12 +85,12 @@ let to_ascii t =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     (Printf.sprintf "%s by %s — %d bins over [%g, %g), width %g\n" t.name
-       t.label_key t.bins t.lo t.hi (bin_width t));
+       label_key t.bins t.lo t.hi (bin_width t));
   let label_w =
     List.fold_left (fun w r -> Stdlib.max w (String.length r.label)) 8 t.rows
   in
   Buffer.add_string buf
-    (Printf.sprintf "%*s | %s | %s\n" label_w t.label_key
+    (Printf.sprintf "%*s | %s | %s\n" label_w label_key
        (String.make t.bins '-') "n (under/over)");
   List.iter
     (fun r ->
@@ -117,7 +114,7 @@ let to_ascii t =
 let to_csv t =
   let buf = Buffer.create 1024 in
   let w = bin_width t in
-  Buffer.add_string buf (Printf.sprintf "%s,bin_lo,bin_hi,count\n" t.label_key);
+  Buffer.add_string buf (Printf.sprintf "%s,bin_lo,bin_hi,count\n" label_key);
   List.iter
     (fun r ->
       Array.iteri
@@ -170,7 +167,7 @@ let to_html t =
 <p class="sub">%d bins over [%g, %g), bin width %g; intensity normalized per row; auto-refreshes every 5&thinsp;s.</p>
 <table>
 |}
-       (html_escape t.name) (html_escape t.name) (html_escape t.label_key)
+       (html_escape t.name) (html_escape t.name) (html_escape label_key)
        t.bins t.lo t.hi w);
   List.iter
     (fun r ->
@@ -187,7 +184,7 @@ let to_html t =
             (Printf.sprintf
                "<td class=\"cell\" style=\"background:rgba(97,175,239,%.3f)\" \
                 title=\"%s=%s m*∈[%g,%g) n=%d\"></td>"
-               intensity (html_escape t.label_key) (html_escape r.label) blo
+               intensity (html_escape label_key) (html_escape r.label) blo
                (blo +. w) c))
         r.snap.Registry.counts;
       Buffer.add_string buf

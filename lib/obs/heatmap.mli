@@ -9,12 +9,11 @@
 
 type t
 
-val of_snapshot :
-  ?name:string -> ?label_key:string -> Registry.snapshot -> t option
+val of_snapshot : ?name:string -> Registry.snapshot -> t option
 (** [of_snapshot snap] gathers the [?name] (default ["cts.m_star"])
-    histograms labelled with [?label_key] (default ["buffer_cells"]),
-    sorted numerically by label value.  [None] when no labelled series
-    exist yet (e.g. before any evaluation ran). *)
+    histograms labelled with [buffer_cells], sorted numerically by
+    label value.  [None] when no labelled series exist yet (e.g.
+    before any evaluation ran). *)
 
 val row_count : t -> int
 [@@lint.allow "U1"] (* observed by obs "heatmap: ascii grid" *)
@@ -26,7 +25,7 @@ val to_ascii : t -> string
 
 val to_csv : t -> string
 (** Long format, one line per cell:
-    [<label_key>,bin_lo,bin_hi,count] with a header line. *)
+    [buffer_cells,bin_lo,bin_hi,count] with a header line. *)
 
 val to_html : t -> string
 (** Self-contained page (inline CSS, no external assets) with an

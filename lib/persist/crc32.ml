@@ -11,8 +11,8 @@ let table =
       done;
       !c)
 
-let digest ?(crc = 0) s =
-  let c = ref (crc lxor 0xffffffff) in
+let digest s =
+  let c = ref 0xffffffff in
   String.iter
     (fun ch -> c := table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
     s;

@@ -2,7 +2,5 @@
     integrity checksum for WAL record framing and snapshot files.
     Matches zlib's [crc32]: [digest "123456789" = 0xCBF43926]. *)
 
-val digest : ?crc:int -> string -> int
-(** [digest s] is the CRC-32 of [s], a non-negative int in [0, 2^32).
-    [crc] chains partial digests: [digest ~crc:(digest a) b] equals
-    [digest (a ^ b)]. *)
+val digest : string -> int
+(** [digest s] is the CRC-32 of [s], a non-negative int in [0, 2^32). *)

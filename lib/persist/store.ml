@@ -76,8 +76,7 @@ let open_ ~dir ~policy ~snapshot_every ~next_seq =
    record the WAL refuses has failed the journal, so the barrier that
    follows raises instead of acking. *)
 let journal t op =
-  Resilience.Guard.protect ~label:"persist.store.journal"
-    ~fallback:(fun _ -> ())
+  Resilience.Guard.protect ~fallback:(fun _ -> ())
     (fun () ->
       if Wal.append t.wal (Codec.encode_op op) then Atomic.incr t.appended)
 

@@ -152,7 +152,6 @@ type item = Rec of { id : int; frame : string } | Rotate of int
 type t = {
   dir : string;
   policy : policy;
-  capacity : int;
   mutex : Mutex.t;
   flushed : Condition.t;  (* barrier waiters wait for the writer to publish *)
   queue : item Queue.t;
@@ -308,14 +307,15 @@ let release t failure =
 
 (* {3 The caller-facing operations} *)
 
-let create ?(capacity = 65536) ~dir ~policy ~seq () =
-  if capacity < 1 then invalid_arg "Wal.create: capacity < 1";
+(* Appends past this many queued records drop and fail the journal. *)
+let capacity = 65536
+
+let create ~dir ~policy ~seq () =
   if seq < 0 then invalid_arg "Wal.create: seq < 0";
   Ioutil.mkdir_p dir;
   {
     dir;
     policy;
-    capacity;
     mutex = Mutex.create ();
     flushed = Condition.create ();
     queue = Queue.create ();
@@ -338,7 +338,7 @@ let append t payload =
   let fr = frame payload in
   Mutex.protect t.mutex (fun () ->
       if t.closed || Option.is_some t.failure then false
-      else if Queue.length t.queue >= t.capacity then begin
+      else if Queue.length t.queue >= capacity then begin
         (* The mutation has happened and its record is gone: no later
            ack may pretend otherwise. *)
         Obs.Registry.incr "persist.wal.dropped";

@@ -70,12 +70,12 @@ val policy_name : policy -> string
 
 type t
 
-val create : ?capacity:int -> dir:string -> policy:policy -> seq:int -> unit -> t
+val create : dir:string -> policy:policy -> seq:int -> unit -> t
 (** Open a journal on a new segment [seq] (always a fresh file — the
     writer never appends to a previous process's segment; recovery
-    supplies a [seq] past every existing one).  [capacity] (default
-    65536) bounds the in-memory queue.  Raises [Unix.Unix_error] when
-    the segment cannot be opened. *)
+    supplies a [seq] past every existing one).  The in-memory queue
+    holds at most 65536 records.  Raises [Unix.Unix_error] when the
+    segment cannot be opened. *)
 
 val append : t -> string -> bool
 (** Queue one record.  Non-blocking; returns [false] when the journal

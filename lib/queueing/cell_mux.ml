@@ -38,9 +38,9 @@ let simulate_frame state ~arrivals ~service_time ~buffer_cells =
      call at the next frame's first arrival. *)
   !lost
 
-let clr ~sources ~service_cells_per_frame ~buffer_cells ~ts ~frames ?warmup () =
+let clr ~sources ~service_cells_per_frame ~buffer_cells ~ts ~frames () =
   assert (frames > 0 && service_cells_per_frame > 0.0 && buffer_cells >= 0);
-  let warmup = match warmup with Some w -> w | None -> frames / 20 in
+  let warmup = frames / 20 in
   let service_time = ts /. service_cells_per_frame in
   let state = { queue = 0; in_service = false; next_departure = 0.0 } in
   let offered = ref 0 and lost = ref 0 in

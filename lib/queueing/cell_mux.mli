@@ -22,9 +22,10 @@ val clr :
   buffer_cells:int ->
   ts:float ->
   frames:int ->
-  ?warmup:int ->
   unit ->
   result
 (** [sources] yield per-frame cell counts (rounded to integers >= 0);
     an arriving cell is dropped when [buffer_cells] cells are already
-    waiting (the cell in service occupies no buffer slot). *)
+    waiting (the cell in service occupies no buffer slot).  Losses are
+    counted over [frames] frames after [frames / 20] warm-up
+    frames. *)

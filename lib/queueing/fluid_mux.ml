@@ -14,9 +14,9 @@ let finite_buffer_step ~w ~arrivals ~service ~buffer =
 
 let default_warmup frames = frames / 20
 
-let clr_multi ~next_frame ~service ~buffers ~frames ?warmup () =
+let clr_multi ~next_frame ~service ~buffers ~frames () =
   assert (frames > 0 && service > 0.0);
-  let warmup = match warmup with Some w -> w | None -> default_warmup frames in
+  let warmup = default_warmup frames in
   let k = Array.length buffers in
   let w = Array.make k 0.0 in
   let lost = Array.make k 0.0 in
@@ -50,8 +50,8 @@ let clr_multi ~next_frame ~service ~buffers ~frames ?warmup () =
         frames;
       })
 
-let clr ~next_frame ~service ~buffer ~frames ?warmup () =
-  (clr_multi ~next_frame ~service ~buffers:[| buffer |] ~frames ?warmup ()).(0)
+let clr ~next_frame ~service ~buffer ~frames () =
+  (clr_multi ~next_frame ~service ~buffers:[| buffer |] ~frames ()).(0)
 
 type workload_stats = {
   mean : float;

@@ -37,12 +37,11 @@ val clr :
   service:float ->
   buffer:float ->
   frames:int ->
-  ?warmup:int ->
   unit ->
   finite_result
-(** Cell loss rate of a finite-buffer multiplexer fed by
-    [next_frame] aggregate frame sizes, after discarding [warmup]
-    frames (default [frames / 20]).  Each simulated frame draws the
+(** Cell loss rate over [frames] frames of a finite-buffer multiplexer
+    fed by [next_frame] aggregate frame sizes, after discarding
+    [frames / 20] warm-up frames.  Each simulated frame draws the
     [queueing.mux.step] fault point once, so chaos specs cover the
     offline validation path (a no-op while {!Resilience.Fault} is
     disarmed). *)
@@ -52,7 +51,6 @@ val clr_multi :
   service:float ->
   buffers:float array ->
   frames:int ->
-  ?warmup:int ->
   unit ->
   finite_result array
 (** Same arrival stream applied to several buffer sizes in one pass —

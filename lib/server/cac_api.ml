@@ -253,8 +253,7 @@ let metrics _req =
    boundary uses the same fallback, so the 500 counts once in
    [srv.http.handler_errors] whichever boundary catches the raise. *)
 let protected h req =
-  Resilience.Guard.protect ~label:"srv.api.handler"
-    ~fallback:Router.internal_error
+  Resilience.Guard.protect ~fallback:Router.internal_error
     (fun () -> h req)
 
 let router t =

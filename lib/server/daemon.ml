@@ -11,7 +11,6 @@ type config = {
   max_body : int;
   links : (string * float * float * float) list;
   cache_capacity : int;
-  breaker_cooldown_s : float option;
   state_dir : string option;
   fsync_policy : Persist.Wal.policy;
   snapshot_every : int;
@@ -146,10 +145,6 @@ let add_debug_providers c api pool ~domains persist =
           ("domains", Obs.Json.Int domains);
           ("queue_capacity", Obs.Json.Int c.queue_capacity);
           ("accepting", Obs.Json.Bool (Pool.accepting pool));
-          ( "breaker_cooldown_s",
-            match c.breaker_cooldown_s with
-            | Some s -> Obs.Json.Float s
-            | None -> Obs.Json.Null );
         ]);
   add "events" Obs.Events.debug_json;
   Option.iter
@@ -171,10 +166,7 @@ let start c =
         close_logs logs [];
         Error e
       in
-      let engine =
-        Cac.Engine.create ~cache_capacity:c.cache_capacity
-          ?breaker_cooldown_s:c.breaker_cooldown_s ()
-      in
+      let engine = Cac.Engine.create ~cache_capacity:c.cache_capacity () in
       match recover c engine with
       | Error e -> fail None e
       | Ok persist -> (

@@ -27,7 +27,6 @@ type config = {
       (** [(id, capacity, buffer_msec, target_clr)]; a recovered link
           wins over a configured one with the same id *)
   cache_capacity : int;
-  breaker_cooldown_s : float option;
   state_dir : string option;  (** [None] = in-memory connection table *)
   fsync_policy : Persist.Wal.policy;
   snapshot_every : int;

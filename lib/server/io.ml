@@ -38,9 +38,7 @@ type reader = {
   mutable len : int;  (** valid bytes in [buf] *)
 }
 
-let reader ?(buf_size = 8192) fd =
-  if buf_size < 1 then invalid_arg "Io.reader: buf_size < 1";
-  { fd; buf = Bytes.create buf_size; pos = 0; len = 0 }
+let reader fd = { fd; buf = Bytes.create 8192; pos = 0; len = 0 }
 
 (* Refill the buffer; false on EOF. *)
 let refill r deadline =

@@ -26,8 +26,8 @@ val deadline_in : float -> deadline
 
 type reader
 
-val reader : ?buf_size:int -> Unix.file_descr -> reader
-(** Default buffer: 8 KiB. *)
+val reader : Unix.file_descr -> reader
+(** A reader with an 8 KiB buffer. *)
 
 val read_line : reader -> max:int -> deadline -> string option
 (** One line, CRLF or LF terminated, terminator stripped.  [None] on

@@ -193,8 +193,7 @@ let handle_request t ~queue_wait_us req =
   Obs.Trace.with_context ctx @@ fun () ->
   let resp =
     Obs.Span.with_ ~name:"srv.http.request" @@ fun () ->
-    Resilience.Guard.protect ~label:"srv.http.handler"
-      ~fallback:Router.internal_error
+    Resilience.Guard.protect ~fallback:Router.internal_error
       (fun () ->
         Resilience.Fault.inject "srv.http.handler";
         snd (Router.dispatch t.router req))
@@ -221,52 +220,45 @@ let handle_request t ~queue_wait_us req =
   | None -> ());
   Http.add_header resp ("traceparent", Obs.Trace.to_traceparent ctx)
 
-(* Serve every request a connection carries, then close it.  The
-   keep-alive budget ([Guard.Budget]) bounds requests per connection;
-   the read deadline bounds how long a worker waits for (the rest of)
-   a request.  Peer write failures (reset, broken pipe) just end the
+(* Serve every request a connection carries, then close it.
+   [config.max_conn_requests] bounds requests per connection; the read
+   deadline bounds how long a worker waits for (the rest of) a
+   request.  Peer write failures (reset, broken pipe) just end the
    connection. *)
 let serve_connection t ~queue_wait_us fd =
   Obs.Registry.incr "srv.http.connections";
   let reader = Io.reader fd in
-  let budget =
-    Resilience.Guard.Budget.create ~label:"srv.conn.requests"
-      t.config.max_conn_requests
-  in
   let deadline () = Option.bind t.config.read_timeout_s (fun s -> Io.deadline_in s) in
   (* Only the connection's first request actually waited in the work
      queue; keep-alive successors are served as they arrive. *)
   let pending_wait = ref queue_wait_us in
-  let rec loop () =
-    match Resilience.Guard.Budget.tick budget with
-    | exception Resilience.Guard.Budget_exhausted _ -> ()
-    | () -> (
-        match Http.read_request ~limits:t.config.limits reader (deadline ()) with
-        | Http.Eof -> ()
-        | Http.Error { status; reason } ->
-            Obs.Registry.incr "srv.http.parse_errors";
-            incr_requests ~route:Router.unmatched_label ~meth:"-" ~status;
-            Http.write fd ~keep_alive:false
-              (Http.json_error ~status reason)
-        | Http.Request req ->
-            let queue_wait_us = !pending_wait in
-            pending_wait := 0.0;
-            let resp = handle_request t ~queue_wait_us req in
-            let ka =
-              Http.keep_alive req
-              && (not (stopping t))
-              && not (Resilience.Guard.Budget.exhausted budget)
-            in
-            Http.write fd ~keep_alive:ka resp;
-            if ka then loop ())
+  let rec loop served =
+    match Http.read_request ~limits:t.config.limits reader (deadline ()) with
+    | Http.Eof -> ()
+    | Http.Error { status; reason } ->
+        Obs.Registry.incr "srv.http.parse_errors";
+        incr_requests ~route:Router.unmatched_label ~meth:"-" ~status;
+        Http.write fd ~keep_alive:false (Http.json_error ~status reason)
+    | Http.Request req ->
+        let queue_wait_us = !pending_wait in
+        pending_wait := 0.0;
+        let resp = handle_request t ~queue_wait_us req in
+        let served = served + 1 in
+        let ka =
+          Http.keep_alive req
+          && (not (stopping t))
+          && served < t.config.max_conn_requests
+        in
+        Http.write fd ~keep_alive:ka resp;
+        if ka then loop served
   in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () -> try loop () with Unix.Unix_error _ | Io.Timeout _ -> ())
+    (fun () -> try loop 0 with Unix.Unix_error _ | Io.Timeout _ -> ())
 
 (* {2 Listening and accepting} *)
 
-let listen ?(backlog = 128) ~host ~port () =
+let listen ~host ~port () =
   let addr =
     try Unix.inet_addr_of_string host
     with Failure _ ->
@@ -276,7 +268,7 @@ let listen ?(backlog = 128) ~host ~port () =
   (try
      Unix.setsockopt fd Unix.SO_REUSEADDR true;
      Unix.bind fd (Unix.ADDR_INET (addr, port));
-     Unix.listen fd backlog
+     Unix.listen fd 128
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);
@@ -322,8 +314,7 @@ let serve t listen_fd =
                      never the worker domain: an escaping exception
                      here would silently shrink the pool until the
                      final [Domain.join]. *)
-                  Resilience.Guard.protect ~label:"srv.pool.worker"
-                    ~fallback:(fun _ -> ())
+                  Resilience.Guard.protect ~fallback:(fun _ -> ())
                     (fun () -> serve_connection t ~queue_wait_us fd);
                   work ()
             in
@@ -342,10 +333,7 @@ let serve t listen_fd =
        loop. *)
     match t.config.tick with
     | None -> ()
-    | Some f ->
-        Resilience.Guard.protect ~label:"srv.pool.tick"
-          ~fallback:(fun _ -> ())
-          f
+    | Some f -> Resilience.Guard.protect ~fallback:(fun _ -> ()) f
   in
   let rec accept_loop () =
     if not (stopping t) then begin

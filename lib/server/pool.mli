@@ -11,8 +11,8 @@
 
     Each connection gets a fresh read deadline per request
     ([config.read_timeout_s], enforced by {!Io}), the {!Http.limits}
-    caps, and a {!Resilience.Guard.Budget} of
-    [config.max_conn_requests] keep-alive requests.  Handler
+    caps, and at most [config.max_conn_requests] keep-alive requests:
+    the response to the last one carries [connection: close].  Handler
     exceptions are contained by {!Resilience.Guard.protect} — the
     request answers {!Router.internal_error}'s counted [500] and the
     worker survives.  The [srv.http.handler] fault point fires before
@@ -85,9 +85,10 @@ val create : ?config:config -> Router.t -> t
 (** Raises [Invalid_argument] on a non-positive domain count, queue
     capacity, request budget or timeout. *)
 
-val listen : ?backlog:int -> host:string -> port:int -> unit -> Unix.file_descr
-(** Bind and listen on [host:port] ([SO_REUSEADDR] set; port [0]
-    picks an ephemeral port — read it back with {!bound_port}). *)
+val listen : host:string -> port:int -> unit -> Unix.file_descr
+(** Bind and listen on [host:port] ([SO_REUSEADDR] set, backlog 128;
+    port [0] picks an ephemeral port — read it back with
+    {!bound_port}). *)
 
 val bound_port : Unix.file_descr -> int
 

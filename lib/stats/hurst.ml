@@ -4,11 +4,11 @@ type estimate = {
   points : (float * float) array;
 }
 
-let geometric_blocks ~min_block ~max_block ~num_scales =
-  assert (min_block >= 2 && max_block > min_block && num_scales >= 3);
+let geometric_blocks ~min_block ~max_block =
+  assert (max_block > min_block);
   let sizes =
     Numerics.Float_array.logspace ~lo:(float_of_int min_block)
-      ~hi:(float_of_int max_block) ~n:num_scales
+      ~hi:(float_of_int max_block) ~n:12
     |> Array.map (fun s -> int_of_float (Float.round s))
   in
   (* Deduplicate after rounding. *)
@@ -19,10 +19,10 @@ let fit_of_points points =
   let x = Array.map fst points and y = Array.map snd points in
   Regression.log_log ~x ~y
 
-let rescaled_range ?(min_block = 8) ?(num_scales = 12) series =
+let rescaled_range series =
   let n = Array.length series in
-  assert (n >= 8 * min_block);
-  let blocks = geometric_blocks ~min_block ~max_block:(n / 4) ~num_scales in
+  assert (n >= 64);
+  let blocks = geometric_blocks ~min_block:8 ~max_block:(n / 4) in
   let rs_of_block m =
     let num_blocks = n / m in
     let acc = ref 0.0 and used = ref 0 in
@@ -62,10 +62,10 @@ let rescaled_range ?(min_block = 8) ?(num_scales = 12) series =
   let fit = fit_of_points points in
   { h = fit.Regression.slope; r_squared = fit.Regression.r_squared; points }
 
-let aggregated_variance ?(min_block = 4) ?(num_scales = 12) series =
+let aggregated_variance series =
   let n = Array.length series in
-  assert (n >= 16 * min_block);
-  let blocks = geometric_blocks ~min_block ~max_block:(n / 8) ~num_scales in
+  assert (n >= 64);
+  let blocks = geometric_blocks ~min_block:4 ~max_block:(n / 8) in
   let points =
     Array.map
       (fun m ->
@@ -80,10 +80,9 @@ let aggregated_variance ?(min_block = 4) ?(num_scales = 12) series =
     points;
   }
 
-let periodogram ?(fraction = 0.1) series =
-  assert (fraction > 0.0 && fraction <= 1.0);
+let periodogram series =
   let spectrum = Numerics.Fft.periodogram series in
-  let keep = Stdlib.max 8 (int_of_float (fraction *. float_of_int (Array.length spectrum))) in
+  let keep = Stdlib.max 8 (int_of_float (0.1 *. float_of_int (Array.length spectrum))) in
   let keep = Stdlib.min keep (Array.length spectrum) in
   let points = Array.sub spectrum 0 keep in
   let fit = fit_of_points points in

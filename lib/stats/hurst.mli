@@ -14,19 +14,19 @@ type estimate = {
           diagnostic plotting *)
 }
 
-val rescaled_range : ?min_block:int -> ?num_scales:int -> float array -> estimate
+val rescaled_range : float array -> estimate
 (** Classical R/S analysis: the series is cut into blocks of
     geometrically increasing size; within each block the rescaled range
     R/S is computed and averaged; H is the slope of
-    [log E(R/S)] vs [log block].  Default blocks from [min_block = 8]
-    up to n/4 over [num_scales = 12] scales. *)
+    [log E(R/S)] vs [log block].  Blocks run from 8 up to n/4 over 12
+    scales. *)
 
-val aggregated_variance : ?min_block:int -> ?num_scales:int -> float array -> estimate
+val aggregated_variance : float array -> estimate
 (** Variance-time method: the variance of the m-aggregated series
-    scales as [m^(2H-2)]; H = 1 + slope/2. *)
+    scales as [m^(2H-2)]; H = 1 + slope/2.  Blocks run from 4 up to
+    n/8 over 12 scales. *)
 
-val periodogram : ?fraction:float -> float array -> estimate
+val periodogram : float array -> estimate
 (** Spectral method: for an LRD series the spectral density behaves as
     [f^(1-2H)] near zero, so the slope of the log–log periodogram over
-    the lowest [fraction] (default 0.1) of frequencies gives
-    H = (1 - slope)/2. *)
+    the lowest 10% of frequencies gives H = (1 - slope)/2. *)

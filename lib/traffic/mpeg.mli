@@ -25,26 +25,18 @@
     paper's open question for this source class: the CTS machinery is
     agnostic to where the correlation comes from. *)
 
-type t = private {
-  pattern : float array;  (** GOP weights g_0 .. g_(P-1), mean 1 *)
-  activity_rho : float;  (** lag-1 correlation of the activity process *)
-  mean : float;  (** overall mean frame size (cells) *)
-  activity_cv : float;  (** coefficient of variation of the activity *)
-}
+type t
 
 val default_gop : float array
 (** A 12-frame IBBPBBPBBPBB pattern with I:P:B size ratios 5:3:1,
     normalised to mean 1. *)
 
-val create :
-  ?pattern:float array ->
-  ?activity_rho:float ->
-  ?activity_cv:float ->
-  mean:float ->
-  unit ->
-  t
-(** Defaults: {!default_gop}, [activity_rho = 0.98] (scene persistence),
-    [activity_cv = 0.12]. *)
+val create : mean:float -> unit -> t
+(** The model with overall mean frame size [mean] (cells), GOP weights
+    [g] = {!default_gop} normalised once more (which moves some
+    weights by an ulp), and an activity process with lag-1
+    correlation 0.98 (scene persistence) and coefficient of variation
+    0.12.  Raises [Invalid_argument] unless [mean > 0]. *)
 
 val frame_mean : t -> float
 val frame_variance : t -> float

@@ -9,7 +9,7 @@ let handler req =
 let register router = Router.route router "/classify" handler
 
 let fenced req =
-  Resilience.Guard.protect ~label:"fixture" ~fallback:(fun _ -> "d")
+  Resilience.Guard.protect ~fallback:(fun _ -> "d")
     (fun () -> parse_class req)
 
 let register_fenced router = Router.route router "/fenced" fenced

@@ -84,7 +84,6 @@ let daemon_config =
     max_body = 1 lsl 20;
     links = [];
     cache_capacity = 4096;
-    breaker_cooldown_s = None;
     state_dir = None;
     fsync_policy = Persist.Wal.Always;
     snapshot_every = 10_000;

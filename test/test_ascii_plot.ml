@@ -16,8 +16,8 @@ let test_render_basics () =
 
 let test_marker_presence () =
   let out =
-    Experiments.Ascii_plot.render ~width:20 ~height:6 ~series:simple_series
-      ~xlabel:"x" ~ylabel:"y" ()
+    Experiments.Ascii_plot.render ~series:simple_series ~xlabel:"x" ~ylabel:"y"
+      ()
   in
   check_true "marker a drawn" (String.contains out 'a');
   check_true "marker b drawn" (String.contains out 'b')

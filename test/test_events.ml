@@ -38,7 +38,7 @@ let gc_pause_observations () =
 
 let test_pause_soak () =
   let before = gc_pause_observations () in
-  let t = Obs.Events.start ~poll_interval_s:0.001 () in
+  let t = Obs.Events.start () in
   check_true "consumer reports running" (Obs.Events.running ());
   churn ();
   (* The consumer attributes pauses within a poll interval; spin
@@ -71,7 +71,7 @@ let test_pause_soak () =
     (not (Obs.Events.running ()))
 
 let test_stop_is_prompt_and_idempotent () =
-  let t = Obs.Events.start ~poll_interval_s:0.05 () in
+  let t = Obs.Events.start () in
   churn ();
   let t0 = Obs.Clock.monotonic_ns () in
   Obs.Events.stop t;
@@ -86,7 +86,7 @@ let test_stop_is_prompt_and_idempotent () =
   Obs.Events.stop t;
   (* The profiler restarts after a stop (fresh consumer, fresh
      per-ring clocks). *)
-  let t2 = Obs.Events.start ~poll_interval_s:0.001 () in
+  let t2 = Obs.Events.start () in
   check_true "restart yields a running consumer" (Obs.Events.running ());
   spin
     (fun () ->
@@ -96,13 +96,8 @@ let test_stop_is_prompt_and_idempotent () =
   Obs.Events.stop t2
 
 let test_start_validation_and_idempotency () =
-  (match Obs.Events.start ~poll_interval_s:0.0 () with
-  | exception Invalid_argument _ -> ()
-  | t ->
-      Obs.Events.stop t;
-      Alcotest.fail "non-positive poll interval accepted");
-  let a = Obs.Events.start ~poll_interval_s:0.01 () in
-  let b = Obs.Events.start ~poll_interval_s:0.02 () in
+  let a = Obs.Events.start () in
+  let b = Obs.Events.start () in
   check_true "second start returns the running consumer" (a == b);
   Obs.Events.stop a;
   check_true "shared handle stops both" (not (Obs.Events.running ()))

@@ -76,9 +76,9 @@ let test_cts_analysis_works () =
   check_true "positive rate" (a.Core.Cts.rate > 0.0)
 
 let test_invalid () =
-  Alcotest.check_raises "bad rho"
-    (Invalid_argument "Mpeg: activity_rho outside [0, 1)") (fun () ->
-      ignore (Traffic.Mpeg.create ~activity_rho:1.0 ~mean:500.0 ()))
+  Alcotest.check_raises "bad mean"
+    (Invalid_argument "Mpeg: mean must be positive") (fun () ->
+      ignore (Traffic.Mpeg.create ~mean:0.0 ()))
 
 let suite =
   [

@@ -46,9 +46,6 @@ let admit_or_fail engine ~link =
 let test_crc32 () =
   (* The standard IEEE 802.3 check vector. *)
   check_int "crc32(\"123456789\")" 0xCBF43926 (Persist.Crc32.digest "123456789");
-  check_int "chained digest"
-    (Persist.Crc32.digest "123456789")
-    (Persist.Crc32.digest ~crc:(Persist.Crc32.digest "12345") "6789");
   check_int "empty string" 0 (Persist.Crc32.digest "")
 
 (* {2 WAL framing, torn tails, interior corruption} *)
@@ -991,7 +988,18 @@ let test_cli_refuses_bad_links () =
   usage_error "cac replay --requests 0" [ "cac"; "replay"; "--requests"; "0" ];
   usage_error "cac replay --holding 0" [ "cac"; "replay"; "--holding"; "0" ];
   usage_error "cac replay --rate=-1" [ "cac"; "replay"; "--rate=-1" ];
-  usage_error "cac sweep --domains 0" [ "cac"; "sweep"; "--domains"; "0" ]
+  usage_error "cac sweep --domains 0" [ "cac"; "sweep"; "--domains"; "0" ];
+  List.iter
+    (fun flags ->
+      usage_error
+        (String.concat " " ("serve" :: flags))
+        ([ "serve"; "--port"; "0" ] @ flags))
+    [
+      [ "--cache-capacity=-1" ];
+      [ "--read-timeout=-5" ];
+      [ "--read-timeout"; "nan" ];
+      [ "--breaker-cooldown-s"; "1" ];
+    ]
 
 (* A zero buffer is a link dimension the engine accepts (as
    [cac decide --buffer-msec 0] does), so [serve --link] boots with

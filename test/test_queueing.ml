@@ -60,8 +60,7 @@ let test_fluid_dd1_exact () =
      rate is exactly (a - c)/a after the first frame fills nothing. *)
   let next_frame () = 10.0 in
   let r =
-    Queueing.Fluid_mux.clr ~next_frame ~service:8.0 ~buffer:0.0 ~frames:5_000
-      ~warmup:10 ()
+    Queueing.Fluid_mux.clr ~next_frame ~service:8.0 ~buffer:0.0 ~frames:5_000 ()
   in
   check_close ~tol:1e-12 "deterministic overload" 0.2 r.Queueing.Fluid_mux.clr
 

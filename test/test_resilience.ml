@@ -81,49 +81,39 @@ let test_guard_finite () =
 
 let test_guard_protect () =
   check_int "protect passes results" 7
-    (Resilience.Guard.protect ~label:"t"
-       ~fallback:(fun _ -> -1)
+    (Resilience.Guard.protect ~fallback:(fun _ -> -1)
        (fun () -> 7));
   check_int "protect absorbs into fallback" (-1)
-    (Resilience.Guard.protect ~label:"t"
-       ~fallback:(fun _ -> -1)
+    (Resilience.Guard.protect ~fallback:(fun _ -> -1)
        (fun () -> failwith "boom"))
 
-let test_guard_budget () =
-  let b = Resilience.Guard.Budget.create ~label:"t" 3 in
-  Resilience.Guard.Budget.tick b;
-  Resilience.Guard.Budget.tick b;
-  check_true "one ticket left" (not (Resilience.Guard.Budget.exhausted b));
-  Resilience.Guard.Budget.tick b;
-  check_true "exhausted" (Resilience.Guard.Budget.exhausted b);
-  (match Resilience.Guard.Budget.tick b with
-  | () -> Alcotest.fail "tick past the budget should raise"
-  | exception Resilience.Guard.Budget_exhausted _ -> ());
-  let unlimited = Resilience.Guard.Budget.create (-1) in
-  for _ = 1 to 1000 do
-    Resilience.Guard.Budget.tick unlimited
-  done;
-  check_true "negative limit is unlimited"
-    (not (Resilience.Guard.Budget.exhausted unlimited))
+(* The breaker trips after 5 consecutive failures and fast-fails the
+   next 32 calls. *)
+let threshold = 5
+let cooldown = 32
 
 let test_breaker_lifecycle () =
   let open Resilience.Guard.Breaker in
-  let b = create ~threshold:2 ~cooldown:3 ~label:"t" () in
+  let b = create () in
   let ok () = call b (fun () -> 1) in
   let boom () = call b (fun () -> failwith "kernel") in
   check_true "starts closed" (state b = Closed);
   check_true "healthy call passes" (ok () = Ok 1);
-  (* Two consecutive failures trip it. *)
   (match boom () with
   | Error (Failed (Failure _)) -> ()
   | _ -> Alcotest.fail "first failure should surface the exception");
-  check_true "one failure is not a trip" (state b = Closed);
+  for _ = 2 to threshold - 1 do
+    ignore (boom ())
+  done;
+  check_true "one failure short of the threshold is not a trip"
+    (state b = Closed);
+  check_int "failure streak counted" (threshold - 1) (consecutive_failures b);
   ignore (boom ());
   check_true "threshold consecutive failures open it" (state b = Open);
   check_int "one trip recorded" 1 (trips b);
   (* The cooldown fast-fails without running the thunk. *)
   let ran = ref false in
-  for _ = 1 to 3 do
+  let fast_fail () =
     match
       call b (fun () ->
           ran := true;
@@ -131,14 +121,19 @@ let test_breaker_lifecycle () =
     with
     | Error Tripped -> ()
     | _ -> Alcotest.fail "cooldown call should fast-fail"
+  in
+  for _ = 1 to cooldown - 1 do
+    fast_fail ()
   done;
+  check_true "still open one call before the cooldown ends" (state b = Open);
+  fast_fail ();
   check_true "fast-fails never ran the thunk" (not !ran);
   check_true "cooldown spent: half-open" (state b = Half_open);
   (* Failed probe re-opens; successful probe recovers. *)
   ignore (boom ());
   check_true "failed probe re-trips" (state b = Open);
   check_int "second trip recorded" 2 (trips b);
-  for _ = 1 to 3 do
+  for _ = 1 to cooldown do
     ignore (call b (fun () -> 0))
   done;
   check_true "half-open again" (state b = Half_open);
@@ -146,72 +141,17 @@ let test_breaker_lifecycle () =
   check_true "recovered" (state b = Closed);
   check_int "failure streak reset" 0 (consecutive_failures b);
   (* A success between failures resets the streak: no trip. *)
-  ignore (boom ());
+  for _ = 1 to threshold - 1 do
+    ignore (boom ())
+  done;
   ignore (ok ());
   ignore (boom ());
   check_true "streak interrupted, still closed" (state b = Closed)
 
-(* Wall-clock mode: the cooldown elapses by time, not by absorbed
-   calls — the long-running-server configuration.  Not replay-
-   deterministic, so the sleeps here are real (and kept tiny). *)
-let test_breaker_wall_clock () =
-  let open Resilience.Guard.Breaker in
-  (match create ~cooldown_s:(-1.0) () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "negative cooldown_s accepted");
-  (match create ~cooldown_s:Float.nan () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "nan cooldown_s accepted");
-  let b = create ~threshold:1 ~cooldown_s:0.05 ~label:"t" () in
-  check_true "created in wall-clock mode" (wall_clock b);
-  check_true "eval-count breakers report no wall cooldown"
-    (not (wall_clock (create ())));
-  check_true "no cooldown while closed" (cooldown_remaining_s b = None);
-  (match call b (fun () -> failwith "kernel") with
-  | Error (Failed (Failure _)) -> ()
-  | _ -> Alcotest.fail "first failure should surface the exception");
-  check_true "threshold 1: a single failure trips" (state b = Open);
-  (match cooldown_remaining_s b with
-  | Some r -> check_true "cooldown counting down" (r >= 0.0 && r <= 0.05)
-  | None -> Alcotest.fail "open wall-clock breaker must report remaining");
-  (* inside the cooldown window: fast-fail, thunk never runs *)
-  let ran = ref false in
-  (match
-     call b (fun () ->
-         ran := true;
-         0)
-   with
-  | Error Tripped -> ()
-  | _ -> Alcotest.fail "call inside the cooldown should fast-fail");
-  check_true "fast-fail never ran the thunk" (not !ran);
-  check_true "still open" (state b = Open);
-  (* past the window: the next call is the probe, and it recovers *)
-  Unix.sleepf 0.06;
-  check_true "cooldown spent" (cooldown_remaining_s b = Some 0.0);
-  check_true "probe runs and closes" (call b (fun () -> 1) = Ok 1);
-  check_true "recovered" (state b = Closed);
-  check_true "closed again: no cooldown" (cooldown_remaining_s b = None);
-  (* a failing probe re-trips and restarts the clock *)
-  ignore (call b (fun () -> failwith "kernel"));
-  check_true "re-tripped" (state b = Open);
-  Unix.sleepf 0.06;
-  (match call b (fun () -> failwith "kernel") with
-  | Error (Failed (Failure _)) -> ()
-  | _ -> Alcotest.fail "due probe should run (and here, fail)");
-  check_true "failed probe re-opens" (state b = Open);
-  (match cooldown_remaining_s b with
-  | Some r -> check_true "fresh cooldown restarted" (r > 0.0)
-  | None -> Alcotest.fail "re-opened breaker must report remaining")
-
 (* {2 Fail-closed engine degradation} *)
 
-let engine_with_link ?(capacity = 16140.0) ?breaker_threshold
-    ?breaker_cooldown () =
-  let engine =
-    Cac.Engine.create ?breaker_threshold ?breaker_cooldown
-      ~clock:(fun () -> 0.0)
-      ()
-  in
+let engine_with_link ?(capacity = 16140.0) () =
+  let engine = Cac.Engine.create ~clock:(fun () -> 0.0) () in
   ignore
     (Cac.Engine.add_link_msec engine ~id:"link" ~capacity ~buffer_msec:20.0
        ~target_clr:1e-6);
@@ -317,28 +257,32 @@ let test_engine_degraded_never_fails_open () =
 
 let test_engine_breaker_opens_and_recovers () =
   let cls = Cac.Source_class.of_name_exn "dar1" in
-  let engine = engine_with_link ~breaker_threshold:2 ~breaker_cooldown:2 () in
+  let engine = engine_with_link () in
+  let state () = Cac.Engine.breaker_state engine ~link:"link" ~cls in
+  let evaluate n =
+    for _ = 1 to n do
+      ignore (Cac.Engine.evaluate engine ~link:"link" ~cls)
+    done
+  in
   with_faults ~seed:5 "bahadur_rao.evaluate=raise" @@ fun () ->
   (* Each evaluate runs the kernel once: one breaker failure. *)
-  ignore (Cac.Engine.evaluate engine ~link:"link" ~cls);
-  ignore (Cac.Engine.evaluate engine ~link:"link" ~cls);
+  evaluate (threshold - 1);
+  check_true "closed below the threshold"
+    (state () = Some Resilience.Guard.Breaker.Closed);
+  evaluate 1;
   check_true "breaker open after threshold failures"
-    (Cac.Engine.breaker_state engine ~link:"link" ~cls
-    = Some Resilience.Guard.Breaker.Open);
+    (state () = Some Resilience.Guard.Breaker.Open);
   (* Open: decisions still answer (degraded), without touching the
      kernel; spend the cooldown. *)
-  ignore (Cac.Engine.evaluate engine ~link:"link" ~cls);
-  ignore (Cac.Engine.evaluate engine ~link:"link" ~cls);
+  evaluate cooldown;
   check_true "half-open after the cooldown"
-    (Cac.Engine.breaker_state engine ~link:"link" ~cls
-    = Some Resilience.Guard.Breaker.Half_open);
+    (state () = Some Resilience.Guard.Breaker.Half_open);
   Resilience.Fault.clear ();
   let v = Cac.Engine.evaluate engine ~link:"link" ~cls in
   check_true "healthy probe yields a clean verdict"
     (not v.Cac.Engine.degraded);
   check_true "breaker recovered"
-    (Cac.Engine.breaker_state engine ~link:"link" ~cls
-    = Some Resilience.Guard.Breaker.Closed)
+    (state () = Some Resilience.Guard.Breaker.Closed)
 
 let test_engine_deterministic_replay () =
   let run () =
@@ -507,7 +451,7 @@ let test_mux_step_fault_deterministic () =
         in
         match
           Queueing.Fluid_mux.clr ~next_frame ~service:100.0 ~buffer:50.0
-            ~frames:500 ~warmup:0 ()
+            ~frames:500 ()
         with
         | _ -> (!frames_fed, "completed")
         | exception Resilience.Fault.Injected point -> (!frames_fed, point)
@@ -527,7 +471,7 @@ let test_mux_step_fault_deterministic () =
         match
           Queueing.Cell_mux.clr ~sources:[| source |]
             ~service_cells_per_frame:9.0 ~buffer_cells:20 ~ts:0.01 ~frames:500
-            ~warmup:0 ()
+            ()
         with
         | _ -> (!frames_fed, "completed")
         | exception Resilience.Fault.Injected point -> (!frames_fed, point)
@@ -543,7 +487,7 @@ let test_mux_step_fault_deterministic () =
       ~next_frame:(fun () ->
         incr n;
         if !n mod 7 = 0 then 120.0 else 95.0)
-      ~service:100.0 ~buffer:50.0 ~frames:500 ~warmup:0 ()
+      ~service:100.0 ~buffer:50.0 ~frames:500 ()
   in
   check_true "disarmed run completes with a sane CLR"
     (Float.is_finite r.Queueing.Fluid_mux.clr && r.Queueing.Fluid_mux.clr >= 0.0)
@@ -570,9 +514,7 @@ let suite =
     case "disarmed faults are no-ops" test_fault_disarmed_is_noop;
     case "finite guard" test_guard_finite;
     case "protect absorbs into fallback" test_guard_protect;
-    case "deterministic budgets" test_guard_budget;
     case "breaker trip, half-open, recovery" test_breaker_lifecycle;
-    case "breaker wall-clock cooldowns" test_breaker_wall_clock;
     case "NaN kernel degrades fail-closed" test_engine_degrades_on_nan;
     case "NaN kernel degrades a mixed decision" test_engine_mixed_degrades_on_nan;
     case "NaN at 2% never moves a clean mixed verdict"

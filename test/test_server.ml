@@ -526,7 +526,31 @@ let test_round_trip_keep_alive () =
             (Option.value ~default:"?" (List.assoc_opt "connection" hdrs));
           match Io.read_line reader ~max:64 (Io.deadline_in 5.0) with
           | None -> ()
-          | Some _ -> Alcotest.fail "connection survived connection: close"))
+          | Some _ -> Alcotest.fail "connection survived connection: close"));
+  (* [max_conn_requests] bounds a keep-alive session: of three
+     pipelined requests, the second is answered with connection: close
+     and the third never is. *)
+  let pool =
+    Pool.create ~config:{ config with max_conn_requests = 2 } (make_router ())
+  in
+  with_socketpair (fun client server ->
+      let worker = Domain.spawn (fun () -> Pool.serve_connection pool ~queue_wait_us:0.0 server) in
+      Fun.protect
+        ~finally:(fun () -> ignore (Domain.join worker))
+        (fun () ->
+          let reader = Io.reader client in
+          Io.write_string client
+            (String.concat "" (List.init 3 (fun _ -> "GET /ping HTTP/1.1\r\n\r\n")));
+          List.iter
+            (fun (what, connection) ->
+              let st, hdrs, _ = read_response reader in
+              check_int what 200 st;
+              check_str (what ^ ": connection") connection
+                (Option.value ~default:"?" (List.assoc_opt "connection" hdrs)))
+            [ ("first of two", "keep-alive"); ("second of two", "close") ];
+          match Io.read_line reader ~max:64 (Io.deadline_in 5.0) with
+          | None -> ()
+          | Some _ -> Alcotest.fail "a third request was answered"))
 
 let test_connection_answers_parse_error () =
   let pool = Pool.create ~config:{ Pool.default_config with domains = 1 }
@@ -867,7 +891,7 @@ let test_access_log () =
    by at most one poll interval, hence the in-handler sleep and the
    retry loop for the nonzero-sum half. *)
 let test_gc_attribution () =
-  let ev = Obs.Events.start ~poll_interval_s:0.001 () in
+  let ev = Obs.Events.start () in
   Fun.protect
     ~finally:(fun () -> Obs.Events.stop ev)
     (fun () ->
@@ -961,7 +985,7 @@ let test_debug_vars () =
    pauses ride in its events section. *)
 let test_debug_vars_breakers_and_pauses () =
   with_api @@ fun api ->
-  let ev = Obs.Events.start ~poll_interval_s:0.001 () in
+  let ev = Obs.Events.start () in
   Fun.protect ~finally:(fun () -> Obs.Events.stop ev) @@ fun () ->
   let router =
     Cac_api.router
