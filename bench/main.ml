@@ -167,7 +167,6 @@ let micro_tests () =
          Srv.Http.meth = Srv.Http.GET;
          target = "/healthz";
          path = "/healthz";
-         query = [];
          version = Srv.Http.Http_1_1;
          headers = [];
          body = "";

@@ -25,12 +25,11 @@ let metrics_format_conv =
     match Obs.Export.format_of_string s with
     | Some f -> Ok f
     | None ->
-        Error (`Msg (Printf.sprintf "unknown metrics format %S (text|json|prom)" s))
+        Error (`Msg (Printf.sprintf "unknown metrics format %S (json|prom)" s))
   in
   let print ppf f =
     Format.pp_print_string ppf
       (match f with
-      | Obs.Export.Text -> "text"
       | Obs.Export.Json_doc -> "json"
       | Obs.Export.Prometheus -> "prom")
   in
@@ -48,8 +47,7 @@ let obs_term =
   let metrics_arg =
     let doc =
       "After the command finishes, render the telemetry registry as $(docv): \
-       $(b,text), $(b,json) (one document), or $(b,prom) (Prometheus text \
-       exposition)."
+       $(b,json) (one document) or $(b,prom) (Prometheus text exposition)."
     in
     Arg.(
       value
@@ -102,18 +100,22 @@ let open_out_or_die ~flag path =
     Printf.eprintf "cts: cannot open %s file: %s\n%!" flag msg;
     exit 1
 
-let with_obs opts f =
-  (match opts.trace_sample with
-  | None -> ()
-  | Some n when n >= 1 -> Obs.Span.set_sampling (Obs.Span.One_in n)
-  | Some n ->
-      Printf.eprintf "cts: --trace-sample must be >= 1 (got %d)\n%!" n;
-      exit 1);
+(* Both output files open before the command body runs, so a bad path
+   fails before any work is done or any result is written. *)
+let observed opts f =
+  Option.iter
+    (fun n -> Obs.Span.set_sampling (Obs.Span.One_in n))
+    opts.trace_sample;
   let trace_oc =
     Option.map (open_out_or_die ~flag:"--trace") opts.trace
   in
+  let metrics_oc =
+    match (opts.metrics, opts.metrics_out) with
+    | None, _ | Some _, "-" -> None
+    | Some _, path -> Some (open_out_or_die ~flag:"--metrics-out" path)
+  in
   (match trace_oc with
-  | Some oc -> Obs.Span.set_trace_sink (Obs.Sink.Jsonl oc)
+  | Some oc -> Obs.Span.set_trace_sink (Obs.Sink.Channel oc)
   | None -> ());
   let events = if opts.events then Some (Obs.Events.start ()) else None in
   let finish () =
@@ -128,14 +130,19 @@ let with_obs opts f =
     | None -> ()
     | Some fmt -> (
         let doc = Obs.Export.render fmt (Obs.Registry.snapshot ()) in
-        match opts.metrics_out with
-        | "-" -> print_string doc
-        | path ->
-            let oc = open_out_or_die ~flag:"--metrics-out" path in
+        match metrics_oc with
+        | None -> print_string doc
+        | Some oc ->
             output_string oc doc;
             close_out oc)
   in
   Fun.protect ~finally:finish f
+
+let with_obs opts f =
+  match opts.trace_sample with
+  | Some n when n < 1 ->
+      `Error (false, Printf.sprintf "--trace-sample must be >= 1 (got %d)" n)
+  | _ -> observed opts f
 
 (* {2 Fault-injection plumbing}
 
@@ -888,7 +895,8 @@ let serve_cmd =
     with_faults fault_opts @@ fun () ->
     if quiet then Obs.Sink.set_human Obs.Sink.Null;
     let parsed = List.map parse_link_spec links in
-    if queue < 1 then `Error (false, "--queue-capacity must be >= 1")
+    if port < 0 || port > 65535 then `Error (false, "--port must be in 0..65535")
+    else if queue < 1 then `Error (false, "--queue-capacity must be >= 1")
     else if max_body < 0 then `Error (false, "--max-body must be >= 0")
     else if cache_capacity < 0 then
       `Error (false, "--cache-capacity must be >= 0")
@@ -972,7 +980,7 @@ let serve_cmd =
 (* {2 The obs command group} *)
 
 let obs_format_arg =
-  let doc = "Output format: $(b,text), $(b,json) or $(b,prom)." in
+  let doc = "Output format: $(b,json) or $(b,prom)." in
   Arg.(
     value
     & opt metrics_format_conv Obs.Export.Prometheus

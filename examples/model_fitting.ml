@@ -30,10 +30,7 @@ let () =
   let rng = Numerics.Rng.create ~seed:515 in
   (* 1. "Measure" a trace (one source's frame sizes). *)
   let truth = (Traffic.Models.z ~a:0.975).Traffic.Models.process in
-  let trace =
-    Traffic.Trace.of_process truth ~ts:Traffic.Models.ts
-      (Numerics.Rng.split rng) ~n:frames
-  in
+  let trace = Traffic.Trace.of_process truth (Numerics.Rng.split rng) ~n:frames in
   let mean = Traffic.Trace.mean trace in
   let variance = Traffic.Trace.variance trace in
   let service = service_for ~measured_mean:mean in

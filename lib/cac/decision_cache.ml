@@ -31,7 +31,8 @@ type ('k, 'v) t = {
 }
 
 let create ~capacity =
-  assert (capacity >= 0);
+  if capacity < 0 then
+    invalid_arg (Printf.sprintf "Decision_cache.create: capacity %d < 0" capacity);
   {
     cap = capacity;
     table = Hashtbl.create (Stdlib.max 16 capacity);

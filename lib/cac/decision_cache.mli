@@ -22,7 +22,8 @@
 type ('k, 'v) t
 
 val create : capacity:int -> ('k, 'v) t
-(** [create ~capacity] holds at most [capacity] entries ([capacity >= 0]). *)
+(** [create ~capacity] holds at most [capacity] entries.  Raises
+    [Invalid_argument] on a negative [capacity]. *)
 
 val find_or_add : ('k, 'v) t -> 'k -> compute:(unit -> 'v) -> 'v
 (** [find_or_add t k ~compute] returns the cached value for [k],

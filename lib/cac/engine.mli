@@ -113,8 +113,9 @@ type verdict = {
 
 val create : ?cache_capacity:int -> ?clock:(unit -> float) -> unit -> t
 (** [cache_capacity] bounds the decision cache (default 4096; 0
-    disables caching).  [clock] supplies wall-clock seconds for latency
-    metrics (default {!Obs.Clock.wall}). *)
+    disables caching; a negative one raises [Invalid_argument]).
+    [clock] supplies wall-clock seconds for latency metrics (default
+    {!Obs.Clock.wall}). *)
 
 val add_link :
   t -> id:string -> capacity:float -> buffer:float -> target_clr:float -> Link.t

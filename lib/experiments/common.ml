@@ -48,8 +48,8 @@ type figure = {
 let series ~label points = { label; points; ci_half_width = None }
 
 (* All experiment text goes through the process-wide human sink so
-   [--quiet] silences it and a Jsonl sink captures it; lint rule H1
-   keeps stdout printers out of library code. *)
+   [--quiet] silences it; lint rule H1 keeps stdout printers out of
+   library code. *)
 let printf fmt = Obs.Sink.printf fmt
 
 let format_value v =

@@ -146,60 +146,14 @@ let json (snap : Registry.snapshot) =
 
 let json_string snap = Json.to_string (json snap)
 
-(* {2 Human-readable text} *)
-
-let text (snap : Registry.snapshot) =
-  let buf = Buffer.create 1024 in
-  if snap.Registry.counters <> [] then begin
-    Buffer.add_string buf "counters:\n";
-    List.iter
-      (fun (key, v) ->
-        Buffer.add_string buf (Printf.sprintf "  %-48s %d\n" (key_string key) v))
-      snap.Registry.counters
-  end;
-  if snap.Registry.gauges <> [] then begin
-    Buffer.add_string buf "gauges:\n";
-    List.iter
-      (fun (key, v) ->
-        Buffer.add_string buf (Printf.sprintf "  %-48s %g\n" (key_string key) v))
-      snap.Registry.gauges
-  end;
-  if snap.Registry.histograms <> [] then begin
-    Buffer.add_string buf "histograms:\n";
-    List.iter
-      (fun (key, h) ->
-        let mean =
-          if h.Registry.count = 0 then "-"
-          else Printf.sprintf "%.2f" (h.Registry.sum /. float_of_int h.Registry.count)
-        in
-        let quantiles =
-          if h.Registry.count = 0 then ""
-          else
-            let q p =
-              match Registry.histogram_quantile h ~q:p with
-              | Some v -> Printf.sprintf "%.2f" v
-              | None -> "-"
-            in
-            Printf.sprintf " p50=%s p95=%s p99=%s" (q 0.5) (q 0.95) (q 0.99)
-        in
-        Buffer.add_string buf
-          (Printf.sprintf "  %-48s n=%d mean=%s%s range=[%g,%g) over=%d\n"
-             (key_string key) h.Registry.count mean quantiles h.Registry.hlo
-             h.Registry.hhi h.Registry.overflow))
-      snap.Registry.histograms
-  end;
-  Buffer.contents buf
-
-type format = Text | Json_doc | Prometheus
+type format = Json_doc | Prometheus
 
 let format_of_string = function
-  | "text" -> Some Text
   | "json" -> Some Json_doc
   | "prom" | "prometheus" -> Some Prometheus
   | _ -> None
 
 let render fmt snap =
   match fmt with
-  | Text -> text snap
   | Json_doc -> json_string snap
   | Prometheus -> prometheus snap

@@ -15,12 +15,9 @@ val json : Registry.snapshot -> Json.t
 (** [{"counters": {...}, "gauges": {...}, "histograms": {...}}] keyed
     by {!key_string}. *)
 
-val text : Registry.snapshot -> string
-(** Aligned human-readable summary. *)
-
-type format = Text | Json_doc | Prometheus
+type format = Json_doc | Prometheus
 
 val format_of_string : string -> format option
-(** ["text"], ["json"], ["prom"]/["prometheus"]. *)
+(** ["json"], ["prom"]/["prometheus"]. *)
 
 val render : format -> Registry.snapshot -> string

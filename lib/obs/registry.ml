@@ -402,37 +402,6 @@ let snapshot () =
   in
   { counters; gauges; histograms }
 
-(* Linear interpolation inside the bin holding the q-th observation.
-   Out-of-range mass clamps to the histogram edges: the bins don't
-   know where underflow/overflow observations actually landed, so the
-   edge is the tightest honest bound. *)
-let histogram_quantile (h : histogram_snapshot) ~q =
-  if not (Float.is_finite q && q >= 0.0 && q <= 1.0) then
-    invalid_arg "Obs.Registry.histogram_quantile: q outside [0, 1]";
-  if h.count = 0 then None
-  else begin
-    let target = q *. float_of_int h.count in
-    let bins = Array.length h.counts in
-    let width = (h.hhi -. h.hlo) /. float_of_int bins in
-    let rec walk i cum =
-      if i >= bins then Some h.hhi (* target sits in the overflow mass *)
-      else begin
-        let c = h.counts.(i) in
-        let cum' = cum + c in
-        if c > 0 && float_of_int cum' >= target then begin
-          let frac =
-            Float.max 0.0
-              (Float.min 1.0 ((target -. float_of_int cum) /. float_of_int c))
-          in
-          Some (h.hlo +. (width *. (float_of_int i +. frac)))
-        end
-        else walk (i + 1) cum'
-      end
-    in
-    if h.underflow > 0 && float_of_int h.underflow >= target then Some h.hlo
-    else walk 0 h.underflow
-  end
-
 let counter_value ?(labels = Labels.empty) name =
   let snap = snapshot () in
   match List.assoc_opt (name, labels) snap.counters with Some v -> v | None -> 0

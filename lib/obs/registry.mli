@@ -124,14 +124,6 @@ val snapshot : unit -> snapshot
 (** Also polls the GC: the gauges carry the eight [runtime.*] figures
     of {!Runtime.gauges}, read at this call. *)
 
-val histogram_quantile : histogram_snapshot -> q:float -> float option
-(** The [q]-quantile of a binned histogram by linear interpolation
-    inside the bin holding the [q]-th observation ([q] in [[0, 1]],
-    else [Invalid_argument]; [None] on an empty histogram).
-    Out-of-range mass clamps to the nearest edge: underflow reports
-    [hlo], overflow reports [hhi] — the tightest bound the bins can
-    honestly give. *)
-
 val counter_value : ?labels:Labels.t -> string -> int
 (** Merged value across all shards; 0 if never updated. *)
 

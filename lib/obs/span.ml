@@ -102,23 +102,27 @@ let exit_ frame ~ok =
   | sink ->
       let dur_us = Clock.ns_to_us (Clock.elapsed_ns ~since:frame.start_mono) in
       let wall_dur = Clock.wall () -. frame.start_wall in
-      Sink.emit sink
-        (Sink.event ~time:frame.start_wall ~kind:"span" ~name:frame.name
-           [
-             ("id", Json.String frame.id);
-             ( "parent",
-               match frame.parent with
-               | Some p -> Json.String p
-               | None -> Json.Null );
-             ("depth", Json.Int frame.depth);
-             ( "trace",
-               match frame.trace with
-               | Some tid -> Json.String tid
-               | None -> Json.Null );
-             ("dur_us", Json.Float dur_us);
-             ("wall_dur_s", Json.Float wall_dur);
-             ("ok", Json.Bool ok);
-           ])
+      Sink.message sink
+        (Json.to_string
+           (Json.Obj
+              [
+                ("ts", Json.Float frame.start_wall);
+                ("kind", Json.String "span");
+                ("name", Json.String frame.name);
+                ("id", Json.String frame.id);
+                ( "parent",
+                  match frame.parent with
+                  | Some p -> Json.String p
+                  | None -> Json.Null );
+                ("depth", Json.Int frame.depth);
+                ( "trace",
+                  match frame.trace with
+                  | Some tid -> Json.String tid
+                  | None -> Json.Null );
+                ("dur_us", Json.Float dur_us);
+                ("wall_dur_s", Json.Float wall_dur);
+                ("ok", Json.Bool ok);
+              ]))
 
 let with_ ~name fn =
   let frame = enter name in

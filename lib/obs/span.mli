@@ -2,11 +2,13 @@
 
     [with_ ~name fn] times [fn ()] (monotonic for the duration, wall
     clock for the timestamp), maintains a per-domain parent/child
-    stack, and — when a trace sink is installed — emits one completion
-    event per span carrying its id, parent id, nesting depth,
-    durations ([dur_us], [wall_dur_s]), and the {!Trace} id active
-    when the span was entered (so every span of one served request
-    shares a [trace] field in the JSONL sink).
+    stack, and — when a trace sink is installed — writes one JSON line
+    per completed span:
+    [{"ts", "kind": "span", "name", "id", "parent", "depth", "trace",
+    "dur_us", "wall_dur_s", "ok"}], in that key order.  [ts] is the
+    wall clock at entry, [parent] the enclosing span's id, and [trace]
+    the {!Trace} id active when the span was entered, so every span of
+    one served request shares it.
 
     Spans write no registry series: a duration that needs a time
     series has its own histogram where it is measured
@@ -19,7 +21,7 @@ val with_ : name:string -> (unit -> 'a) -> 'a
 (** Exceptions propagate; the span is closed (with [ok=false]) first. *)
 
 val set_trace_sink : Sink.t -> unit
-(** Install the destination for span-completion events (default
+(** Install the destination for span-completion lines (default
     [Null]).  Shared by all domains. *)
 
 (** {1 Sampling}

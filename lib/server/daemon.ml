@@ -41,11 +41,11 @@ let install log sink =
   if log.trace then Obs.Span.set_trace_sink sink;
   Atomic.exchange log.sink sink
 
-let open_jsonl flag path =
-  Obs.Sink.Jsonl (open_out_gen [ Open_wronly; Open_creat; flag ] 0o644 path)
+let open_sink flag path =
+  Obs.Sink.Channel (open_out_gen [ Open_wronly; Open_creat; flag ] 0o644 path)
 
 let close_sink = function
-  | Obs.Sink.Jsonl oc | Obs.Sink.Text oc -> close_out_noerr oc
+  | Obs.Sink.Channel oc -> close_out_noerr oc
   | Obs.Sink.Null -> ()
 
 let close_logs logs retired =
@@ -58,7 +58,7 @@ let open_logs c =
   let opened = ref [] in
   let open_log (path, flag, trace) =
     let log = { path; sink = Atomic.make Obs.Sink.Null; trace } in
-    ignore (install log (open_jsonl flag path));
+    ignore (install log (open_sink flag path));
     opened := log :: !opened
   in
   match
@@ -77,7 +77,7 @@ let open_logs c =
 let rotate logs retired =
   List.iter
     (fun log ->
-      match open_jsonl Open_append log.path with
+      match open_sink Open_append log.path with
       | sink -> retired := install log sink :: !retired
       | exception Sys_error msg ->
           Printf.eprintf
@@ -166,10 +166,15 @@ let start c =
         close_logs logs [];
         Error e
       in
-      let engine = Cac.Engine.create ~cache_capacity:c.cache_capacity () in
-      match recover c engine with
-      | Error e -> fail None e
-      | Ok persist -> (
+      (* A negative cache capacity is refused here, after the logs
+         opened: [fail] closes them. *)
+      match
+        let engine = Cac.Engine.create ~cache_capacity:c.cache_capacity () in
+        (engine, recover c engine)
+      with
+      | exception Invalid_argument msg -> fail None msg
+      | _, Error e -> fail None e
+      | engine, Ok persist -> (
           let store = Option.map fst persist in
           (* Recovered links win over configured ones; the rest are
              added, and journaled, now. *)

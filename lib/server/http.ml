@@ -30,7 +30,6 @@ type request = {
   meth : meth;
   target : string;
   path : string;
-  query : (string * string) list;
   version : version;
   headers : (string * string) list;
   body : string;
@@ -52,60 +51,12 @@ let keep_alive req =
 
 (* {2 Target parsing} *)
 
-let hex_value c =
-  match c with
-  | '0' .. '9' -> Some (Char.code c - Char.code '0')
-  | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
-  | 'A' .. 'F' -> Some (Char.code c - Char.code 'A' + 10)
-  | _ -> None
-
-(* Percent-decoding for query components; malformed escapes pass
-   through verbatim rather than failing the request. *)
-let percent_decode s =
-  let b = Buffer.create (String.length s) in
-  let n = String.length s in
-  let rec go i =
-    if i < n then begin
-      (match s.[i] with
-      | '+' ->
-          Buffer.add_char b ' ';
-          go (i + 1)
-      | '%' when i + 2 < n -> (
-          match (hex_value s.[i + 1], hex_value s.[i + 2]) with
-          | Some hi, Some lo ->
-              Buffer.add_char b (Char.chr ((hi * 16) + lo));
-              go (i + 3)
-          | _ ->
-              Buffer.add_char b '%';
-              go (i + 1))
-      | c ->
-          Buffer.add_char b c;
-          go (i + 1))
-    end
-  in
-  go 0;
-  Buffer.contents b
-
-let parse_query qs =
-  String.split_on_char '&' qs
-  |> List.filter_map (fun pair ->
-         if pair = "" then None
-         else
-           match String.index_opt pair '=' with
-           | None -> Some (percent_decode pair, "")
-           | Some i ->
-               Some
-                 ( percent_decode (String.sub pair 0 i),
-                   percent_decode
-                     (String.sub pair (i + 1) (String.length pair - i - 1)) ))
-
-let split_target target =
+(* The query string is left undecoded in [target]: routing reads the
+   path only. *)
+let path_of_target target =
   match String.index_opt target '?' with
-  | None -> (target, [])
-  | Some i ->
-      ( String.sub target 0 i,
-        parse_query (String.sub target (i + 1) (String.length target - i - 1))
-      )
+  | None -> target
+  | Some i -> String.sub target 0 i
 
 (* {2 Request parsing} *)
 
@@ -181,13 +132,11 @@ let read_request ?(limits = default_limits) r deadline =
                           err 400 "connection closed mid-body"
                       | exception Io.Timeout _ -> err 408 "request timed out"
                       | body ->
-                          let path, query = split_target target in
                           Request
                             {
                               meth;
                               target;
-                              path;
-                              query;
+                              path = path_of_target target;
                               version;
                               headers;
                               body;

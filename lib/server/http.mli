@@ -29,8 +29,7 @@ type version = Http_1_0 | Http_1_1
 type request = {
   meth : meth;
   target : string;  (** raw request target, e.g. ["/v1/decide?n=3"] *)
-  path : string;  (** target before ['?'] *)
-  query : (string * string) list;  (** percent-decoded query pairs *)
+  path : string;  (** target before ['?']; the query is not decoded *)
   version : version;
   headers : (string * string) list;  (** names lowercased, values trimmed *)
   body : string;

@@ -259,6 +259,8 @@ let serve_connection t ~queue_wait_us fd =
 (* {2 Listening and accepting} *)
 
 let listen ~host ~port () =
+  if port < 0 || port > 65535 then
+    invalid_arg (Printf.sprintf "Pool.listen: port %d outside 0..65535" port);
   let addr =
     try Unix.inet_addr_of_string host
     with Failure _ ->

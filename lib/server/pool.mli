@@ -88,7 +88,8 @@ val create : ?config:config -> Router.t -> t
 val listen : host:string -> port:int -> unit -> Unix.file_descr
 (** Bind and listen on [host:port] ([SO_REUSEADDR] set, backlog 128;
     port [0] picks an ephemeral port — read it back with
-    {!bound_port}). *)
+    {!bound_port}).  Raises [Invalid_argument] on a bad host or a port
+    outside [0..65535]. *)
 
 val bound_port : Unix.file_descr -> int
 

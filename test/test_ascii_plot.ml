@@ -51,7 +51,7 @@ let test_emit_goes_to_human_sink () =
   let path = Filename.temp_file "cts_plot" ".txt" in
   let oc = open_out path in
   let prev = Obs.Sink.human_sink () in
-  Obs.Sink.set_human (Obs.Sink.Text oc);
+  Obs.Sink.set_human (Obs.Sink.Channel oc);
   Fun.protect
     ~finally:(fun () ->
       Obs.Sink.set_human prev;

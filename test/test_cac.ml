@@ -525,7 +525,7 @@ let test_sweep_trace_inheritance () =
       Obs.Span.set_trace_sink Obs.Sink.Null;
       close_out_noerr oc)
     (fun () ->
-      Obs.Span.set_trace_sink (Obs.Sink.Jsonl oc);
+      Obs.Span.set_trace_sink (Obs.Sink.Channel oc);
       Obs.Trace.with_context trace (fun () ->
           ignore (Cac.Sweep.run ~domains:3 scenarios)));
   let lines = ref [] in

@@ -37,19 +37,6 @@ let test_erfc () =
     (2.0 -. Numerics.Special.erfc 1.3)
     (Numerics.Special.erfc (-1.3))
 
-let test_trace_load_malformed () =
-  let path = Filename.temp_file "cts_bad" ".csv" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out path in
-      output_string oc "not a csv at all\n";
-      close_out oc;
-      check_true "malformed trace rejected"
-        (match Traffic.Trace.load_csv ~path with
-        | (_ : Traffic.Trace.t) -> false
-        | exception Failure _ -> true))
-
 let test_dar_iid_case () =
   (* rho = 0 is the i.i.d. degenerate case; ACF collapses to a spike. *)
   let params = { Traffic.Dar.rho = 0.0; weights = [| 1.0 |] } in
@@ -142,7 +129,6 @@ let suite =
     case "ci helpers" test_ci_helpers;
     case "map2" test_map2;
     case "erfc" test_erfc;
-    case "trace rejects malformed csv" test_trace_load_malformed;
     case "DAR iid case" test_dar_iid_case;
     case "onoff alpha mapping" test_onoff_alpha_gamma_mapping;
     case "process scale" test_process_scale_name;

@@ -157,7 +157,7 @@ let with_temp_jsonl f =
       close_out_noerr oc;
       Sys.remove path)
     (fun () ->
-      f (Obs.Sink.Jsonl oc);
+      f (Obs.Sink.Channel oc);
       close_out oc;
       let ic = open_in path in
       Fun.protect
@@ -211,7 +211,7 @@ let test_span_trace_events () =
 
 (* {2 Trace sampling} *)
 
-(* Run [spans] completions of [name] under [policy] with a Jsonl trace
+(* Run [spans] completions of [name] under [policy] with a file trace
    sink installed; returns how many trace lines were emitted. *)
 let emitted_under policy ~name ~spans =
   let lines =
@@ -670,8 +670,9 @@ let test_json_rejects_garbage () =
     [ ""; "{"; "[1,]"; "{\"a\":1} trailing"; "nul"; "\"unterminated" ]
 
 let test_jsonl_concurrent_lines () =
-  (* Worker domains share one trace sink (Cac.Sweep, the serving
-     pool); every event must stay one parseable line. *)
+  (* Worker domains share one sink (Cac.Sweep's trace, the serving
+     pool's access log); every JSON line must stay one parseable
+     line. *)
   let per_domain = 20_000 in
   let ready = Atomic.make 0 in
   let lines =
@@ -681,8 +682,14 @@ let test_jsonl_concurrent_lines () =
           Atomic.incr ready;
           while Atomic.get ready < 3 do Domain.cpu_relax () done;
           for i = 1 to per_domain do
-            Obs.Sink.emit sink
-              (Obs.Sink.event ~kind:"span" ~name:"test.concurrent" [ ("i", Int i) ])
+            Obs.Sink.message sink
+              (Obs.Json.to_string
+                 (Obj
+                    [
+                      ("kind", String "span");
+                      ("name", String "test.concurrent");
+                      ("i", Int i);
+                    ]))
           done
         in
         let domains = List.init 2 (fun _ -> Domain.spawn work) in
@@ -692,21 +699,6 @@ let test_jsonl_concurrent_lines () =
   let parsed = List.filter (fun l -> Option.is_some (Obs.Json.of_string l)) lines in
   check_int "one parseable line per event, from 3 domains" (3 * per_domain)
     (List.length parsed)
-
-let test_jsonl_message_roundtrip () =
-  let lines =
-    with_temp_jsonl (fun sink -> Obs.Sink.message sink "hello from the sink")
-  in
-  match lines with
-  | [ line ] -> (
-      match Obs.Json.of_string line with
-      | Some j ->
-          check_true "message preserved"
-            (Obs.Json.member "text" j = Some (String "hello from the sink"));
-          check_true "kind is message"
-            (Obs.Json.member "kind" j = Some (String "message"))
-      | None -> Alcotest.failf "unparseable message line: %s" line)
-  | _ -> Alcotest.fail "expected one JSON line"
 
 (* {2 Prometheus exposition} *)
 
@@ -757,70 +749,6 @@ let test_prometheus_golden () =
   Alcotest.(check string) "exposition matches" expected
     (Obs.Export.prometheus snap)
 
-(* {2 Histogram quantiles} *)
-
-let quantile_fixture ?(underflow = 0) ?(overflow = 0) counts =
-  let count =
-    underflow + overflow + Array.fold_left ( + ) 0 counts
-  in
-  {
-    Obs.Registry.hlo = 0.0;
-    hhi = float_of_int (Array.length counts * 10);
-    counts;
-    underflow;
-    overflow;
-    sum = 0.0;
-    count;
-    exemplar = None;
-  }
-
-let quantile h q =
-  match Obs.Registry.histogram_quantile h ~q with
-  | Some v -> v
-  | None -> Alcotest.fail "quantile on non-empty histogram returned None"
-
-let test_quantile_interpolation () =
-  (* 10 observations spread uniformly in one bin [10, 20): the median
-     interpolates to the bin midpoint's position. *)
-  let h = quantile_fixture [| 0; 10; 0 |] in
-  check_close "p50 interpolates inside the bin" 15.0 (quantile h 0.5);
-  check_close "p10 sits near the bin's left edge" 11.0 (quantile h 0.1);
-  check_close "p100 is the bin's right edge" 20.0 (quantile h 1.0);
-  (* Mass split across bins: 4 in [0,10), 4 in [10,20), 2 in [20,30). *)
-  let h = quantile_fixture [| 4; 4; 2 |] in
-  check_close "p25 lands mid first bin" 6.25 (quantile h 0.25);
-  check_close "p50 is the first-bin boundary" 12.5 (quantile h 0.5);
-  check_close "p90 reaches the last bin" 25.0 (quantile h 0.9)
-
-let test_quantile_edges () =
-  (match
-     Obs.Registry.histogram_quantile (quantile_fixture [| 0; 0 |]) ~q:0.5
-   with
-  | None -> ()
-  | Some _ -> Alcotest.fail "empty histogram must yield None");
-  (* Out-of-range mass clamps to the nearest representable edge. *)
-  let h = quantile_fixture ~underflow:6 [| 2; 2 |] in
-  check_close "underflow mass reports lo" 0.0 (quantile h 0.5);
-  let h = quantile_fixture ~overflow:6 [| 2; 2 |] in
-  check_close "overflow mass reports hi" 20.0 (quantile h 0.9);
-  List.iter
-    (fun q ->
-      match Obs.Registry.histogram_quantile (quantile_fixture [| 1 |]) ~q with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.failf "q=%g must raise Invalid_argument" q)
-    [ -0.1; 1.5; Float.nan ]
-
-let test_text_export_quantiles () =
-  let name = "test.obs.quantile_text.us" in
-  Obs.Registry.declare_histogram ~lo:0.0 ~hi:100.0 ~bins:10 name;
-  for _ = 1 to 10 do
-    Obs.Registry.observe name 15.0
-  done;
-  let out = Obs.Export.text (Obs.Registry.snapshot ()) in
-  check_true "text export carries p50/p95/p99"
-    (contains_substring out "p50=" && contains_substring out "p95="
-   && contains_substring out "p99=")
-
 let test_export_json_keys () =
   Obs.Registry.incr ~by:5 "test.obs.export_key";
   let doc = Obs.Export.json (Obs.Registry.snapshot ()) in
@@ -861,11 +789,7 @@ let suite =
     case "json: encode/parse round-trip" test_json_roundtrip;
     case "json: rejects malformed input" test_json_rejects_garbage;
     case "json: float bytes match the Printf rule" test_json_float_bytes;
-    case "sink: jsonl message round-trip" test_jsonl_message_roundtrip;
     case "sink: jsonl lines from concurrent domains" test_jsonl_concurrent_lines;
     case "prometheus: golden exposition" test_prometheus_golden;
     case "export: json document keys" test_export_json_keys;
-    case "quantile: linear interpolation" test_quantile_interpolation;
-    case "quantile: empty, clamps, domain errors" test_quantile_edges;
-    case "export: text mode carries quantiles" test_text_export_quantiles;
   ]

@@ -554,7 +554,6 @@ let api_post path body =
     Srv.Http.meth = Srv.Http.POST;
     target = path;
     path;
-    query = [];
     version = Srv.Http.Http_1_1;
     headers = [];
     body;
@@ -951,8 +950,9 @@ let test_store_lock_single_owner () =
   in
   Persist.Store.close again
 
-(* Bad link dimensions, bad workload or pool sizes and removed flags
-   are usage errors (cmdliner's 124), not uncaught exceptions (125).
+(* Bad link dimensions, bad workload or pool sizes, bad ports and
+   sampling rates, and removed flags and formats are usage errors
+   (cmdliner's 124), not uncaught exceptions (125).
    A bad link is caught before the daemon touches its state directory: an
    infinite capacity would otherwise be journaled as JSON null and
    fail the next boot on the same directory. *)
@@ -989,6 +989,12 @@ let test_cli_refuses_bad_links () =
   usage_error "cac replay --holding 0" [ "cac"; "replay"; "--holding"; "0" ];
   usage_error "cac replay --rate=-1" [ "cac"; "replay"; "--rate=-1" ];
   usage_error "cac sweep --domains 0" [ "cac"; "sweep"; "--domains"; "0" ];
+  usage_error "cac decide --trace-sample 0"
+    [ "cac"; "decide"; "--trace-sample"; "0" ];
+  usage_error "cac decide --metrics text" [ "cac"; "decide"; "--metrics"; "text" ];
+  (* A port outside 0..65535 would otherwise wrap onto another one. *)
+  usage_error "serve --port 70000" [ "serve"; "--port"; "70000" ];
+  usage_error "serve --port=-1" [ "serve"; "--port=-1" ];
   List.iter
     (fun flags ->
       usage_error
@@ -1000,6 +1006,23 @@ let test_cli_refuses_bad_links () =
       [ "--read-timeout"; "nan" ];
       [ "--breaker-cooldown-s"; "1" ];
     ]
+
+(* The --metrics-out file opens before the command body, as --trace's
+   does: an unwritable path fails the run before it writes a result. *)
+let test_cli_bad_metrics_out_fails_first () =
+  with_tmp_dir @@ fun dir ->
+  let results = Filename.concat dir "results" in
+  let code, out =
+    run_cli
+      [
+        "run"; "fig4"; "--quiet"; "--results-dir"; results; "--metrics";
+        "json"; "--metrics-out"; Filename.concat dir "missing/m.json";
+      ]
+  in
+  check_int "exit code" 1 code;
+  check_true "names the flag" (contains_substring out "--metrics-out");
+  check_true "no CSV written"
+    ((not (Sys.file_exists results)) || Sys.readdir results = [||])
 
 (* A zero buffer is a link dimension the engine accepts (as
    [cac decide --buffer-msec 0] does), so [serve --link] boots with
@@ -1129,6 +1152,8 @@ let suite =
       test_crash_recovery_under_faults;
     slow_case "verify-state CLI exit codes" test_verify_state_cli;
     case "bad link dimensions are usage errors" test_cli_refuses_bad_links;
+    case "bad --metrics-out fails before the run"
+      test_cli_bad_metrics_out_fails_first;
     case "serve accepts a zero-buffer link" test_serve_zero_buffer_link;
     slow_case "state dir is single-owner (kernel lock)"
       test_store_lock_single_owner;

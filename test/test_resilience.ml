@@ -403,9 +403,9 @@ let test_sweep_table_renders_failures () =
   in
   let path = Filename.temp_file "cts_sweep" ".txt" in
   let oc = open_out path in
-  Obs.Sink.set_human (Obs.Sink.Text oc);
+  Obs.Sink.set_human (Obs.Sink.Channel oc);
   Fun.protect ~finally:(fun () ->
-      Obs.Sink.set_human (Obs.Sink.Text stdout);
+      Obs.Sink.set_human (Obs.Sink.Channel stdout);
       close_out_noerr oc;
       Sys.remove path)
   @@ fun () ->

@@ -96,8 +96,6 @@ let test_parse_get () =
       check_true "method" (Http.meth_equal req.Http.meth Http.GET);
       check_str "path" "/healthz" req.Http.path;
       check_str "raw target kept" "/healthz?q=long%20range&n=3" req.Http.target;
-      check_true "query decoded"
-        (req.Http.query = [ ("q", "long range"); ("n", "3") ]);
       check_str "header lowercased" "cts"
         (Option.value ~default:"?" (Http.header req "HOST"));
       check_str "header value trimmed" "on"
@@ -272,7 +270,6 @@ let wire_matches w (req : Http.request) =
   String.equal (Http.meth_name req.Http.meth) w.w_meth
   && String.equal req.Http.target (wire_target w)
   && String.equal req.Http.path w.w_path
-  && req.Http.query = w.w_query
   && req.Http.version = Http.Http_1_1
   && req.Http.headers
      = List.map (fun (k, v) -> (String.lowercase_ascii k, String.trim v)) w.w_headers
@@ -447,7 +444,6 @@ let req_for meth path =
     Http.meth;
     target = path;
     path;
-    query = [];
     version = Http.Http_1_1;
     headers = [];
     body = "";
@@ -791,7 +787,7 @@ let test_trace_correlation_jsonl () =
       Fun.protect
         ~finally:(fun () -> close_out_noerr oc)
         (fun () ->
-          Obs.Span.set_trace_sink (Obs.Sink.Jsonl oc);
+          Obs.Span.set_trace_sink (Obs.Sink.Channel oc);
           Fun.protect
             ~finally:(fun () -> Obs.Span.set_trace_sink Obs.Sink.Null)
             (fun () ->
@@ -836,7 +832,7 @@ let test_access_log () =
     (fun () ->
       let oc = open_out path in
       let prev = Obs.Sink.human_sink () in
-      Obs.Sink.set_human (Obs.Sink.Text oc);
+      Obs.Sink.set_human (Obs.Sink.Channel oc);
       Fun.protect
         ~finally:(fun () ->
           Obs.Sink.set_human prev;
@@ -1260,9 +1256,10 @@ let test_daemon_restart_replays_nothing () =
       check_true "no journal record replayed"
         (at [ "records" ] = Some (Obs.Json.Int 0)))
 
-(* [start] must release everything it acquired when the bind fails.
-   lockf locks never conflict within one process, so reopening the
-   store alone cannot see a leak; the open descriptors (lock file, WAL
+(* [start] must release everything it acquired when the bind fails,
+   and when a setting is refused after the logs opened.  lockf locks
+   never conflict within one process, so reopening the store alone
+   cannot see a leak; the open descriptors (access log, lock file, WAL
    segment) can. *)
 let test_daemon_failed_listen_releases_state_dir () =
   with_tmp_dir @@ fun dir ->
@@ -1271,20 +1268,28 @@ let test_daemon_failed_listen_releases_state_dir () =
   in
   with_daemon daemon_config @@ fun first ->
   let fds = open_fds () in
-  (match
-     quietly (fun () ->
-         Daemon.start
-           {
-             daemon_config with
-             port = Daemon.port first;
-             links = [ big_link ];
-             state_dir = Some dir;
-           })
-   with
-  | Ok _ -> Alcotest.fail "second daemon bound a port already in use"
-  | Error e ->
-      check_true ("error names the bind: " ^ e)
-        (contains_substring e "cannot listen"));
+  let config =
+    {
+      daemon_config with
+      links = [ big_link ];
+      state_dir = Some dir;
+      access_log = Some (Filename.concat dir "access.jsonl");
+    }
+  in
+  List.iter
+    (fun (what, config, needle) ->
+      match quietly (fun () -> Daemon.start config) with
+      | Ok _ -> Alcotest.failf "%s: the daemon started" what
+      | Error e ->
+          check_true
+            (Printf.sprintf "%s: error names it: %s" what e)
+            (contains_substring e needle))
+    [
+      ("port in use", { config with port = Daemon.port first }, "cannot listen");
+      (* The socket layer would wrap it onto port 4464. *)
+      ("port 70000", { config with port = 70000 }, "70000");
+      ("cache capacity -1", { config with cache_capacity = -1 }, "capacity");
+    ];
   check_int "no descriptor leaked" fds (open_fds ());
   let store =
     Persist.Store.open_ ~dir ~policy:Persist.Wal.Never ~snapshot_every:0
@@ -1294,7 +1299,8 @@ let test_daemon_failed_listen_releases_state_dir () =
 
 (* [reopen_logs] is the SIGHUP hand-off: the next tick reopens the
    access log and the trace file by path.  Lines written before it stay
-   in the renamed files, later ones land in the new files. *)
+   in the renamed files, later ones land in the new files.  Each file
+   holds its producer's own JSON objects, nothing wrapped around them. *)
 let test_daemon_reopen_logs () =
   with_tmp_dir @@ fun dir ->
   let access = Filename.concat dir "access.jsonl"
@@ -1316,7 +1322,27 @@ let test_daemon_reopen_logs () =
     (fun (path, needle) ->
       check_int (path ^ ".1 kept the first request") 1 (lines (path ^ ".1") needle);
       check_int (path ^ " has the second request") 1 (lines path needle))
-    [ (access, "/healthz"); (trace, {|"name":"srv.http.request"|}) ]
+    [ (access, "/healthz"); (trace, {|"name":"srv.http.request"|}) ];
+  let objects path =
+    List.map
+      (fun l ->
+        match Obs.Json.of_string l with
+        | Some doc -> doc
+        | None -> Alcotest.failf "%s: unparseable line %S" path l)
+      (read_lines (path ^ ".1") @ read_lines path)
+  in
+  List.iter
+    (fun doc ->
+      check_true "access line: one GET /healthz answered 200"
+        (json_at doc [ "kind" ] = Some (Obs.Json.String "access")
+        && json_at doc [ "path" ] = Some (Obs.Json.String "/healthz")
+        && json_at doc [ "status" ] = Some (Obs.Json.Int 200)))
+    (objects access);
+  List.iter
+    (fun doc ->
+      check_true "trace line: one span"
+        (json_at doc [ "kind" ] = Some (Obs.Json.String "span")))
+    (objects trace)
 
 let suite =
   [
