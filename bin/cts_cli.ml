@@ -184,17 +184,34 @@ let with_faults opts k =
           Resilience.Fault.configure ~seed:opts.fault_seed rules;
           Fun.protect ~finally:Resilience.Fault.clear k)
 
+(* [conv] narrowed to the values [ok] accepts, so a value outside a
+   scale or dimension flag's domain is a usage error (exit 124) raised
+   while the command line is parsed, before any work starts. *)
+let restrict conv ~expected ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let positive_int = restrict Arg.int ~expected:"an integer >= 1" (fun n -> n >= 1)
+
+(* A Student-t interval needs two replications. *)
+let replications = restrict Arg.int ~expected:"an integer >= 2" (fun n -> n >= 2)
+
 let frames_arg =
   let doc = "Frames per simulation replication (default 20000)." in
-  Arg.(value & opt (some int) None & info [ "frames" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some positive_int) None & info [ "frames" ] ~docv:"N" ~doc)
 
 let reps_arg =
-  let doc = "Simulation replications (default 3)." in
-  Arg.(value & opt (some int) None & info [ "reps" ] ~docv:"N" ~doc)
+  let doc = "Simulation replications, at least 2 (default 3)." in
+  Arg.(value & opt (some replications) None & info [ "reps" ] ~docv:"N" ~doc)
 
 let seed_arg =
-  let doc = "Master random seed (default 1996)." in
-  Arg.(value & opt (some int) None & info [ "seed" ] ~docv:"SEED" ~doc)
+  let doc = "Master random seed, a positive integer (default 1996)." in
+  Arg.(value & opt (some positive_int) None & info [ "seed" ] ~docv:"SEED" ~doc)
 
 let results_dir_arg =
   let doc = "Directory for CSV outputs (default ./results)." in
@@ -288,23 +305,34 @@ let with_model name k =
 
 let n_arg =
   let doc = "Number of multiplexed sources." in
-  Arg.(value & opt int 30 & info [ "n" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive_int 30 & info [ "n" ] ~docv:"N" ~doc)
+
+let cells =
+  restrict Arg.float ~expected:"a finite number > 0" (fun x ->
+      Float.is_finite x && x > 0.0)
 
 let c_arg =
   let doc = "Bandwidth per source, cells/frame." in
-  Arg.(value & opt float 538.0 & info [ "c" ] ~docv:"CELLS" ~doc)
+  Arg.(value & opt cells 538.0 & info [ "c" ] ~docv:"CELLS" ~doc)
 
 let buffer_arg =
   let doc = "Total buffer size as maximum drain delay, msec." in
-  Arg.(value & opt float 10.0 & info [ "buffer-msec" ] ~docv:"MSEC" ~doc)
+  let msec =
+    restrict Arg.float ~expected:"a finite number >= 0" (fun b ->
+        Float.is_finite b && b >= 0.0)
+  in
+  Arg.(value & opt msec 10.0 & info [ "buffer-msec" ] ~docv:"MSEC" ~doc)
 
 let capacity_arg =
   let doc = "Total link capacity, cells/frame." in
-  Arg.(value & opt float 16140.0 & info [ "capacity" ] ~docv:"CELLS" ~doc)
+  Arg.(value & opt cells 16140.0 & info [ "capacity" ] ~docv:"CELLS" ~doc)
 
 let clr_arg =
   let doc = "Target cell loss rate." in
-  Arg.(value & opt float 1e-6 & info [ "clr" ] ~docv:"CLR" ~doc)
+  let rate =
+    restrict Arg.float ~expected:"a number in (0, 1)" (fun p -> p > 0.0 && p < 1.0)
+  in
+  Arg.(value & opt rate 1e-6 & info [ "clr" ] ~docv:"CLR" ~doc)
 
 let analyze_cmd =
   let run model_name n c buffer_msec =
@@ -366,11 +394,11 @@ let admit_cmd =
 let simulate_cmd =
   let frames_sim_arg =
     let doc = "Frames to simulate." in
-    Arg.(value & opt int 50_000 & info [ "frames" ] ~docv:"N" ~doc)
+    Arg.(value & opt positive_int 50_000 & info [ "frames" ] ~docv:"N" ~doc)
   in
   let reps_sim_arg =
-    let doc = "Independent replications." in
-    Arg.(value & opt int 3 & info [ "reps" ] ~docv:"N" ~doc)
+    let doc = "Independent replications, at least 2." in
+    Arg.(value & opt replications 3 & info [ "reps" ] ~docv:"N" ~doc)
   in
   let seed_sim_arg =
     let doc = "Random seed." in

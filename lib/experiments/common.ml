@@ -6,19 +6,20 @@ let c_fig4 = 526.0
 let n_main = 30
 let c_main = 538.0
 
-let env_int name default =
+let env_int name ~least default =
   match Sys.getenv_opt name with
   | None -> default
   | Some s -> (
       match int_of_string_opt (String.trim s) with
-      | Some v when v > 0 -> v
+      | Some v when v >= least -> v
       | _ ->
           Printf.eprintf "warning: ignoring invalid %s=%S\n%!" name s;
           default)
 
-let frames () = env_int "CTS_FRAMES" 20_000
-let reps () = env_int "CTS_REPS" 3
-let seed () = env_int "CTS_SEED" 1996
+let frames () = env_int "CTS_FRAMES" ~least:1 20_000
+(* A Student-t interval needs two replications. *)
+let reps () = env_int "CTS_REPS" ~least:2 3
+let seed () = env_int "CTS_SEED" ~least:1 1996
 
 let results_dir () =
   match Sys.getenv_opt "CTS_RESULTS_DIR" with

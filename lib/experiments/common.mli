@@ -3,11 +3,15 @@
     simulation scale knobs.
 
     Scale environment variables (all optional):
-    - [CTS_FRAMES]: frames per replication (default 20_000; the paper
-      used 500_000),
-    - [CTS_REPS]: replications (default 3; the paper used 60),
-    - [CTS_SEED]: master seed (default 1996),
-    - [CTS_RESULTS_DIR]: CSV output directory (default [results]). *)
+    - [CTS_FRAMES]: frames per replication, at least 1 (default 20_000;
+      the paper used 500_000),
+    - [CTS_REPS]: replications, at least 2 (default 3; the paper used
+      60),
+    - [CTS_SEED]: master seed, at least 1 (default 1996),
+    - [CTS_RESULTS_DIR]: CSV output directory (default [results]).
+
+    A value below its least, or not an integer, is ignored with a
+    warning on stderr, and the default used. *)
 
 val mu : float
 (** Mean frame size: 500 cells/frame. *)

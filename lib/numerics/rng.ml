@@ -11,7 +11,7 @@ type t = Bytes.t
 external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-let of_words s0 s1 s2 s3 =
+let[@inline] of_words s0 s1 s2 s3 =
   let t = Bytes.create 32 in
   set64u t 0 s0;
   set64u t 8 s1;
@@ -21,24 +21,25 @@ let of_words s0 s1 s2 s3 =
 
 (* SplitMix64 is used only to expand a small seed into full 256-bit
    state; it guarantees that nearby integer seeds yield unrelated
-   Xoshiro states. *)
-let splitmix_next state =
+   Xoshiro states.  Its k-th output from state [x] is the finaliser
+   applied to [x + k * gamma], written out here rather than stepped
+   through a ref, so a derivation keeps its words unboxed and
+   allocates only the 32-byte state it returns. *)
+let splitmix_gamma = 0x9E3779B97F4A7C15L
+
+let[@inline] splitmix x k =
   let open Int64 in
-  let z = add !state 0x9E3779B97F4A7C15L in
-  state := z;
+  let z = add x (mul (of_int k) splitmix_gamma) in
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-(* Four SplitMix64 outputs, in order, as a fresh state. *)
-let of_splitmix state =
-  let s0 = splitmix_next state in
-  let s1 = splitmix_next state in
-  let s2 = splitmix_next state in
-  let s3 = splitmix_next state in
-  of_words s0 s1 s2 s3
+(* The first four SplitMix64 outputs from [x], in order, as a fresh
+   state. *)
+let[@inline] of_splitmix x =
+  of_words (splitmix x 1) (splitmix x 2) (splitmix x 3) (splitmix x 4)
 
-let create ~seed = of_splitmix (ref (Int64.of_int seed))
+let create ~seed = of_splitmix (Int64.of_int seed)
 
 let copy t = Bytes.copy t
 
@@ -63,19 +64,17 @@ let[@inline] uint64 t =
   set64u t 24 (rotl s3 45);
   result
 
-let split t = of_splitmix (ref (uint64 t))
+let split t = of_splitmix (uint64 t)
 
 let jump_to_substream t i =
   (* Mix the substream index into a snapshot of the state through
-     SplitMix64 so the parent generator is left untouched. *)
-  let state = ref (Int64.logxor (get64u t 0) (Int64.mul (Int64.of_int (i + 1)) 0xD1342543DE82EF95L)) in
-  let s0 = splitmix_next state in
-  let state = ref (Int64.logxor (get64u t 8) s0) in
-  let s1 = splitmix_next state in
-  let state = ref (Int64.logxor (get64u t 16) s1) in
-  let s2 = splitmix_next state in
-  let state = ref (Int64.logxor (get64u t 24) s2) in
-  let s3 = splitmix_next state in
+     SplitMix64 so the parent generator is left untouched: each word
+     is the first output from the parent's word xor the one before. *)
+  let open Int64 in
+  let s0 = splitmix (logxor (get64u t 0) (mul (of_int (i + 1)) 0xD1342543DE82EF95L)) 1 in
+  let s1 = splitmix (logxor (get64u t 8) s0) 1 in
+  let s2 = splitmix (logxor (get64u t 16) s1) 1 in
+  let s3 = splitmix (logxor (get64u t 24) s2) 1 in
   of_words s0 s1 s2 s3
 
 (* 2^-53: the spacing of doubles in [1,2); used to map 53 random bits

@@ -12,7 +12,10 @@
     one boxed float (2 words) for {!float} and {!float_range}, one
     boxed [int64] (3 words) for {!uint64}, nothing for {!int} and
     {!bool}.  In an ON/OFF source every period costs one {!float}, so
-    this is what keeps source generation cheap. *)
+    this is what keeps source generation cheap.  {!create}, {!split}
+    and {!jump_to_substream} derive the four words of a new state
+    without intermediate boxes, so each allocates only that state
+    (6 words). *)
 
 type t
 (** Mutable generator state, always exactly 32 bytes. *)

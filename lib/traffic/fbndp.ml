@@ -70,21 +70,54 @@ let frame_acf t ~ts =
     assert (k >= 0);
     if k = 0 then 1.0 else g *. half_nabla2 t.alpha k
 
+(* One kernel over the M ON/OFF sources, their state in flat arrays.
+   Each period is drawn inline with [Onoff_dist.sample]'s expression:
+   a call into that module would box the period's length, since dev
+   builds compile with -opaque and inline nothing across modules.  The
+   stream must stay [Fractal_onoff]'s to the bit (the fbndp tests
+   compare them), which fixes the draw order (from substream i: the
+   residual, the phase, then one uniform per period), the Poisson
+   generator split off after the substreams, and the summation order
+   (each source's ON time from 0, then the sources in index order). *)
 let process t ~ts =
   assert (ts > 0.0);
   let dist = Onoff_dist.of_alpha ~alpha:t.alpha ~a:t.a in
+  let { Onoff_dist.a; tail_mass = e; neg_a_over_gamma; inv_gamma; _ } = dist in
+  let m = t.m and r = t.r in
   let spawn rng =
-    let sources =
-      Array.init t.m (fun i ->
-          Fractal_onoff.create dist (Numerics.Rng.jump_to_substream rng i))
-    in
+    let rngs = Array.init m (fun i -> Numerics.Rng.jump_to_substream rng i) in
+    let remaining = Array.make m 0.0 in
+    let on = Array.make m false in
+    for i = 0 to m - 1 do
+      remaining.(i) <- Onoff_dist.equilibrium_sample dist rngs.(i);
+      on.(i) <- Numerics.Rng.bool rngs.(i)
+    done;
     let poisson_rng = Numerics.Rng.split rng in
     fun () ->
       let on_time = ref 0.0 in
-      for i = 0 to t.m - 1 do
-        on_time := !on_time +. Fractal_onoff.on_time sources.(i) ~dt:ts
+      for i = 0 to m - 1 do
+        let g = rngs.(i) in
+        let acc = ref 0.0 and left = ref ts in
+        let rem = ref remaining.(i) and on_i = ref on.(i) in
+        while !left > 0.0 do
+          if !rem > !left then begin
+            if !on_i then acc := !acc +. !left;
+            rem := !rem -. !left;
+            left := 0.0
+          end
+          else begin
+            if !on_i then acc := !acc +. !rem;
+            left := !left -. !rem;
+            on_i := not !on_i;
+            let s = Numerics.Rng.float g in
+            rem := if s > e then neg_a_over_gamma *. log s else a *. ((e /. s) ** inv_gamma)
+          end
+        done;
+        remaining.(i) <- !rem;
+        on.(i) <- !on_i;
+        on_time := !on_time +. !acc
       done;
-      float_of_int (Numerics.Dist.poisson poisson_rng ~mean:(t.r *. !on_time))
+      float_of_int (Numerics.Dist.poisson poisson_rng ~mean:(r *. !on_time))
   in
   {
     Process.name =

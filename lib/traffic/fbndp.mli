@@ -61,4 +61,13 @@ val process : params -> ts:float -> Process.t
     plus Poisson thinning per frame, analytic moments as above.  Its
     tail is [`Decreasing] for [alpha] in [[0.2, 0.9]], where the
     computed {!frame_acf} stays non-increasing through lag 65,536, and
-    [`Unknown] outside it. *)
+    [`Unknown] outside it.
+
+    [spawn rng] gives source [i] substream [i] of [rng] (its residual
+    period, then its phase, then one uniform per period) and splits
+    the Poisson generator off [rng] after them.  A frame runs one
+    kernel over the [M] sources, drawing each period inline: it
+    allocates at most the boxed uniform of each period it ends
+    (2 words) and a constant for the Poisson draw.  The stream equals,
+    bit for bit, [M] {!Fractal_onoff} sources composed with
+    {!Numerics.Dist.poisson}, which the tests check. *)

@@ -1,4 +1,15 @@
-type t = { gamma : float; a : float; mean : float; tail_mass : float }
+type t = {
+  gamma : float;
+  a : float;
+  mean : float;
+  tail_mass : float;
+  body_mass : float;
+  neg_a_over_gamma : float;
+  inv_gamma : float;
+  tail_scale : float;
+  a_pow_1mg : float;
+  inv_1mg : float;
+}
 
 let create ~gamma ~a =
   if not (gamma > 1.0 && gamma < 2.0) then
@@ -7,8 +18,19 @@ let create ~gamma ~a =
   (* mean = integral of the survival function: exponential body part
      plus Pareto tail part. *)
   let e = exp (-.gamma) in
-  let mean = (a /. gamma *. (1.0 -. e)) +. (e *. a /. (gamma -. 1.0)) in
-  { gamma; a; mean; tail_mass = e }
+  let body_mass = a /. gamma *. (1.0 -. e) in
+  {
+    gamma;
+    a;
+    mean = body_mass +. (e *. a /. (gamma -. 1.0));
+    tail_mass = e;
+    body_mass;
+    neg_a_over_gamma = -.(a /. gamma);
+    inv_gamma = 1.0 /. gamma;
+    tail_scale = e *. (a ** gamma);
+    a_pow_1mg = a ** (1.0 -. gamma);
+    inv_1mg = 1.0 /. (1.0 -. gamma);
+  }
 
 let of_alpha ~alpha ~a =
   if not (alpha > 0.0 && alpha < 1.0) then
@@ -31,41 +53,32 @@ let sample t rng =
   (* Draw the survival value directly: S(T) is uniform on (0,1). *)
   let s = Numerics.Rng.float rng in
   let e = t.tail_mass in
-  if s > e then -.(t.a /. t.gamma) *. log s
-  else t.a *. ((e /. s) ** (1.0 /. t.gamma))
+  if s > e then t.neg_a_over_gamma *. log s else t.a *. ((e /. s) ** t.inv_gamma)
 
 (* integral_0^x S(u) du, needed for the equilibrium distribution. *)
 let survival_integral t x =
-  let { gamma; a; tail_mass = e; _ } = t in
+  let { gamma; a; _ } = t in
   if x <= 0.0 then 0.0
   else if x <= a then a /. gamma *. (1.0 -. exp (-.gamma *. x /. a))
-  else begin
-    let body = a /. gamma *. (1.0 -. e) in
-    let tail =
-      e *. (a ** gamma)
-      *. ((a ** (1.0 -. gamma)) -. (x ** (1.0 -. gamma)))
-      /. (gamma -. 1.0)
-    in
-    body +. tail
-  end
+  else
+    t.body_mass
+    +. (t.tail_scale *. (t.a_pow_1mg -. (x ** (1.0 -. gamma))) /. (gamma -. 1.0))
 
 let equilibrium_cdf t x = survival_integral t x /. t.mean
 
 let equilibrium_sample t rng =
-  let { gamma; a; mean; tail_mass = e } = t in
+  let { gamma; a; mean; body_mass; _ } = t in
   let u = Numerics.Rng.float rng in
   let target = u *. mean in
-  let body_mass = a /. gamma *. (1.0 -. e) in
   if target <= body_mass then begin
     (* Invert the exponential-body branch of the integrated tail. *)
     let inner = 1.0 -. (gamma *. target /. a) in
-    -.(a /. gamma) *. log inner
+    t.neg_a_over_gamma *. log inner
   end
   else begin
     (* Invert the Pareto branch: target = body + e a^g (a^(1-g) - x^(1-g)) / (g-1). *)
     let rhs =
-      (a ** (1.0 -. gamma))
-      -. ((target -. body_mass) *. (gamma -. 1.0) /. (e *. (a ** gamma)))
+      t.a_pow_1mg -. ((target -. body_mass) *. (gamma -. 1.0) /. t.tail_scale)
     in
-    rhs ** (1.0 /. (1.0 -. gamma))
+    rhs ** t.inv_1mg
   end

@@ -16,10 +16,20 @@ type t = private {
   a : float;      (** body/tail breakpoint A > 0 (seconds) *)
   mean : float;   (** E[T], closed form *)
   tail_mass : float;
-      (** [P(T > A) = exp(-gamma)], the mass of the Pareto tail.
-          Computed once here, since every {!sample} compares against
-          it and the tail-branch formulas scale by it. *)
+      (** [P(T > A) = exp(-gamma)], the mass of the Pareto tail, which
+          every {!sample} compares against. *)
+  body_mass : float;
+      (** [A (1 - exp(-gamma)) / gamma], the integrated survival
+          function's body part. *)
+  neg_a_over_gamma : float;  (** [-A / gamma], the body branch's scale *)
+  inv_gamma : float;  (** [1 / gamma], the tail branch's exponent *)
+  tail_scale : float;  (** [exp(-gamma) A^gamma] *)
+  a_pow_1mg : float;  (** [A^(1 - gamma)] *)
+  inv_1mg : float;  (** [1 / (1 - gamma)] *)
 }
+(** {!create} computes every constant a draw needs, so {!sample} and
+    {!equilibrium_sample} each cost one uniform and one [log] or
+    [**]. *)
 
 val create : gamma:float -> a:float -> t
 (** Raises [Invalid_argument] unless [1 < gamma < 2] and [a > 0]. *)
@@ -37,7 +47,10 @@ val survival : t -> float -> float
 (** [survival t x] is [P(T > x)]. *)
 
 val sample : t -> Numerics.Rng.t -> float
-(** Exact inverse-CDF sampling. *)
+(** Exact inverse-CDF sampling: one {!Numerics.Rng.float} [s], then
+    [-A/gamma log s] when [s > tail_mass] and
+    [A (tail_mass / s)^(1/gamma)] otherwise.  {!Fbndp.process} draws
+    its periods with this expression written inline. *)
 
 val equilibrium_cdf : t -> float -> float
 [@@lint.allow "U1"] (* oracle for onoff "equilibrium sampling" *)

@@ -212,6 +212,24 @@ let test_scale_env () =
   Unix.putenv "CTS_FRAMES" "";
   check_int "empty env falls back" 20_000 (Experiments.Common.frames ())
 
+(* A Student-t interval needs two replications, so CTS_REPS=1 is as
+   invalid as CTS_REPS=0: it falls back to the default instead of
+   failing after the simulation. *)
+let test_one_rep_env_ignored () =
+  Unix.putenv "CTS_FRAMES" "200";
+  Unix.putenv "CTS_REPS" "1";
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.putenv "CTS_FRAMES" "";
+      Unix.putenv "CTS_REPS" "")
+    (fun () ->
+      let s =
+        Experiments.Common.clr_sim_series ~label:"one rep"
+          (Traffic.Models.s ~a:0.975 ~p:1)
+          ~n:30 ~c:538.0 ~buffers_msec:[| 0.0 |]
+      in
+      check_true "CI attached" (s.Experiments.Common.ci_half_width <> None))
+
 let test_buffer_cells_per_source () =
   (* 10 msec at N = 30, c = 538: total 4035 cells, 134.5 per source. *)
   check_close_rel ~tol:1e-12 "per-source buffer" 134.5
@@ -282,6 +300,7 @@ let suite =
     case "spectrum ignored power" test_spectrum_ignored_power;
     case "csv export" test_emit_csv;
     case "scale env vars" test_scale_env;
+    case "CTS_REPS=1 is invalid, like 0" test_one_rep_env_ignored;
     case "buffer conversion" test_buffer_cells_per_source;
     slow_case "simulated series smoke" test_sim_smoke;
   ]

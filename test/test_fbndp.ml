@@ -121,6 +121,81 @@ let test_counts_nonnegative_integers () =
     check_true "non-negative" (v >= 0.0)
   done
 
+(* The per-source reference the fused kernel must reproduce to the
+   bit: one [Fractal_onoff] source per substream, and [Dist.poisson] on
+   a generator split off after them, fed R times the sources' ON time
+   summed in index order. *)
+let reference (p : Traffic.Fbndp.params) ~ts rng =
+  let dist = Traffic.Onoff_dist.of_alpha ~alpha:p.alpha ~a:p.a in
+  let sources =
+    Array.init p.m (fun i ->
+        Traffic.Fractal_onoff.create dist (Numerics.Rng.jump_to_substream rng i))
+  in
+  let poisson_rng = Numerics.Rng.split rng in
+  fun () ->
+    let on_time = ref 0.0 in
+    Array.iter
+      (fun s -> on_time := !on_time +. Traffic.Fractal_onoff.on_time s ~dt:ts)
+      sources;
+    float_of_int (Numerics.Dist.poisson poisson_rng ~mean:(p.r *. !on_time))
+
+(* Every FBNDP the paper simulates, and exponents at both ends of
+   (0, 1) and between, those without a declared ACF tail among them.
+   Seeds and frames per case keep each near a million periods: V^1.5
+   draws about 10,000 a frame, Z^a about 160. *)
+let kernel_cases =
+  let ts = Traffic.Models.ts in
+  let z a = (Traffic.Models.z ~a).Traffic.Models.fbndp in
+  let v v = (Traffic.Models.v ~v).Traffic.Models.fbndp in
+  let alpha alpha =
+    Traffic.Fbndp.of_moments ~alpha ~mean:250.0 ~variance:3000.0 ~m:15 ~ts
+  in
+  List.map (fun a -> (Printf.sprintf "Z^%g" a, z a, 10, 200)) Traffic.Models.z_values
+  @ [
+      ("V^0.67", v 0.67, 10, 200);
+      ("V^1", v 1.0, 5, 100);
+      ("V^1.5", v 1.5, 3, 30);
+      ("L", Traffic.Models.l_params (), 10, 200);
+      ("alpha 0.05", alpha 0.05, 10, 200);
+      ("alpha 0.5", alpha 0.5, 10, 200);
+      ("alpha 0.95", alpha 0.95, 3, 40);
+    ]
+
+let test_kernel_matches_reference () =
+  let ts = Traffic.Models.ts in
+  List.iter
+    (fun (name, p, seeds, frames) ->
+      let process = Traffic.Fbndp.process p ~ts in
+      for seed = 1 to seeds do
+        let next = process.Traffic.Process.spawn (Numerics.Rng.create ~seed) in
+        let expected = reference p ~ts (Numerics.Rng.create ~seed) in
+        for k = 0 to frames - 1 do
+          check_bits (Printf.sprintf "%s seed %d frame %d" name seed k) (expected ()) (next ())
+        done
+      done)
+    kernel_cases
+
+(* A period costs the kernel at most its one boxed uniform (2 words,
+   since [Rng.float] is another module's function); a frame adds a
+   constant for the Poisson draw.  A call per period into
+   [Onoff_dist] would box each period's length as well, doubling it. *)
+let test_frame_allocation () =
+  let ts = Traffic.Models.ts in
+  let p = (Traffic.Models.z ~a:0.975).Traffic.Models.fbndp in
+  let next = (Traffic.Fbndp.process p ~ts).Traffic.Process.spawn (rng ~seed:5 ()) in
+  for _ = 1 to 100 do ignore (Sys.opaque_identity (next ())) done;
+  let frames = 2_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to frames do ignore (Sys.opaque_identity (next ())) done;
+  let per_frame = (Gc.minor_words () -. before) /. float_of_int frames in
+  let dist = Traffic.Onoff_dist.of_alpha ~alpha:p.alpha ~a:p.a in
+  let periods = float_of_int p.m *. ts /. dist.Traffic.Onoff_dist.mean in
+  let bound = (2.0 *. 1.1 *. periods) +. 64.0 in
+  check_true
+    (Printf.sprintf "%.1f minor words per frame of about %.0f periods (<= %.0f)"
+       per_frame periods bound)
+    (per_frame <= bound)
+
 let test_invalid () =
   Alcotest.check_raises "variance below poisson floor"
     (Invalid_argument
@@ -141,6 +216,8 @@ let suite =
     slow_case "simulated moments" test_simulated_moments;
     slow_case "simulated short-lag acf" test_simulated_short_acf;
     case "counts are non-negative integers" test_counts_nonnegative_integers;
+    case "kernel = per-source reference, bit for bit" test_kernel_matches_reference;
+    case "frame allocates one uniform per period" test_frame_allocation;
     case "invalid moments rejected" test_invalid;
     qcheck ~count:30 "acf decreasing and positive"
       QCheck2.Gen.(float_range 0.55 0.95)

@@ -1005,7 +1005,34 @@ let test_cli_refuses_bad_links () =
       [ "--read-timeout=-5" ];
       [ "--read-timeout"; "nan" ];
       [ "--breaker-cooldown-s"; "1" ];
-    ]
+    ];
+  (* Scale and dimension flags outside their domain are refused while
+     parsing, before a frame is simulated or a CSV written.  One
+     replication is outside it: a confidence interval needs two. *)
+  List.iter
+    (fun flags ->
+      usage_error (String.concat " " ("simulate" :: flags)) ("simulate" :: flags))
+    [
+      [ "--frames=0" ];
+      [ "--frames=-5" ];
+      [ "--reps"; "0" ];
+      [ "--reps"; "1" ];
+      [ "-n"; "0" ];
+      [ "-c"; "0" ];
+      [ "--buffer-msec=-1" ];
+    ];
+  List.iter
+    (fun flags ->
+      usage_error (String.concat " " ("admit" :: flags)) ("admit" :: flags))
+    [ [ "--capacity=0" ]; [ "--buffer-msec=-1" ]; [ "--clr"; "0" ]; [ "--clr"; "2" ] ];
+  let results = Filename.concat dir "results" in
+  List.iter
+    (fun flags ->
+      usage_error
+        (String.concat " " ("run fig8" :: flags))
+        ([ "run"; "fig8"; "--quiet"; "--results-dir"; results ] @ flags))
+    [ [ "--frames"; "0" ]; [ "--seed"; "0" ]; [ "--reps"; "1" ] ];
+  check_true "no results dir created" (not (Sys.file_exists results))
 
 (* The --metrics-out file opens before the command body, as --trace's
    does: an unwritable path fails the run before it writes a result. *)

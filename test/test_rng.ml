@@ -201,6 +201,29 @@ let test_float_allocation () =
     (Printf.sprintf "Rng.float allocates %.2f minor words per draw (<= 2)" per_draw)
     (per_draw <= 2.0)
 
+let test_derivation_allocation () =
+  (* A derived generator's four words stay unboxed on the way: all a
+     derivation allocates is the 32-byte state (6 words with its header
+     and padding). *)
+  let a = rng () in
+  let per_call f =
+    let n = 1_000 in
+    let before = Gc.minor_words () in
+    for i = 1 to n do ignore (Sys.opaque_identity (f i)) done;
+    (Gc.minor_words () -. before) /. float_of_int n
+  in
+  List.iter
+    (fun (name, f) ->
+      let words = per_call f in
+      check_true
+        (Printf.sprintf "%s allocates %.2f minor words (<= 6)" name words)
+        (words <= 6.0))
+    [
+      ("jump_to_substream", fun i -> Numerics.Rng.jump_to_substream a i);
+      ("split", fun _ -> Numerics.Rng.split a);
+      ("create", fun seed -> Numerics.Rng.create ~seed);
+    ]
+
 let suite =
   [
     case "determinism" test_determinism;
@@ -217,6 +240,7 @@ let suite =
     case "pinned split" test_pinned_split;
     case "pinned substreams" test_pinned_substreams;
     case "float: no allocation beyond the result" test_float_allocation;
+    case "derivations allocate only the new state" test_derivation_allocation;
     qcheck "float_range stays in range"
       QCheck2.Gen.(pair (float_range (-100.) 100.) (float_range 0.001 50.))
       (fun (lo, width) ->
