@@ -1,26 +1,138 @@
 (* Command-line driver for the paper-reproduction experiments. *)
 
-let set_env name = function
-  | None -> ()
-  | Some v -> Unix.putenv name (string_of_int v)
+let set_env name = Option.iter (Unix.putenv name)
 
 let apply_scale ~frames ~reps ~seed ~results_dir =
-  set_env "CTS_FRAMES" frames;
-  set_env "CTS_REPS" reps;
-  set_env "CTS_SEED" seed;
-  match results_dir with
-  | None -> ()
-  | Some d -> Unix.putenv "CTS_RESULTS_DIR" d
+  let set_int name v = set_env name (Option.map string_of_int v) in
+  set_int "CTS_FRAMES" frames;
+  set_int "CTS_REPS" reps;
+  set_int "CTS_SEED" seed;
+  set_env "CTS_RESULTS_DIR" results_dir
 
 open Cmdliner
 
-(* {2 Telemetry plumbing}
+(* {2 Flag values}
 
-   [--metrics FMT] renders an Obs registry snapshot after the command
-   body (to stdout, or to [--metrics-out PATH]); [--trace FILE]
-   streams span-completion events as JSON lines while it runs. *)
+   Every flag value is checked by its converter while cmdliner parses
+   the command line, so a bad one is a usage error (exit 124) before
+   any file is opened or any work is done.  One converter per kind of
+   value; the libraries keep their own checks for their other callers. *)
 
-let metrics_format_conv =
+(* [conv] narrowed to the values [ok] accepts. *)
+let restrict conv ~expected ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+(* A converter from a library parser and its printer. *)
+let of_result parse to_string =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun msg -> `Msg msg) (parse s)),
+      fun ppf v -> Format.pp_print_string ppf (to_string v) )
+
+(* A comma-separated list of at least one [conv] value, tolerating
+   spaces around the commas. *)
+let non_empty_list conv ~what =
+  let trimmed =
+    Arg.conv
+      ((fun s -> Arg.conv_parser conv (String.trim s)), Arg.conv_printer conv)
+  in
+  restrict (Arg.list trimmed) ~expected:("at least one " ^ what) (fun l -> l <> [])
+
+let non_negative_int = restrict Arg.int ~expected:"an integer >= 0" (fun n -> n >= 0)
+let positive_int = restrict Arg.int ~expected:"an integer >= 1" (fun n -> n >= 1)
+
+(* A Student-t interval needs two replications. *)
+let replications = restrict Arg.int ~expected:"an integer >= 2" (fun n -> n >= 2)
+
+let port =
+  restrict Arg.int ~expected:"an integer in 0..65535" (fun p -> p >= 0 && p <= 65535)
+
+(* Cells per frame, weights, rates and holding times. *)
+let positive_float =
+  restrict Arg.float ~expected:"a finite number > 0" (fun x ->
+      Float.is_finite x && x > 0.0)
+
+(* Buffer sizes in msec and durations in seconds. *)
+let non_negative_float =
+  restrict Arg.float ~expected:"a finite number >= 0" (fun x ->
+      Float.is_finite x && x >= 0.0)
+
+let clr = restrict Arg.float ~expected:"a number in (0, 1)" (fun p -> p > 0.0 && p < 1.0)
+
+(* A duration in seconds where 0 means off ([None]). *)
+let seconds =
+  let parse s =
+    Result.map
+      (fun x -> if x > 0.0 then Some x else None)
+      (Arg.conv_parser non_negative_float s)
+  in
+  let print ppf v = Format.fprintf ppf "%g" (Option.value v ~default:0.0) in
+  Arg.conv (parse, print)
+
+let class_names_doc = String.concat ", " Cac.Source_class.names
+
+let source_class =
+  let parse s =
+    match Cac.Source_class.of_name s with
+    | Some cls -> Ok cls
+    | None ->
+        Error (`Msg (Printf.sprintf "unknown class %S (try %s)" s class_names_doc))
+  in
+  Arg.conv
+    (parse, fun ppf cls -> Format.pp_print_string ppf cls.Cac.Source_class.name)
+
+(* "dar1,z0.975" (equal weights) or "dar1:2,z0.975:1". *)
+let class_mix =
+  let weight = restrict Arg.float ~expected:"a weight > 0" (fun w -> w > 0.0) in
+  let parse s =
+    let name, w =
+      match String.index_opt s ':' with
+      | None -> (s, Ok 1.0)
+      | Some i ->
+          ( String.sub s 0 i,
+            Arg.conv_parser weight (String.sub s (i + 1) (String.length s - i - 1)) )
+    in
+    Result.bind (Arg.conv_parser source_class name) (fun cls ->
+        Result.map (fun w -> (cls, w)) w)
+  in
+  let print ppf (cls, w) = Format.fprintf ppf "%s:%g" cls.Cac.Source_class.name w in
+  non_empty_list (Arg.conv (parse, print)) ~what:"class"
+
+(* "id=capacity:buffer_msec:clr", e.g. "oc3=16140:20:1e-6". *)
+let link_spec =
+  let dimensions = Arg.t3 ~sep:':' positive_float non_negative_float clr in
+  let parse s =
+    match String.index_opt s '=' with
+    | Some i when String.trim (String.sub s 0 i) <> "" ->
+        Result.map
+          (fun (capacity, buffer_msec, target_clr) ->
+            (String.trim (String.sub s 0 i), capacity, buffer_msec, target_clr))
+          (Arg.conv_parser dimensions
+             (String.sub s (i + 1) (String.length s - i - 1)))
+    | _ ->
+        Error
+          (`Msg
+            (Printf.sprintf
+               "invalid link '%s', expected id=capacity:buffer_msec:clr (e.g. \
+                oc3=16140:20:1e-6)"
+               s))
+  in
+  let print ppf (id, capacity, buffer_msec, target_clr) =
+    Format.fprintf ppf "%s=%g:%g:%g" id capacity buffer_msec target_clr
+  in
+  Arg.conv (parse, print)
+
+let fsync_policy =
+  of_result Persist.Wal.policy_of_string Persist.Wal.policy_name
+
+let fault_rules = of_result Resilience.Fault.parse Resilience.Fault.to_string
+
+let metrics_format =
   let parse s =
     match Obs.Export.format_of_string s with
     | Some f -> Ok f
@@ -34,6 +146,27 @@ let metrics_format_conv =
       | Obs.Export.Prometheus -> "prom")
   in
   Arg.conv (parse, print)
+
+(* An experiment id, or "all" ([None]). *)
+let experiment =
+  let parse = function
+    | "all" -> Ok None
+    | id -> (
+        match Experiments.Registry.find id with
+        | Some e -> Ok (Some e)
+        | None -> Error (`Msg (Printf.sprintf "unknown experiment %S" id)))
+  in
+  let print ppf e =
+    Format.pp_print_string ppf
+      (match e with None -> "all" | Some e -> e.Experiments.Registry.id)
+  in
+  Arg.conv (parse, print)
+
+(* {2 Telemetry plumbing}
+
+   [--metrics FMT] renders an Obs registry snapshot after the command
+   body (to stdout, or to [--metrics-out PATH]); [--trace FILE]
+   streams span-completion events as JSON lines while it runs. *)
 
 type obs_opts = {
   metrics : Obs.Export.format option;
@@ -51,7 +184,7 @@ let obs_term =
     in
     Arg.(
       value
-      & opt (some metrics_format_conv) None
+      & opt (some metrics_format) None
       & info [ "metrics" ] ~docv:"FMT" ~doc)
   in
   let metrics_out_arg =
@@ -69,7 +202,7 @@ let obs_term =
        $(b,obs.span.sampled_out)."
     in
     Arg.(
-      value & opt (some int) None & info [ "trace-sample" ] ~docv:"N" ~doc)
+      value & opt (some positive_int) None & info [ "trace-sample" ] ~docv:"N" ~doc)
   in
   let events_arg =
     let doc =
@@ -102,7 +235,7 @@ let open_out_or_die ~flag path =
 
 (* Both output files open before the command body runs, so a bad path
    fails before any work is done or any result is written. *)
-let observed opts f =
+let with_obs opts f =
   Option.iter
     (fun n -> Obs.Span.set_sampling (Obs.Span.One_in n))
     opts.trace_sample;
@@ -138,21 +271,17 @@ let observed opts f =
   in
   Fun.protect ~finally:finish f
 
-let with_obs opts f =
-  match opts.trace_sample with
-  | Some n when n < 1 ->
-      `Error (false, Printf.sprintf "--trace-sample must be >= 1 (got %d)" n)
-  | _ -> observed opts f
-
 (* {2 Fault-injection plumbing}
 
    [--fault-spec RULES] arms the deterministic fault registry before
-   the command body runs (chaos testing of the CAC engine); a
-   malformed spec is a usage error.  The seed fixes the injection
-   stream, so a given (spec, seed, workload seed) triple reproduces
-   the exact same faults and decisions. *)
+   the command body runs (chaos testing of the CAC engine).  The seed
+   fixes the injection stream, so a given (spec, seed, workload seed)
+   triple reproduces the exact same faults and decisions. *)
 
-type fault_opts = { fault_spec : string option; fault_seed : int }
+type fault_opts = {
+  fault_spec : Resilience.Fault.rule list option;
+  fault_seed : int;
+}
 
 let fault_term =
   let spec_arg =
@@ -163,7 +292,9 @@ let fault_term =
        docs/resilience.md for the grammar and injection points."
     in
     Arg.(
-      value & opt (some string) None & info [ "fault-spec" ] ~docv:"RULES" ~doc)
+      value
+      & opt (some fault_rules) None
+      & info [ "fault-spec" ] ~docv:"RULES" ~doc)
   in
   let seed_arg =
     let doc = "Seed for the fault-injection stream." in
@@ -173,33 +304,13 @@ let fault_term =
     const (fun fault_spec fault_seed -> { fault_spec; fault_seed })
     $ spec_arg $ seed_arg)
 
-(* Arm the registry, then run [k]; [`Error] on a malformed spec. *)
+(* Arm the registry, then run [k]. *)
 let with_faults opts k =
   match opts.fault_spec with
   | None -> k ()
-  | Some s -> (
-      match Resilience.Fault.parse s with
-      | Error msg -> `Error (false, Printf.sprintf "bad --fault-spec: %s" msg)
-      | Ok rules ->
-          Resilience.Fault.configure ~seed:opts.fault_seed rules;
-          Fun.protect ~finally:Resilience.Fault.clear k)
-
-(* [conv] narrowed to the values [ok] accepts, so a value outside a
-   scale or dimension flag's domain is a usage error (exit 124) raised
-   while the command line is parsed, before any work starts. *)
-let restrict conv ~expected ok =
-  let parse s =
-    match Arg.conv_parser conv s with
-    | Ok v when ok v -> Ok v
-    | Ok _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
-    | Error _ as e -> e
-  in
-  Arg.conv (parse, Arg.conv_printer conv)
-
-let positive_int = restrict Arg.int ~expected:"an integer >= 1" (fun n -> n >= 1)
-
-(* A Student-t interval needs two replications. *)
-let replications = restrict Arg.int ~expected:"an integer >= 2" (fun n -> n >= 2)
+  | Some rules ->
+      Resilience.Fault.configure ~seed:opts.fault_seed rules;
+      Fun.protect ~finally:Resilience.Fault.clear k
 
 let frames_arg =
   let doc = "Frames per simulation replication (default 20000)." in
@@ -237,9 +348,9 @@ let quiet_arg =
 let run_cmd =
   let ids_arg =
     let doc = "Experiment identifiers (see $(b,list)); 'all' runs everything." in
-    Arg.(non_empty & pos_all string [] & info [] ~docv:"ID" ~doc)
+    Arg.(non_empty & pos_all experiment [] & info [] ~docv:"ID" ~doc)
   in
-  let run frames reps seed results_dir quiet obs_opts ids =
+  let run frames reps seed results_dir quiet obs_opts targets =
     apply_scale ~frames ~reps ~seed ~results_dir;
     if quiet then Obs.Sink.set_human Obs.Sink.Null;
     with_obs obs_opts @@ fun () ->
@@ -247,27 +358,19 @@ let run_cmd =
        not just a stack trace on a successful process. *)
     let failures =
       List.filter_map
-        (fun id ->
-          if id = "all" then begin
-            match Experiments.Registry.run_all ~quiet () with
-            | () -> None
-            | exception exn ->
-                Some (Printf.sprintf "all: %s" (Printexc.to_string exn))
-          end
-          else begin
-            match Experiments.Registry.find id with
-            | Some e -> begin
-                if not quiet then
-                  Printf.printf "\n######## %s: %s ########\n%!"
-                    e.Experiments.Registry.id e.Experiments.Registry.title;
-                match Experiments.Registry.run_entry e with
-                | () -> None
-                | exception exn ->
-                    Some (Printf.sprintf "%s: %s" id (Printexc.to_string exn))
-              end
-            | None -> Some (Printf.sprintf "unknown experiment %S" id)
-          end)
-        ids
+        (fun target ->
+          let id, run =
+            match target with
+            | None -> ("all", fun () -> Experiments.Registry.run_all ())
+            | Some e ->
+                ( e.Experiments.Registry.id,
+                  fun () -> Experiments.Registry.run_entry e )
+          in
+          match run () with
+          | () -> None
+          | exception exn ->
+              Some (Printf.sprintf "%s: %s" id (Printexc.to_string exn)))
+        targets
     in
     match failures with
     | [] -> `Ok ()
@@ -281,69 +384,49 @@ let run_cmd =
        $ quiet_arg $ obs_term $ ids_arg))
 
 let analytic_cmd =
-  let run frames reps seed results_dir =
-    apply_scale ~frames ~reps ~seed ~results_dir;
+  let run results_dir =
+    set_env "CTS_RESULTS_DIR" results_dir;
     Experiments.Registry.run_all ~include_simulated:false ()
   in
   Cmd.v
     (Cmd.info "analytic"
        ~doc:"Run only the closed-form experiments (fast, deterministic)")
-    Term.(const run $ frames_arg $ reps_arg $ seed_arg $ results_dir_arg)
+    Term.(const run $ results_dir_arg)
 
 (* Model selection shared by the engineering subcommands. *)
-let class_names_doc = String.concat ", " Cac.Source_class.names
-
 let model_arg =
   let doc = Printf.sprintf "Source model: one of %s." class_names_doc in
-  Arg.(value & opt string "z0.975" & info [ "model" ] ~docv:"MODEL" ~doc)
-
-let with_model name k =
-  match Cac.Source_class.of_name name with
-  | None ->
-      `Error (false, Printf.sprintf "unknown model %S (try %s)" name class_names_doc)
-  | Some cls -> k cls.Cac.Source_class.process cls.Cac.Source_class.vg
+  Arg.(
+    value
+    & opt source_class (Cac.Source_class.of_name_exn "z0.975")
+    & info [ "model" ] ~docv:"MODEL" ~doc)
 
 let n_arg =
   let doc = "Number of multiplexed sources." in
   Arg.(value & opt positive_int 30 & info [ "n" ] ~docv:"N" ~doc)
 
-let cells =
-  restrict Arg.float ~expected:"a finite number > 0" (fun x ->
-      Float.is_finite x && x > 0.0)
-
 let c_arg =
   let doc = "Bandwidth per source, cells/frame." in
-  Arg.(value & opt cells 538.0 & info [ "c" ] ~docv:"CELLS" ~doc)
+  Arg.(value & opt positive_float 538.0 & info [ "c" ] ~docv:"CELLS" ~doc)
 
 let buffer_arg =
   let doc = "Total buffer size as maximum drain delay, msec." in
-  let msec =
-    restrict Arg.float ~expected:"a finite number >= 0" (fun b ->
-        Float.is_finite b && b >= 0.0)
-  in
-  Arg.(value & opt msec 10.0 & info [ "buffer-msec" ] ~docv:"MSEC" ~doc)
+  Arg.(
+    value & opt non_negative_float 10.0 & info [ "buffer-msec" ] ~docv:"MSEC" ~doc)
 
 let capacity_arg =
   let doc = "Total link capacity, cells/frame." in
-  Arg.(value & opt cells 16140.0 & info [ "capacity" ] ~docv:"CELLS" ~doc)
+  Arg.(value & opt positive_float 16140.0 & info [ "capacity" ] ~docv:"CELLS" ~doc)
 
 let clr_arg =
   let doc = "Target cell loss rate." in
-  let rate =
-    restrict Arg.float ~expected:"a number in (0, 1)" (fun p -> p > 0.0 && p < 1.0)
-  in
-  Arg.(value & opt rate 1e-6 & info [ "clr" ] ~docv:"CLR" ~doc)
+  Arg.(value & opt clr 1e-6 & info [ "clr" ] ~docv:"CLR" ~doc)
 
 let analyze_cmd =
-  let run model_name n c buffer_msec =
-    with_model model_name @@ fun model vg ->
+  let run cls n c buffer_msec =
+    let model = cls.Cac.Source_class.process and vg = cls.Cac.Source_class.vg in
     let mu = model.Traffic.Process.mean in
-    let b =
-      Queueing.Units.buffer_cells_of_msec ~msec:buffer_msec
-        ~service_cells_per_frame:(float_of_int n *. c)
-        ~ts:Traffic.Models.ts
-      /. float_of_int n
-    in
+    let b = Experiments.Common.buffer_cells_per_source ~msec:buffer_msec ~n ~c in
     if c <= mu then `Error (false, "unstable: bandwidth per source <= mean")
     else begin
       let br = Core.Bahadur_rao.evaluate vg ~mu ~c ~b ~n in
@@ -370,26 +453,26 @@ let analyze_cmd =
     Term.(ret (const run $ model_arg $ n_arg $ c_arg $ buffer_arg))
 
 let admit_cmd =
-  let run model_name capacity buffer_msec target_clr =
-    with_model model_name @@ fun model vg ->
+  let run cls capacity buffer_msec target_clr =
+    let model = cls.Cac.Source_class.process in
     let total_buffer =
       Queueing.Units.buffer_cells_of_msec ~msec:buffer_msec
         ~service_cells_per_frame:capacity ~ts:Traffic.Models.ts
     in
     let n =
-      Core.Admission.max_admissible vg ~mu:model.Traffic.Process.mean
-        ~total_capacity:capacity ~total_buffer ~target_clr
+      Core.Admission.max_admissible cls.Cac.Source_class.vg
+        ~mu:model.Traffic.Process.mean ~total_capacity:capacity ~total_buffer
+        ~target_clr
     in
     Printf.printf
       "%d %s connections admissible on %g cells/frame with %g msec buffer \
        at CLR <= %g\n"
-      n model.Traffic.Process.name capacity buffer_msec target_clr;
-    `Ok ()
+      n model.Traffic.Process.name capacity buffer_msec target_clr
   in
   Cmd.v
     (Cmd.info "admit"
        ~doc:"Connection admission count for a link, buffer and CLR target")
-    Term.(ret (const run $ model_arg $ capacity_arg $ buffer_arg $ clr_arg))
+    Term.(const run $ model_arg $ capacity_arg $ buffer_arg $ clr_arg)
 
 let simulate_cmd =
   let frames_sim_arg =
@@ -404,8 +487,8 @@ let simulate_cmd =
     let doc = "Random seed." in
     Arg.(value & opt int 1996 & info [ "seed" ] ~docv:"SEED" ~doc)
   in
-  let run model_name n c buffer_msec frames reps seed =
-    with_model model_name @@ fun model vg ->
+  let run cls n c buffer_msec frames reps seed =
+    let model = cls.Cac.Source_class.process in
     let scenario =
       Queueing.Scenario.make ~model ~n ~c ~ts:Traffic.Models.ts
     in
@@ -419,133 +502,97 @@ let simulate_cmd =
        x %d frames)\n"
       model.Traffic.Process.name n c buffer_msec ci.Stats.Ci.point
       ci.Stats.Ci.half_width reps frames;
-    (match
-       Core.Bahadur_rao.evaluate vg ~mu:model.Traffic.Process.mean ~c
-         ~b:
-           (Queueing.Units.buffer_cells_of_msec ~msec:buffer_msec
-              ~service_cells_per_frame:(float_of_int n *. c)
-              ~ts:Traffic.Models.ts
-           /. float_of_int n)
-         ~n
-     with
+    match
+      Core.Bahadur_rao.evaluate cls.Cac.Source_class.vg
+        ~mu:model.Traffic.Process.mean ~c
+        ~b:(Experiments.Common.buffer_cells_per_source ~msec:buffer_msec ~n ~c)
+        ~n
+    with
     | r ->
         Printf.printf "Bahadur-Rao estimate: %.3e (infinite-buffer BOP)\n"
           r.Core.Bahadur_rao.bop
-    | exception Invalid_argument _ -> ());
-    `Ok ()
+    | exception Invalid_argument _ -> ()
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Simulate one multiplexer scenario directly")
     Term.(
-      ret
-        (const run $ model_arg $ n_arg $ c_arg $ buffer_arg $ frames_sim_arg
-       $ reps_sim_arg $ seed_sim_arg))
+      const run $ model_arg $ n_arg $ c_arg $ buffer_arg $ frames_sim_arg
+      $ reps_sim_arg $ seed_sim_arg)
 
 (* {2 The online CAC engine} *)
-
-let split_commas s =
-  String.split_on_char ',' s |> List.map String.trim
-  |> List.filter (fun x -> x <> "")
-
-(* "dar1,z0.975" (equal weights) or "dar1:2,z0.975:1". *)
-let parse_mix s =
-  let parse_entry entry =
-    let name, weight =
-      match String.index_opt entry ':' with
-      | None -> (entry, 1.0)
-      | Some i ->
-          ( String.sub entry 0 i,
-            String.sub entry (i + 1) (String.length entry - i - 1)
-            |> float_of_string_opt
-            |> Option.value ~default:nan )
-    in
-    Option.map (fun cls -> (cls, weight)) (Cac.Source_class.of_name name)
-  in
-  let entries = List.map parse_entry (split_commas s) in
-  if
-    entries = []
-    || List.exists
-         (function None -> true | Some (_, w) -> not (w > 0.0))
-         entries
-  then None
-  else Some (List.map Option.get entries)
 
 let cac_decide_cmd =
   let existing_arg =
     let doc = "Connections of the class already admitted on the link." in
-    Arg.(value & opt int 0 & info [ "n" ] ~docv:"N" ~doc)
+    Arg.(value & opt non_negative_int 0 & info [ "n" ] ~docv:"N" ~doc)
   in
-  let run model capacity buffer_msec target_clr existing fault_opts obs_opts =
+  let run cls capacity buffer_msec target_clr existing fault_opts obs_opts =
     with_obs obs_opts @@ fun () ->
     with_faults fault_opts @@ fun () ->
-    match Cac.Source_class.of_name model with
-    | None ->
-        `Error
-          (false, Printf.sprintf "unknown class %S (try %s)" model class_names_doc)
-    | Some cls -> (
-        let engine = Cac.Engine.create () in
-        match
-          Cac.Engine.add_link_msec engine ~id:"link" ~capacity ~buffer_msec
-            ~target_clr
-        with
-        | exception Invalid_argument msg -> `Error (false, msg)
-        | link ->
-            let rec preload k =
-              k = 0
-              ||
-              match Cac.Engine.admit engine ~link:"link" ~cls with
-              | Cac.Engine.Admitted _ -> preload (k - 1)
-              | Cac.Engine.Rejected _ -> false
-            in
-            if existing < 0 then `Error (false, "--n must be non-negative")
-            else if not (preload existing) then
-              `Error
-                ( false,
-                  Printf.sprintf
-                    "the pre-existing load of %d connections is itself inadmissible"
-                    existing )
-            else begin
-              let time f =
-                let t0 = Obs.Clock.wall () in
-                let v = f () in
-                (v, 1e6 *. (Obs.Clock.wall () -. t0))
-              in
-              let verdict, cold_us =
-                time (fun () -> Cac.Engine.evaluate engine ~link:"link" ~cls)
-              in
-              let _, warm_us =
-                time (fun () -> Cac.Engine.evaluate engine ~link:"link" ~cls)
-              in
-              Printf.printf "link           %g cells/frame, buffer %g msec (%.0f cells), CLR <= %g\n"
-                capacity buffer_msec (Cac.Link.buffer link) target_clr;
-              Printf.printf "admitted       %d x %s (utilization %.1f%%)\n" existing
-                model
-                (100.0 *. Cac.Link.utilization link);
-              Printf.printf "decision       %s%s\n"
-                (if verdict.Cac.Engine.admissible then "ADMIT"
-                 else
-                   match verdict.Cac.Engine.reason with
-                   | Some Cac.Engine.Unstable -> "REJECT (mean load at capacity)"
-                   | _ when verdict.Cac.Engine.degraded ->
-                       "REJECT (peak-rate allocation exceeds capacity)"
-                   | _ -> "REJECT (CLR target exceeded)")
-                (if verdict.Cac.Engine.degraded then
-                   " [degraded: kernel failed, fail-closed peak-rate fallback]"
-                 else "");
-              (match verdict.Cac.Engine.log10_bop with
-              | Some bop -> Printf.printf "log10 BOP      %.3f (target %.3f)\n" bop (log10 target_clr)
-              | None -> ());
-              (match verdict.Cac.Engine.required_bw with
-              | Some bw ->
-                  Printf.printf "%-14s %.1f of %g cells/frame\n"
-                    (if verdict.Cac.Engine.degraded then "peak-rate bw"
-                     else "effective bw")
-                    bw capacity
-              | None -> ());
-              Printf.printf "latency        %.1f us cold, %.1f us cached\n" cold_us
-                warm_us;
-              `Ok ()
-            end)
+    let engine = Cac.Engine.create () in
+    (* Finite flag values can still overflow to an infinite buffer in
+       cells; the engine's dimension check refuses that. *)
+    match
+      Cac.Engine.add_link_msec engine ~id:"link" ~capacity ~buffer_msec
+        ~target_clr
+    with
+    | exception Invalid_argument msg -> `Error (false, msg)
+    | link ->
+        let rec preload k =
+          k = 0
+          ||
+          match Cac.Engine.admit engine ~link:"link" ~cls with
+          | Cac.Engine.Admitted _ -> preload (k - 1)
+          | Cac.Engine.Rejected _ -> false
+        in
+        if not (preload existing) then
+          `Error
+            ( false,
+              Printf.sprintf
+                "the pre-existing load of %d connections is itself inadmissible"
+                existing )
+        else begin
+          let time f =
+            let t0 = Obs.Clock.wall () in
+            let v = f () in
+            (v, 1e6 *. (Obs.Clock.wall () -. t0))
+          in
+          let verdict, cold_us =
+            time (fun () -> Cac.Engine.evaluate engine ~link:"link" ~cls)
+          in
+          let _, warm_us =
+            time (fun () -> Cac.Engine.evaluate engine ~link:"link" ~cls)
+          in
+          Printf.printf "link           %g cells/frame, buffer %g msec (%.0f cells), CLR <= %g\n"
+            capacity buffer_msec (Cac.Link.buffer link) target_clr;
+          Printf.printf "admitted       %d x %s (utilization %.1f%%)\n" existing
+            cls.Cac.Source_class.name
+            (100.0 *. Cac.Link.utilization link);
+          Printf.printf "decision       %s%s\n"
+            (if verdict.Cac.Engine.admissible then "ADMIT"
+             else
+               match verdict.Cac.Engine.reason with
+               | Some Cac.Engine.Unstable -> "REJECT (mean load at capacity)"
+               | _ when verdict.Cac.Engine.degraded ->
+                   "REJECT (peak-rate allocation exceeds capacity)"
+               | _ -> "REJECT (CLR target exceeded)")
+            (if verdict.Cac.Engine.degraded then
+               " [degraded: kernel failed, fail-closed peak-rate fallback]"
+             else "");
+          (match verdict.Cac.Engine.log10_bop with
+          | Some bop -> Printf.printf "log10 BOP      %.3f (target %.3f)\n" bop (log10 target_clr)
+          | None -> ());
+          (match verdict.Cac.Engine.required_bw with
+          | Some bw ->
+              Printf.printf "%-14s %.1f of %g cells/frame\n"
+                (if verdict.Cac.Engine.degraded then "peak-rate bw"
+                 else "effective bw")
+                bw capacity
+          | None -> ());
+          Printf.printf "latency        %.1f us cold, %.1f us cached\n" cold_us
+            warm_us;
+          `Ok ()
+        end
   in
   Cmd.v
     (Cmd.info "decide"
@@ -563,97 +610,97 @@ let cac_replay_cmd =
          'dar1:2,z0.975:1'.  Classes: %s."
         class_names_doc
     in
-    Arg.(value & opt string "z0.975" & info [ "mix" ] ~docv:"MIX" ~doc)
+    Arg.(
+      value
+      & opt class_mix [ (Cac.Source_class.of_name_exn "z0.975", 1.0) ]
+      & info [ "mix" ] ~docv:"MIX" ~doc)
   in
   let requests_arg =
     let doc = "Connection attempts to replay." in
-    Arg.(value & opt int 10_000 & info [ "requests" ] ~docv:"N" ~doc)
+    Arg.(value & opt positive_int 10_000 & info [ "requests" ] ~docv:"N" ~doc)
   in
   let rate_arg =
     let doc =
       "Arrival rate, connections/s (default: 1.1 x the link's fill boundary \
        divided by the holding time)."
     in
-    Arg.(value & opt (some float) None & info [ "rate" ] ~docv:"PER_SEC" ~doc)
+    Arg.(
+      value & opt (some positive_float) None & info [ "rate" ] ~docv:"PER_SEC" ~doc)
   in
   let holding_arg =
     let doc = "Mean connection holding time, seconds." in
-    Arg.(value & opt float 60.0 & info [ "holding" ] ~docv:"SEC" ~doc)
+    Arg.(value & opt positive_float 60.0 & info [ "holding" ] ~docv:"SEC" ~doc)
   in
   let seed_replay_arg =
     let doc = "Random seed." in
     Arg.(value & opt int 1996 & info [ "seed" ] ~docv:"SEED" ~doc)
   in
-  let run mix_s capacity buffer_msec target_clr requests rate holding seed
+  let run mix capacity buffer_msec target_clr requests rate holding seed
       fault_opts obs_opts =
     with_obs obs_opts @@ fun () ->
     with_faults fault_opts @@ fun () ->
-    match parse_mix mix_s with
-    | None ->
-        `Error
-          ( false,
-            Printf.sprintf "bad mix %S (classes: %s, weights > 0)" mix_s
-              class_names_doc )
-    | Some mix -> (
-        let make_engine () =
-          let engine = Cac.Engine.create () in
-          ignore
-            (Cac.Engine.add_link_msec engine ~id:"link" ~capacity ~buffer_msec
-               ~target_clr);
-          engine
-        in
-        match make_engine () with
-        | exception Invalid_argument msg -> `Error (false, msg)
-        | scratch ->
-            let arrival_rate =
-              match rate with
-              | Some r -> r
-              | None ->
-                  let n_max =
-                    Cac.Engine.fill scratch ~link:"link" ~cls:(fst (List.hd mix))
-                  in
-                  1.1 *. float_of_int (Stdlib.max 1 n_max) /. holding
-            in
-            match
-              Cac.Workload.spec ~mean_holding:holding ~arrival_rate ~requests
-                ~mix ()
-            with
-            | exception Invalid_argument msg -> `Error (false, msg)
-            | spec ->
-              let engine = make_engine () in
-              let t0 = Obs.Clock.wall () in
-              let result =
-                Cac.Workload.run engine ~link:"link" spec
-                  (Numerics.Rng.create ~seed)
+    let make_engine () =
+      let engine = Cac.Engine.create () in
+      ignore
+        (Cac.Engine.add_link_msec engine ~id:"link" ~capacity ~buffer_msec
+           ~target_clr);
+      engine
+    in
+    (* As in decide, the link's cells and the derived arrival rate can
+       overflow although every flag value is finite; the library
+       checks refuse them. *)
+    match make_engine () with
+    | exception Invalid_argument msg -> `Error (false, msg)
+    | scratch ->
+        let arrival_rate =
+          match rate with
+          | Some r -> r
+          | None ->
+              let n_max =
+                Cac.Engine.fill scratch ~link:"link" ~cls:(fst (List.hd mix))
               in
-              let elapsed = Obs.Clock.wall () -. t0 in
-              Printf.printf
-                "replayed %d connection attempts (%.2f Erlangs offered) in %.2f s\n"
-                result.Cac.Workload.offered
-                (Cac.Workload.offered_load spec)
-                elapsed;
-              Printf.printf "admitted       %d\n" result.Cac.Workload.admitted;
-              Printf.printf "rejected       %d\n" result.Cac.Workload.rejected;
-              if result.Cac.Workload.errors > 0 || result.Cac.Workload.degraded > 0
-              then
-                Printf.printf
-                  "resilience     %d engine errors (fail-closed), %d degraded \
-                   peak-rate decisions\n"
-                  result.Cac.Workload.errors result.Cac.Workload.degraded;
-              Printf.printf "blocking       %.4f overall, %.4f steady-state\n"
-                result.Cac.Workload.blocking result.Cac.Workload.steady_blocking;
-              Printf.printf "occupancy      %.1f mean, %d peak, %d at end\n"
-                result.Cac.Workload.mean_occupancy result.Cac.Workload.peak_occupancy
-                result.Cac.Workload.final_occupancy;
-              Printf.printf "cache          %.1f%% hits overall, %.1f%% steady-state\n"
-                (100.0 *. result.Cac.Workload.cache_hit_rate)
-                (100.0 *. result.Cac.Workload.steady_cache_hit_rate);
-              Printf.printf "latency        %.2f us mean per decision\n"
-                result.Cac.Workload.mean_latency_us;
-              let stats = Cac.Engine.cache_stats engine in
-              Printf.printf "cache entries  %d (%d evictions)\n"
-                stats.Cac.Decision_cache.entries stats.Cac.Decision_cache.evictions;
-              `Ok ())
+              1.1 *. float_of_int (Stdlib.max 1 n_max) /. holding
+        in
+        match
+          Cac.Workload.spec ~mean_holding:holding ~arrival_rate ~requests
+            ~mix ()
+        with
+        | exception Invalid_argument msg -> `Error (false, msg)
+        | spec ->
+          let engine = make_engine () in
+          let t0 = Obs.Clock.wall () in
+          let result =
+            Cac.Workload.run engine ~link:"link" spec
+              (Numerics.Rng.create ~seed)
+          in
+          let elapsed = Obs.Clock.wall () -. t0 in
+          Printf.printf
+            "replayed %d connection attempts (%.2f Erlangs offered) in %.2f s\n"
+            result.Cac.Workload.offered
+            (Cac.Workload.offered_load spec)
+            elapsed;
+          Printf.printf "admitted       %d\n" result.Cac.Workload.admitted;
+          Printf.printf "rejected       %d\n" result.Cac.Workload.rejected;
+          if result.Cac.Workload.errors > 0 || result.Cac.Workload.degraded > 0
+          then
+            Printf.printf
+              "resilience     %d engine errors (fail-closed), %d degraded \
+               peak-rate decisions\n"
+              result.Cac.Workload.errors result.Cac.Workload.degraded;
+          Printf.printf "blocking       %.4f overall, %.4f steady-state\n"
+            result.Cac.Workload.blocking result.Cac.Workload.steady_blocking;
+          Printf.printf "occupancy      %.1f mean, %d peak, %d at end\n"
+            result.Cac.Workload.mean_occupancy result.Cac.Workload.peak_occupancy
+            result.Cac.Workload.final_occupancy;
+          Printf.printf "cache          %.1f%% hits overall, %.1f%% steady-state\n"
+            (100.0 *. result.Cac.Workload.cache_hit_rate)
+            (100.0 *. result.Cac.Workload.steady_cache_hit_rate);
+          Printf.printf "latency        %.2f us mean per decision\n"
+            result.Cac.Workload.mean_latency_us;
+          let stats = Cac.Engine.cache_stats engine in
+          Printf.printf "cache entries  %d (%d evictions)\n"
+            stats.Cac.Decision_cache.entries stats.Cac.Decision_cache.evictions;
+          `Ok ()
   in
   Cmd.v
     (Cmd.info "replay"
@@ -670,23 +717,33 @@ let cac_sweep_cmd =
       Printf.sprintf "Comma-separated traffic classes (%s)." class_names_doc
     in
     Arg.(
-      value & opt string "z0.975,dar1,dar3,l" & info [ "models" ] ~docv:"LIST" ~doc)
+      value
+      & opt
+          (non_empty_list source_class ~what:"class")
+          (List.map Cac.Source_class.of_name_exn [ "z0.975"; "dar1"; "dar3"; "l" ])
+      & info [ "models" ] ~docv:"LIST" ~doc)
   in
   let buffers_arg =
     let doc = "Comma-separated buffer sizes, msec." in
-    Arg.(value & opt string "10,20,30" & info [ "buffers" ] ~docv:"LIST" ~doc)
+    Arg.(
+      value
+      & opt (non_empty_list non_negative_float ~what:"buffer size") [ 10.0; 20.0; 30.0 ]
+      & info [ "buffers" ] ~docv:"LIST" ~doc)
   in
   let clrs_arg =
     let doc = "Comma-separated CLR targets." in
-    Arg.(value & opt string "1e-6" & info [ "clrs" ] ~docv:"LIST" ~doc)
+    Arg.(
+      value
+      & opt (non_empty_list clr ~what:"CLR target") [ 1e-6 ]
+      & info [ "clrs" ] ~docv:"LIST" ~doc)
   in
   let requests_arg =
     let doc = "Workload attempts replayed per grid cell (0 disables)." in
-    Arg.(value & opt int 2000 & info [ "requests" ] ~docv:"N" ~doc)
+    Arg.(value & opt non_negative_int 2000 & info [ "requests" ] ~docv:"N" ~doc)
   in
   let domains_arg =
     let doc = "Worker domains (default: the recommended domain count)." in
-    Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
+    Arg.(value & opt (some positive_int) None & info [ "domains" ] ~docv:"N" ~doc)
   in
   let seed_sweep_arg =
     let doc = "Master seed for per-cell workloads." in
@@ -703,51 +760,35 @@ let cac_sweep_cmd =
     in
     Arg.(value & flag & info [ "heatmap" ] ~doc)
   in
-  let run models buffers clrs capacity requests domains seed check heatmap
-      fault_opts obs_opts =
+  let run classes buffers_msec target_clrs capacity requests domains seed check
+      heatmap fault_opts obs_opts =
     with_obs obs_opts @@ fun () ->
     with_faults fault_opts @@ fun () ->
-    let class_names = split_commas models in
-    let unknown =
-      List.filter (fun n -> Cac.Source_class.of_name n = None) class_names
+    let scenarios =
+      Cac.Sweep.grid ~capacity ~requests ~seed
+        ~class_names:(List.map (fun c -> c.Cac.Source_class.name) classes)
+        ~buffers_msec ~target_clrs ()
     in
-    let buffers_msec = List.filter_map float_of_string_opt (split_commas buffers) in
-    let target_clrs = List.filter_map float_of_string_opt (split_commas clrs) in
-    if class_names = [] || unknown <> [] then
-      `Error
-        ( false,
-          Printf.sprintf "bad class list %S (classes: %s)" models
-            class_names_doc )
-    else if buffers_msec = [] || target_clrs = [] then
-      `Error (false, "need at least one buffer size and one CLR target")
-    else if Option.fold ~none:false ~some:(fun d -> d < 1) domains then
-      `Error (false, "--domains must be at least 1")
+    let t0 = Obs.Clock.wall () in
+    let outcomes = Cac.Sweep.run ?domains scenarios in
+    let elapsed = Obs.Clock.wall () -. t0 in
+    Cac.Sweep.print_table outcomes;
+    let failed = List.length (Cac.Sweep.failures outcomes) in
+    Printf.printf "%d scenarios (%d failed) in %.2f s\n"
+      (Array.length outcomes) failed elapsed;
+    if heatmap then begin
+      match Obs.Heatmap.of_snapshot (Obs.Registry.snapshot ()) with
+      | Some hm -> print_string (Obs.Heatmap.to_ascii hm)
+      | None -> Printf.printf "no per-buffer m* observations recorded\n"
+    end;
+    if not check then `Ok ()
     else begin
-      let scenarios =
-        Cac.Sweep.grid ~capacity ~requests ~seed ~class_names ~buffers_msec
-          ~target_clrs ()
-      in
-      let t0 = Obs.Clock.wall () in
-      let outcomes = Cac.Sweep.run ?domains scenarios in
-      let elapsed = Obs.Clock.wall () -. t0 in
-      Cac.Sweep.print_table outcomes;
-      let failed = List.length (Cac.Sweep.failures outcomes) in
-      Printf.printf "%d scenarios (%d failed) in %.2f s\n"
-        (Array.length outcomes) failed elapsed;
-      if heatmap then begin
-        match Obs.Heatmap.of_snapshot (Obs.Registry.snapshot ()) with
-        | Some hm -> print_string (Obs.Heatmap.to_ascii hm)
-        | None -> Printf.printf "no per-buffer m* observations recorded\n"
-      end;
-      if not check then `Ok ()
-      else begin
-        let sequential = Cac.Sweep.run ~domains:1 scenarios in
-        if sequential = outcomes then begin
-          Printf.printf "sequential re-run: identical\n";
-          `Ok ()
-        end
-        else `Error (false, "parallel and sequential sweeps diverge")
+      let sequential = Cac.Sweep.run ~domains:1 scenarios in
+      if sequential = outcomes then begin
+        Printf.printf "sequential re-run: identical\n";
+        `Ok ()
       end
+      else `Error (false, "parallel and sequential sweeps diverge")
     end
   in
   Cmd.v
@@ -824,23 +865,6 @@ let cac_cmd =
 
 (* {2 The serving daemon} *)
 
-(* "id=capacity:buffer_msec:clr", e.g. "oc3=16140:20:1e-6". *)
-let parse_link_spec s =
-  match String.index_opt s '=' with
-  | None -> None
-  | Some i -> (
-      let id = String.trim (String.sub s 0 i) in
-      let rhs = String.sub s (i + 1) (String.length s - i - 1) in
-      match
-        String.split_on_char ':' rhs |> List.map float_of_string_opt
-      with
-      | [ Some capacity; Some buffer_msec; Some target_clr ]
-        when id <> "" && Float.is_finite capacity && capacity > 0.0
-             && Float.is_finite buffer_msec && buffer_msec >= 0.0
-             && target_clr > 0.0 && target_clr < 1.0 ->
-          Some (id, capacity, buffer_msec, target_clr)
-      | _ -> None)
-
 let serve_cmd =
   let host_arg =
     let doc = "Address to bind." in
@@ -848,25 +872,26 @@ let serve_cmd =
   in
   let port_arg =
     let doc = "TCP port (0 picks an ephemeral port)." in
-    Arg.(value & opt int 8080 & info [ "port" ] ~docv:"PORT" ~doc)
+    Arg.(value & opt port 8080 & info [ "port" ] ~docv:"PORT" ~doc)
   in
   let domains_arg =
     let doc = "Worker domains draining the request queue." in
-    Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
+    Arg.(value & opt (some positive_int) None & info [ "domains" ] ~docv:"N" ~doc)
   in
   let queue_arg =
     let doc =
       "Accepted connections queued before the server sheds with 503."
     in
-    Arg.(value & opt int 128 & info [ "queue-capacity" ] ~docv:"N" ~doc)
+    Arg.(value & opt positive_int 128 & info [ "queue-capacity" ] ~docv:"N" ~doc)
   in
   let read_timeout_arg =
     let doc = "Per-request read deadline, seconds (0 disables)." in
-    Arg.(value & opt float 10.0 & info [ "read-timeout" ] ~docv:"SEC" ~doc)
+    Arg.(value & opt seconds (Some 10.0) & info [ "read-timeout" ] ~docv:"SEC" ~doc)
   in
   let max_body_arg =
     let doc = "Largest accepted request body, bytes." in
-    Arg.(value & opt int (1 lsl 20) & info [ "max-body" ] ~docv:"BYTES" ~doc)
+    Arg.(
+      value & opt non_negative_int (1 lsl 20) & info [ "max-body" ] ~docv:"BYTES" ~doc)
   in
   let links_arg =
     let doc =
@@ -875,12 +900,13 @@ let serve_cmd =
     in
     Arg.(
       value
-      & opt_all string [ "oc3=16140:20:1e-6"; "access=5380:10:1e-6" ]
+      & opt_all link_spec
+          [ ("oc3", 16140.0, 20.0, 1e-6); ("access", 5380.0, 10.0, 1e-6) ]
       & info [ "link" ] ~docv:"SPEC" ~doc)
   in
   let cache_arg =
     let doc = "Decision-cache capacity (0 disables caching)." in
-    Arg.(value & opt int 4096 & info [ "cache-capacity" ] ~docv:"N" ~doc)
+    Arg.(value & opt non_negative_int 4096 & info [ "cache-capacity" ] ~docv:"N" ~doc)
   in
   let state_dir_arg =
     let doc =
@@ -898,14 +924,17 @@ let serve_cmd =
        acked connections, a plain crash none), or $(b,never) (page cache \
        only)."
     in
-    Arg.(value & opt string "always" & info [ "fsync-policy" ] ~docv:"POLICY" ~doc)
+    Arg.(
+      value
+      & opt fsync_policy Persist.Wal.Always
+      & info [ "fsync-policy" ] ~docv:"POLICY" ~doc)
   in
   let snapshot_every_arg =
     let doc =
       "Checkpoint the connection table after $(docv) journaled ops (0 = only \
        on graceful shutdown)."
     in
-    Arg.(value & opt int 10_000 & info [ "snapshot-every" ] ~docv:"N" ~doc)
+    Arg.(value & opt non_negative_int 10_000 & info [ "snapshot-every" ] ~docv:"N" ~doc)
   in
   let access_log_file_arg =
     let doc =
@@ -922,76 +951,56 @@ let serve_cmd =
     with_obs { obs_opts with trace = None } @@ fun () ->
     with_faults fault_opts @@ fun () ->
     if quiet then Obs.Sink.set_human Obs.Sink.Null;
-    let parsed = List.map parse_link_spec links in
-    if port < 0 || port > 65535 then `Error (false, "--port must be in 0..65535")
-    else if queue < 1 then `Error (false, "--queue-capacity must be >= 1")
-    else if max_body < 0 then `Error (false, "--max-body must be >= 0")
-    else if cache_capacity < 0 then
-      `Error (false, "--cache-capacity must be >= 0")
-    else if not (Float.is_finite read_timeout && read_timeout >= 0.0) then
-      `Error (false, "--read-timeout must be finite and >= 0")
-    else if snapshot_every < 0 then
-      `Error (false, "--snapshot-every must be >= 0")
-    else if List.mem None parsed then
-      `Error
-        ( false,
-          "bad --link spec (want id=capacity:buffer_msec:clr, e.g. \
-           oc3=16140:20:1e-6)" )
-    else
-      match Persist.Wal.policy_of_string fsync_policy with
-      | Error msg -> `Error (false, "bad --fsync-policy: " ^ msg)
-      | Ok fsync_policy -> (
-          match
-            Srv.Daemon.start
-              {
-                host;
-                port;
-                domains;
-                queue_capacity = queue;
-                read_timeout_s =
-                  (if read_timeout > 0.0 then Some read_timeout else None);
-                max_body;
-                links = List.filter_map Fun.id parsed;
-                cache_capacity;
-                state_dir;
-                fsync_policy;
-                snapshot_every;
-                access_log;
-                trace = obs_opts.trace;
-              }
-          with
-          | Error e -> `Error (false, e)
-          | Ok daemon ->
-              (* SIGTERM/SIGINT drain (exit 0), SIGHUP reopens the log
-                 files; each handler only sets a flag. *)
-              let stop = Sys.Signal_handle (fun _ -> Srv.Daemon.stop daemon) in
-              Sys.set_signal Sys.sigterm stop;
-              Sys.set_signal Sys.sigint stop;
-              Sys.set_signal Sys.sighup
-                (Sys.Signal_handle (fun _ -> Srv.Daemon.reopen_logs daemon));
-              Obs.Sink.printf
-                "cts serve: listening on %s:%d (%d domains, queue %d)\n" host
-                (Srv.Daemon.port daemon) (Srv.Daemon.domains daemon) queue;
-              List.iter
-                (fun link ->
-                  Obs.Sink.printf
-                    "cts serve:   link %-7s %.0f cells/frame, buffer %.1f \
-                     msec, CLR <= %g\n"
-                    (Cac.Link.id link) (Cac.Link.capacity link)
-                    (Cac.Link.buffer_msec link) (Cac.Link.target_clr link))
-                (Srv.Daemon.links daemon);
-              Obs.Sink.printf
-                "cts serve: POST /v1/decide /v1/admit /v1/release, GET \
-                 /metrics /healthz /debug/vars /heatmap /heatmap.csv\n";
-              Srv.Daemon.serve daemon;
-              let count = Obs.Registry.counter_value in
-              Obs.Sink.printf
-                "cts serve: drained; %d requests on %d connections (%d \
-                 shed, %d handler errors)\n"
-                (count "srv.http.requests") (count "srv.http.connections")
-                (count "srv.http.shed")
-                (count "srv.http.handler_errors");
-              `Ok ())
+    match
+      Srv.Daemon.start
+        {
+          host;
+          port;
+          domains;
+          queue_capacity = queue;
+          read_timeout_s = read_timeout;
+          max_body;
+          links;
+          cache_capacity;
+          state_dir;
+          fsync_policy;
+          snapshot_every;
+          access_log;
+          trace = obs_opts.trace;
+        }
+    with
+    | Error e -> `Error (false, e)
+    | Ok daemon ->
+        (* SIGTERM/SIGINT drain (exit 0), SIGHUP reopens the log
+           files; each handler only sets a flag. *)
+        let stop = Sys.Signal_handle (fun _ -> Srv.Daemon.stop daemon) in
+        Sys.set_signal Sys.sigterm stop;
+        Sys.set_signal Sys.sigint stop;
+        Sys.set_signal Sys.sighup
+          (Sys.Signal_handle (fun _ -> Srv.Daemon.reopen_logs daemon));
+        Obs.Sink.printf
+          "cts serve: listening on %s:%d (%d domains, queue %d)\n" host
+          (Srv.Daemon.port daemon) (Srv.Daemon.domains daemon) queue;
+        List.iter
+          (fun link ->
+            Obs.Sink.printf
+              "cts serve:   link %-7s %.0f cells/frame, buffer %.1f \
+               msec, CLR <= %g\n"
+              (Cac.Link.id link) (Cac.Link.capacity link)
+              (Cac.Link.buffer_msec link) (Cac.Link.target_clr link))
+          (Srv.Daemon.links daemon);
+        Obs.Sink.printf
+          "cts serve: POST /v1/decide /v1/admit /v1/release, GET \
+           /metrics /healthz /debug/vars /heatmap /heatmap.csv\n";
+        Srv.Daemon.serve daemon;
+        let count = Obs.Registry.counter_value in
+        Obs.Sink.printf
+          "cts serve: drained; %d requests on %d connections (%d \
+           shed, %d handler errors)\n"
+          (count "srv.http.requests") (count "srv.http.connections")
+          (count "srv.http.shed")
+          (count "srv.http.handler_errors");
+        `Ok ()
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1011,7 +1020,7 @@ let obs_format_arg =
   let doc = "Output format: $(b,json) or $(b,prom)." in
   Arg.(
     value
-    & opt metrics_format_conv Obs.Export.Prometheus
+    & opt metrics_format Obs.Export.Prometheus
     & info [ "format" ] ~docv:"FMT" ~doc)
 
 let obs_export_cmd =

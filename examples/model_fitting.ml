@@ -30,15 +30,15 @@ let () =
   let rng = Numerics.Rng.create ~seed:515 in
   (* 1. "Measure" a trace (one source's frame sizes). *)
   let truth = (Traffic.Models.z ~a:0.975).Traffic.Models.process in
-  let trace = Traffic.Trace.of_process truth (Numerics.Rng.split rng) ~n:frames in
-  let mean = Traffic.Trace.mean trace in
-  let variance = Traffic.Trace.variance trace in
+  let trace = Traffic.Process.generate truth (Numerics.Rng.split rng) frames in
+  let mean = Numerics.Float_array.mean trace in
+  let variance = Numerics.Float_array.variance trace in
   let service = service_for ~measured_mean:mean in
   Printf.printf "Measured trace: %d frames, mean %.1f, variance %.0f\n" frames
     mean variance;
 
   (* 2. Estimate the ACF and fit DAR(p) to the estimates. *)
-  let sample_acf = Traffic.Trace.acf trace ~max_lag:16 in
+  let sample_acf = Stats.Acf.autocorrelation_fft trace ~max_lag:16 in
   Printf.printf "Sample ACF (lags 1-5): %s\n\n"
     (String.concat ", "
        (List.map
@@ -64,7 +64,7 @@ let () =
       Array.iter
         (fun off ->
           total :=
-            !total +. trace.Traffic.Trace.frames.((off + !t) mod frames))
+            !total +. trace.((off + !t) mod frames))
         offsets;
       incr t;
       !total

@@ -23,7 +23,6 @@ type op =
       buffer : float;
       target_clr : float;
     }
-  | Op_remove_link of string
   | Op_admit of { conn : int; link : string; cls : string }
   | Op_release of int
 
@@ -123,39 +122,6 @@ let links t =
 let mem_link t id = Hashtbl.mem t.links id
 
 let link_telemetry t id = Hashtbl.find_opt t.link_telemetry id
-
-let remove_link t id =
-  let _ = link t id in
-  let stale =
-    Hashtbl.fold
-      (fun conn (l, _) acc -> if Link.id l = id then conn :: acc else acc)
-      t.conns []
-  in
-  (* Stale connections are torn down, not leaked: each counts as a
-     release in the engine metrics and the link's registry series, so
-     active-connection accounting stays exact across link removal. *)
-  List.iter
-    (fun conn ->
-      Hashtbl.remove t.conns conn;
-      Metrics.record_release t.metrics)
-    stale;
-  (match Hashtbl.find_opt t.link_telemetry id with
-  | Some tel ->
-      if stale <> [] then
-        Obs.Registry.Counter.incr ~by:(List.length stale) tel.t_releases;
-      Obs.Registry.Gauge.set tel.t_connections 0.0
-  | None -> ());
-  Hashtbl.remove t.links id;
-  Hashtbl.remove t.link_telemetry id;
-  let prefix = id ^ "/" in
-  let dead =
-    Hashtbl.fold
-      (fun key _ acc ->
-        if String.starts_with ~prefix key then key :: acc else acc)
-      t.breakers []
-  in
-  List.iter (Hashtbl.remove t.breakers) dead;
-  emit t (Op_remove_link id)
 
 (* {2 Decision primitives, memoised} *)
 
@@ -412,7 +378,6 @@ let apply t op =
   match op with
   | Op_add_link { id; capacity; buffer; target_clr } ->
       ignore (add_link t ~id ~capacity ~buffer ~target_clr)
-  | Op_remove_link id -> remove_link t id
   | Op_admit { conn; link = link_id; cls } ->
       if Hashtbl.mem t.conns conn then
         invalid_arg

@@ -59,7 +59,7 @@
 
     The engine itself is memory-only, but every mutation can be
     mirrored to an external journal: {!set_journal} installs a hook
-    that receives each completed {!op} (link added/removed, connection
+    that receives each completed {!op} (link added, connection
     admitted/released) inside whatever critical section the caller
     runs the engine under.  The hook must not raise and must not block
     — [Persist.Store] satisfies both by pushing to an in-memory queue
@@ -85,7 +85,6 @@ type op =
       buffer : float;
       target_clr : float;
     }
-  | Op_remove_link of string
   | Op_admit of { conn : int; link : string; cls : string }
   | Op_release of int
 
@@ -131,12 +130,6 @@ val add_link_msec :
   target_clr:float ->
   Link.t
 (** Same, with the buffer given as a maximum drain delay in msec. *)
-
-val remove_link : t -> string -> unit
-(** Drop a link, all its connections, and its circuit breakers.  Every
-    stale connection is accounted as a release (engine metrics and the
-    link's registry series), so active-connection accounting stays
-    exact. *)
 
 val link : t -> string -> Link.t
 (** Raises [Invalid_argument] on unknown ids. *)

@@ -110,9 +110,9 @@ let evaluate scenario =
   }
 
 (* [evaluate] plus per-task telemetry: a [cac.sweep.task] span (which
-   inherits the submitting domain's trace id — see [run]), one
-   [cac.sweep.tasks] tick and a duration observation, labelled by the
-   worker slot (label sets are fixed per worker, so sequential and
+   inherits the submitting domain's trace id — see [run]) and a
+   [cac.sweep.task_us] observation, whose count is the task count,
+   labelled by the worker slot (label sets are fixed per worker, so sequential and
    parallel runs export the same instrument names; only the
    per-worker split differs). *)
 let evaluate_instrumented ~worker scenario =
@@ -120,7 +120,6 @@ let evaluate_instrumented ~worker scenario =
   let labels = Obs.Labels.make [ ("worker", string_of_int worker) ] in
   let t0 = Obs.Clock.monotonic_ns () in
   let row = evaluate scenario in
-  Obs.Registry.incr ~labels "cac.sweep.tasks";
   Obs.Registry.observe ~labels "cac.sweep.task_us"
     (Obs.Clock.ns_to_us (Obs.Clock.elapsed_ns ~since:t0));
   row

@@ -6,6 +6,18 @@ let c_fig4 = 526.0
 let n_main = 30
 let c_main = 538.0
 
+(* The (variable, value) pairs already warned about.  The variables
+   are re-read on every call, since they may change mid-process; a bad
+   value warns once, however many series read it. *)
+let warned : (string * string) list Atomic.t = Atomic.make []
+
+let rec warn_once name s =
+  let seen = Atomic.get warned in
+  if not (List.mem (name, s) seen) then
+    if Atomic.compare_and_set warned seen ((name, s) :: seen) then
+      Printf.eprintf "warning: ignoring invalid %s=%S\n%!" name s
+    else warn_once name s
+
 let env_int name ~least default =
   match Sys.getenv_opt name with
   | None -> default
@@ -13,7 +25,7 @@ let env_int name ~least default =
       match int_of_string_opt (String.trim s) with
       | Some v when v >= least -> v
       | _ ->
-          Printf.eprintf "warning: ignoring invalid %s=%S\n%!" name s;
+          warn_once name s;
           default)
 
 let frames () = env_int "CTS_FRAMES" ~least:1 20_000

@@ -11,7 +11,8 @@
     - [CTS_RESULTS_DIR]: CSV output directory (default [results]).
 
     A value below its least, or not an integer, is ignored with a
-    warning on stderr, and the default used. *)
+    warning on stderr (once per variable and value per process), and
+    the default used. *)
 
 val mu : float
 (** Mean frame size: 500 cells/frame. *)

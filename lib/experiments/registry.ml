@@ -9,9 +9,11 @@ let () =
   Obs.Registry.declare_counter "experiments.runs";
   Obs.Registry.declare_counter "experiments.failures"
 
-(* Every experiment runs inside a span named [experiment.<id>], so a
-   trace sink shows per-experiment wall time. *)
+(* Every experiment prints its banner to the human sink, then runs
+   inside a span named [experiment.<id>], so a trace sink shows
+   per-experiment wall time. *)
 let run_entry e =
+  Common.printf "\n######## %s: %s ########\n%!" e.id e.title;
   Obs.Span.with_ ~name:("experiment." ^ e.id) (fun () ->
       Obs.Registry.incr "experiments.runs";
       match e.run () with
@@ -134,12 +136,7 @@ let all =
 
 let find id = List.find_opt (fun e -> e.id = id) all
 
-let run_all ?(include_simulated = true) ?(quiet = false) () =
+let run_all ?(include_simulated = true) () =
   List.iter
-    (fun e ->
-      if include_simulated || not e.simulated then begin
-        if not quiet then
-          Common.printf "\n######## %s: %s ########\n%!" e.id e.title;
-        run_entry e
-      end)
+    (fun e -> if include_simulated || not e.simulated then run_entry e)
     all

@@ -14,10 +14,11 @@ val all : entry list
 val find : string -> entry option
 
 val run_entry : entry -> unit
-(** Run one experiment inside an [experiment.<id>] telemetry span,
-    ticking [experiments.runs] (and [experiments.failures] when it
-    raises — the exception still propagates). *)
+(** Print the [######## id: title ########] banner to the human sink
+    ({!Obs.Sink.printf}, silenced by [--quiet]), then run the
+    experiment inside an [experiment.<id>] telemetry span, ticking
+    [experiments.runs] (and [experiments.failures] when it raises —
+    the exception still propagates). *)
 
-val run_all : ?include_simulated:bool -> ?quiet:bool -> unit -> unit
-(** [quiet] suppresses the per-experiment banner lines.  Each entry
-    runs through {!run_entry}. *)
+val run_all : ?include_simulated:bool -> unit -> unit
+(** Each entry runs through {!run_entry}. *)

@@ -210,8 +210,6 @@ end
 let () =
   Registry.declare_histogram ~lo:0.0 ~hi:50_000.0 ~bins:50
     "runtime.ev.gc.pause.us";
-  Registry.declare_counter "runtime.ev.gc.pauses";
-  Registry.declare_counter "runtime.ev.gc.pause_ns";
   Registry.declare_counter "runtime.ev.lost_events"
 
 (* {2 The in-process consumer} *)
@@ -252,11 +250,6 @@ let record ~pause_ns ~top ~top_mutex p =
   let us = Int64.to_float p.p_dur_ns /. 1e3 in
   if Float.is_finite us then
     Registry.observe ~labels "runtime.ev.gc.pause.us" us;
-  Registry.incr ~labels "runtime.ev.gc.pauses";
-  Registry.incr
-    ~labels:(Labels.make [ ("domain", string_of_int p.p_domain) ])
-    ~by:(Stdlib.max 0 (Int64.to_int p.p_dur_ns))
-    "runtime.ev.gc.pause_ns";
   Mutex.protect top_mutex (fun () ->
       let merged =
         List.sort

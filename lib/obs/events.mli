@@ -5,10 +5,8 @@
     outermost} phase interval into a pause:
 
     - [runtime.ev.gc.pause.us{domain=…,phase=minor|major|other}] —
-      per-domain pause-duration histograms (µs, 0–50 ms);
-    - [runtime.ev.gc.pauses{domain,phase}] /
-      [runtime.ev.gc.pause_ns{domain}] — pause count and cumulative
-      pause time counters;
+      per-domain pause-duration histograms (µs, 0–50 ms), whose
+      count and sum are the pause count and cumulative pause time;
     - [runtime.ev.lost_events] — ring overwrites the consumer missed.
 
     A per-ring cumulative pause clock backs request attribution:
@@ -76,8 +74,8 @@ val cumulative_pause_ns : unit -> int
     one poll interval).  A freshly spawned domain's first bracket may
     straddle its ring-handshake resolution and over-attribute once;
     callers clamp deltas to [>= 0].  Per-domain totals for export are
-    the [runtime.ev.gc.pauses{domain,phase}] and
-    [runtime.ev.gc.pause_ns{domain}] counters. *)
+    the [runtime.ev.gc.pause.us{domain,phase}] histograms' counts and
+    sums. *)
 
 val top_pauses : unit -> pause list
 (** The longest pauses seen since {!start} (at most 32), longest

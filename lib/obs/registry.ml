@@ -180,90 +180,67 @@ let observe ?(labels = Labels.empty) name x =
 
 let domain_id () = (Domain.self () :> int)
 
+(* One handle record for every instrument kind, generic in the cell;
+   [cell_of] finds or creates the cell in a shard. *)
+type 'cell handle = {
+  name : string;
+  labels : Labels.t;
+  mutable cache : int * 'cell;  (* (domain, cell in that domain's shard) *)
+}
+
+let bind cell_of name labels =
+  { name; labels; cache = (domain_id (), cell_of (my_shard ()) (name, labels)) }
+
+let resolve cell_of t =
+  let d = domain_id () in
+  let (cached_d, cell) = t.cache in
+  if cached_d = d then cell
+  else begin
+    let cell = cell_of (my_shard ()) (t.name, t.labels) in
+    t.cache <- (d, cell);
+    cell
+  end
+
 module Counter = struct
-  type t = {
-    name : string;
-    labels : Labels.t;
-    mutable cache : int * int ref;  (* (domain, cell in that domain's shard) *)
-  }
+  type t = int ref handle
 
   let v ?(labels = Labels.empty) name =
     check_name name;
     if Labels.is_empty labels then declare_counter name;
-    { name; labels; cache = (domain_id (), counter_cell (my_shard ()) (name, labels)) }
-
-  let resolve t =
-    let d = domain_id () in
-    let (cached_d, cell) = t.cache in
-    if cached_d = d then cell
-    else begin
-      let cell = counter_cell (my_shard ()) (t.name, t.labels) in
-      t.cache <- (d, cell);
-      cell
-    end
+    bind counter_cell name labels
 
   let incr ?(by = 1) t =
     if by < 0 then invalid_arg "Obs.Counter.incr: counters are monotonic (by < 0)";
-    let r = resolve t in
+    let r = resolve counter_cell t in
     r := !r + by
 
 end
 
 module Gauge = struct
-  type t = {
-    name : string;
-    labels : Labels.t;
-    mutable cache : int * float ref;
-  }
+  type t = float ref handle
 
   let v ?(labels = Labels.empty) name =
     check_name name;
     if Labels.is_empty labels then declare_gauge name;
-    { name; labels; cache = (domain_id (), gauge_cell (my_shard ()) (name, labels)) }
-
-  let resolve t =
-    let d = domain_id () in
-    let (cached_d, cell) = t.cache in
-    if cached_d = d then cell
-    else begin
-      let cell = gauge_cell (my_shard ()) (t.name, t.labels) in
-      t.cache <- (d, cell);
-      cell
-    end
-
-  let set t v = resolve t := v
+    bind gauge_cell name labels
 
   let add t v =
-    let r = resolve t in
+    let r = resolve gauge_cell t in
     r := !r +. v
 
 end
 
 module Histogram = struct
-  type t = {
-    name : string;
-    labels : Labels.t;
-    mutable cache : int * hist;
-  }
+  type t = hist handle
 
   let v ?(labels = Labels.empty) ?lo ?hi ?bins name =
     check_name name;
     if Labels.is_empty labels then declare_histogram ?lo ?hi ?bins name
     else ensure_spec ?lo ?hi ?bins name;
-    { name; labels; cache = (domain_id (), hist_cell (my_shard ()) (name, labels)) }
-
-  let resolve t =
-    let d = domain_id () in
-    let (cached_d, cell) = t.cache in
-    if cached_d = d then cell
-    else begin
-      let cell = hist_cell (my_shard ()) (t.name, t.labels) in
-      t.cache <- (d, cell);
-      cell
-    end
+    bind hist_cell name labels
 
   let observe t x =
-    let cell = resolve t in
+    let cell = resolve hist_cell t in
     Stats.Histogram.add cell.h x;
     cell.sum <- cell.sum +. x;
     stamp_exemplar cell x

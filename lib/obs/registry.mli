@@ -89,7 +89,6 @@ module Gauge : sig
   type t
 
   val v : ?labels:Labels.t -> string -> t
-  val set : t -> float -> unit
   val add : t -> float -> unit
 end
 

@@ -11,32 +11,20 @@ type t = { trace_id : string; span_id : string }
 
 (* {2 Id generation}
 
-   splitmix64 with per-domain state, seeded from the domain id and the
-   monotonic clock.  Not cryptographic — trace ids only need to be
+   One {!Numerics.Rng} stream per domain, seeded from the domain id and
+   the monotonic clock.  Not cryptographic — trace ids only need to be
    unique enough that two requests' traces never collide in practice.
    Domain.DLS keeps the stream per-domain, so parallel workers never
    contend (same scheme as the span id sequence in Obs.Span). *)
 
-let golden = 0x9e3779b97f4a7c15L
-
-let rng_state : int64 ref Domain.DLS.key =
+let rng : Numerics.Rng.t Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      ref
-        (Int64.add
-           (Int64.mul golden (Int64.of_int (((Domain.self () :> int) + 1) * 2654435761)))
-           (Clock.monotonic_ns ())))
+      Numerics.Rng.create
+        ~seed:
+          ((((Domain.self () :> int) + 1) * 2654435761)
+          + Int64.to_int (Clock.monotonic_ns ())))
 
-let next64 () =
-  let s = Domain.DLS.get rng_state in
-  s := Int64.add !s golden;
-  let z = !s in
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L
-  in
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL
-  in
-  Int64.logxor z (Int64.shift_right_logical z 31)
+let next64 () = Numerics.Rng.uint64 (Domain.DLS.get rng)
 
 let hex_digits = "0123456789abcdef"
 

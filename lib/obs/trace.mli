@@ -12,8 +12,8 @@ type t = {
 }
 
 val generate : unit -> t
-(** Fresh random context from a per-domain splitmix64 stream seeded
-    with the domain id and the monotonic clock. *)
+(** Fresh random context from a per-domain {!Numerics.Rng} stream
+    seeded with the domain id and the monotonic clock. *)
 
 val parse_traceparent : string -> t option
 (** Parse a [traceparent] header value

@@ -18,8 +18,6 @@ let json_of_op (op : E.op) =
           ("buffer", J.Float buffer);
           ("target_clr", J.Float target_clr);
         ]
-  | E.Op_remove_link id ->
-      J.Obj [ ("op", J.String "remove_link"); ("id", J.String id) ]
   | E.Op_admit { conn; link; cls } ->
       J.Obj
         [
@@ -59,10 +57,6 @@ let op_of_json j =
       | Some id, Some capacity, Some buffer, Some target_clr ->
           Ok (E.Op_add_link { id; capacity; buffer; target_clr })
       | _ -> Error "add_link: missing or mistyped field")
-  | Some "remove_link" -> (
-      match string_member "id" j with
-      | Some id -> Ok (E.Op_remove_link id)
-      | None -> Error "remove_link: missing id")
   | Some "admit" -> (
       match
         (int_member "conn" j, string_member "link" j, string_member "class" j)

@@ -27,11 +27,13 @@ let churn () =
   done;
   Gc.full_major ()
 
-let gc_pause_observations () =
+(* Pauses observed into [runtime.ev.gc.pause.us], over every series
+   whose labels satisfy [keep]. *)
+let gc_pause_observations ?(keep = fun _ -> true) () =
   let snap = Obs.Registry.snapshot () in
   List.fold_left
-    (fun acc ((name, _), h) ->
-      if String.equal name "runtime.ev.gc.pause.us" then
+    (fun acc ((name, labels), h) ->
+      if String.equal name "runtime.ev.gc.pause.us" && keep labels then
         acc + h.Obs.Registry.count
       else acc)
     0 snap.Obs.Registry.histograms
@@ -58,14 +60,13 @@ let test_pause_soak () =
       check_true "top pause has positive duration"
         (Int64.compare p.Obs.Events.p_dur_ns 0L > 0)
   | [] -> ());
-  let this_domain =
-    Obs.Labels.make [ ("domain", string_of_int (Domain.self () :> int)) ]
+  let this_domain labels =
+    List.assoc_opt "domain" (Obs.Labels.to_list labels)
+    = Some (string_of_int (Domain.self () :> int))
   in
   spin
-    (fun () ->
-      Obs.Registry.counter_value ~labels:this_domain "runtime.ev.gc.pause_ns"
-      > 0)
-    "runtime.ev.gc.pause_ns{domain} never covered this domain";
+    (fun () -> gc_pause_observations ~keep:this_domain () > 0)
+    "runtime.ev.gc.pause.us{domain} never covered this domain";
   Obs.Events.stop t;
   check_true "stopped consumer reports not running"
     (not (Obs.Events.running ()))

@@ -230,6 +230,43 @@ let test_one_rep_env_ignored () =
       in
       check_true "CI attached" (s.Experiments.Common.ci_half_width <> None))
 
+(* What [f] writes to the stderr file descriptor. *)
+let captured_stderr f =
+  let path = Filename.temp_file "cts_stderr" ".txt" in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let saved = Unix.dup Unix.stderr in
+  flush stderr;
+  Unix.dup2 fd Unix.stderr;
+  Unix.close fd;
+  Fun.protect
+    ~finally:(fun () ->
+      flush stderr;
+      Unix.dup2 saved Unix.stderr;
+      Unix.close saved)
+    f;
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  text
+
+(* Every simulated series reads the knobs again; a bad value warns
+   once per process, not once per series. *)
+let test_bad_env_warns_once () =
+  Unix.putenv "CTS_FRAMES" "0";
+  let text =
+    Fun.protect
+      ~finally:(fun () -> Unix.putenv "CTS_FRAMES" "")
+      (fun () ->
+        captured_stderr (fun () ->
+            check_int "first read falls back" 20_000 (Experiments.Common.frames ());
+            check_int "second read falls back" 20_000
+              (Experiments.Common.frames ())))
+  in
+  check_int "one warning" 1
+    (List.length
+       (List.filter
+          (fun line -> contains_substring line "ignoring invalid CTS_FRAMES")
+          (String.split_on_char '\n' text)))
+
 let test_buffer_cells_per_source () =
   (* 10 msec at N = 30, c = 538: total 4035 cells, 134.5 per source. *)
   check_close_rel ~tol:1e-12 "per-source buffer" 134.5
@@ -301,6 +338,7 @@ let suite =
     case "csv export" test_emit_csv;
     case "scale env vars" test_scale_env;
     case "CTS_REPS=1 is invalid, like 0" test_one_rep_env_ignored;
+    case "a bad CTS_* value warns once" test_bad_env_warns_once;
     case "buffer conversion" test_buffer_cells_per_source;
     slow_case "simulated series smoke" test_sim_smoke;
   ]

@@ -221,6 +221,10 @@ let test_l1_positive () =
     [ "11:14 L1"; "13:15 L1"; "15:17 L1" ]
     (flow ~as_path:"lib/misc/l1_lock.ml" "l1_lock.ml")
 
+let test_l1_read_exact () =
+  check "a framed read under the lock blocks like a line read" [ "1:12 L1" ]
+    (flow ~as_path:"lib/misc/l1_read_exact.ml" "l1_read_exact.ml")
+
 let test_l1_negative () =
   check "pure critical sections, Atomic state and waivers stay quiet" []
     (flow ~as_path:"lib/misc/l1_negative.ml" "l1_negative.ml")
@@ -245,7 +249,7 @@ let test_e1_guarded () =
   check "local try, a Guard.protect fence and a waiver keep E1 quiet" []
     (flow ~as_path:"lib/misc/e1_guarded.ml" "e1_guarded.ml")
 
-(* {2 Typed backend: .cmt loading, precision and cross-backend dedup}
+(* {2 Typed backend: .cmt loading and precision}
 
    The suite cannot assume a dune build of itself, so it makes its own
    typedtrees: write a module to a scratch directory, compile it with
@@ -294,22 +298,6 @@ let test_typed_precision () =
   | fs ->
       Alcotest.failf "expected exactly one typed finding, got %d"
         (List.length fs)
-
-let test_backend_both_dedup () =
-  let dir = temp_dir () in
-  let path = compile_with_cmt dir "bad.ml" "let bad x = x = 1.0\n" in
-  let report =
-    Lint_driver.run ~backend:Lint_driver.Both ~build_root:dir ~cfg [ path ]
-  in
-  match report.Lint_driver.findings with
-  | [ f ] ->
-      Alcotest.(check string)
-        "both backends fire at the same spot; dedup keeps one" "N1"
-        f.Lint_finding.rule
-  | fs ->
-      Alcotest.failf "expected one deduplicated finding, got %d: %s"
-        (List.length fs)
-        (String.concat "; " (List.map Lint_finding.to_string fs))
 
 let test_typed_missing_cmt () =
   let dir = temp_dir () in
@@ -500,12 +488,12 @@ let suite =
     Alcotest.test_case "f1 positive" `Quick test_f1_positive;
     Alcotest.test_case "f1 guarded/waived" `Quick test_f1_guarded;
     Alcotest.test_case "l1 positive" `Quick test_l1_positive;
+    Alcotest.test_case "l1 read_exact golden" `Quick test_l1_read_exact;
     Alcotest.test_case "l1 negative/waived" `Quick test_l1_negative;
     Alcotest.test_case "e1 positive" `Quick test_e1_positive;
     Alcotest.test_case "e1 chain message" `Quick test_e1_chain;
     Alcotest.test_case "e1 guarded/waived" `Quick test_e1_guarded;
     Alcotest.test_case "typed precision" `Quick test_typed_precision;
-    Alcotest.test_case "both backends dedup" `Quick test_backend_both_dedup;
     Alcotest.test_case "typed missing cmt -> T0" `Quick test_typed_missing_cmt;
     Alcotest.test_case "u1 golden" `Quick test_u1_golden;
     Alcotest.test_case "u1 missing cmti -> T0" `Quick test_u1_missing_cmti;

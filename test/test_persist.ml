@@ -168,13 +168,15 @@ let test_codec_round_trip () =
     [
       Cac.Engine.Op_add_link
         { id = "oc3"; capacity = 16140.0; buffer = 807.0; target_clr = 1e-6 };
-      Cac.Engine.Op_remove_link "oc3";
       Cac.Engine.Op_admit { conn = 42; link = "oc3"; cls = "dar1" };
       Cac.Engine.Op_release 42;
     ];
-  (match Persist.Codec.decode_op "{\"op\":\"warp\"}" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown op accepted");
+  List.iter
+    (fun record ->
+      match Persist.Codec.decode_op record with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "unknown op accepted: %s" record)
+    [ "{\"op\":\"warp\"}"; "{\"op\":\"remove_link\",\"id\":\"oc3\"}" ];
   match Persist.Codec.decode_op "not json at all" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "garbage accepted"
@@ -989,6 +991,22 @@ let test_cli_refuses_bad_links () =
   usage_error "cac replay --holding 0" [ "cac"; "replay"; "--holding"; "0" ];
   usage_error "cac replay --rate=-1" [ "cac"; "replay"; "--rate=-1" ];
   usage_error "cac sweep --domains 0" [ "cac"; "sweep"; "--domains"; "0" ];
+  (* Every sweep list entry parses and lies in its range, or the sweep
+     refuses to start: no entry is dropped and no ERROR row printed. *)
+  List.iter
+    (fun flags ->
+      let args = [ "cac"; "sweep"; "--models"; "dar1" ] @ flags in
+      usage_error (String.concat " " args) args;
+      let _, out = run_cli args in
+      check_true (String.concat " " args ^ ": no table")
+        (not (contains_substring out "scenarios")))
+    [
+      [ "--buffers"; "10,abc"; "--requests"; "0" ];
+      [ "--buffers=-5"; "--requests"; "0" ];
+      [ "--clrs"; "2"; "--requests"; "0" ];
+      [ "--requests=-1" ];
+    ];
+  usage_error "cac decide -n-1" [ "cac"; "decide"; "-n-1" ];
   usage_error "cac decide --trace-sample 0"
     [ "cac"; "decide"; "--trace-sample"; "0" ];
   usage_error "cac decide --metrics text" [ "cac"; "decide"; "--metrics"; "text" ];
@@ -1005,7 +1023,19 @@ let test_cli_refuses_bad_links () =
       [ "--read-timeout=-5" ];
       [ "--read-timeout"; "nan" ];
       [ "--breaker-cooldown-s"; "1" ];
+      [ "--queue-capacity"; "0" ];
+      [ "--max-body=-1" ];
+      [ "--snapshot-every=-1" ];
+      [ "--fsync-policy"; "sometimes" ];
     ];
+  (* A pool size is refused before the daemon recovers, locks or
+     snapshots its state directory. *)
+  let unlocked = Filename.concat dir "unlocked" in
+  usage_error "serve --domains 0"
+    [ "serve"; "--port"; "0"; "--state-dir"; unlocked; "--domains"; "0" ];
+  check_true "--domains 0 creates no state dir" (not (Sys.file_exists unlocked));
+  (* analytic runs no simulation, so it takes no scale flags. *)
+  usage_error "analytic --frames 5" [ "analytic"; "--frames"; "5" ];
   (* Scale and dimension flags outside their domain are refused while
      parsing, before a frame is simulated or a CSV written.  One
      replication is outside it: a confidence interval needs two. *)

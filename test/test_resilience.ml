@@ -419,20 +419,6 @@ let test_sweep_table_renders_failures () =
   check_true "no raw inf leaks into the table"
     (not (contains_substring table "inf"))
 
-(* {2 Engine bookkeeping under faults} *)
-
-let test_remove_link_accounting () =
-  let cls = Cac.Source_class.of_name_exn "dar1" in
-  let engine = engine_with_link () in
-  let admitted = Cac.Engine.fill engine ~link:"link" ~cls in
-  check_true "fixture admits something" (admitted > 0);
-  Cac.Engine.remove_link engine "link";
-  check_int "no connections survive the link" 0
-    (Cac.Engine.active_connections engine);
-  let m = Cac.Engine.metrics engine in
-  check_int "every stale connection accounted as a release"
-    (Cac.Metrics.admits m) (Cac.Metrics.releases m)
-
 (* {2 Queueing simulator fault point}
 
    Both multiplexer simulators draw [queueing.mux.step] once per
@@ -529,8 +515,6 @@ let suite =
     case "workload spec validation" test_workload_spec_validation;
     case "sweep survives task faults" test_sweep_survives_faults;
     case "sweep table renders failures and no inf" test_sweep_table_renders_failures;
-    case "remove_link keeps release accounting exact"
-      test_remove_link_accounting;
     case "mux step faults replay deterministically"
       test_mux_step_fault_deterministic;
     case "monotonic clock" test_clock_monotonic;

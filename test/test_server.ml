@@ -1019,8 +1019,8 @@ let test_debug_vars_breakers_and_pauses () =
             (match Obs.Json.member "top_pauses" events with
             | Some (List _) -> true
             | _ -> false);
-          (* per-domain pause totals live on /metrics:
-             runtime.ev.gc.pauses{domain,phase}, .pause_ns{domain} *)
+          (* per-domain pause counts and totals live on /metrics:
+             runtime.ev.gc.pause.us{domain,phase}'s _count and _sum *)
           check_true "domains is not repeated here"
             (Obs.Json.member "domains" events = None)
       | None -> Alcotest.fail "no events section");

@@ -7,7 +7,7 @@
 open Ctslint_lib
 
 let usage =
-  "ctslint [--backend typed|syntactic|both] [--config FILE] [--json FILE]\n\
+  "ctslint [--backend typed|syntactic] [--config FILE] [--json FILE]\n\
   \        [--sarif FILE] [--flow] [--quiet] [PATH...]\n\
    Lints every .ml under the given paths (default: lib bin bench)\n\
    against the project rules N1 N2 C1 C2 H1 F1 L1 E1, plus U1 on the\n\
@@ -27,10 +27,9 @@ let () =
   let set_backend = function
     | "syntactic" -> backend := Lint_driver.Syntactic
     | "typed" -> backend := Lint_driver.Typed
-    | "both" -> backend := Lint_driver.Both
     | other ->
         Printf.eprintf
-          "ctslint: unknown backend %S (expected typed|syntactic|both)\n"
+          "ctslint: unknown backend %S (expected typed|syntactic)\n"
           other;
         exit 2
   in
@@ -38,7 +37,7 @@ let () =
     [
       ( "--backend",
         Arg.String set_backend,
-        "WHICH analysis backend: syntactic (default), typed, or both" );
+        "WHICH analysis backend: syntactic (default) or typed" );
       ( "--config",
         Arg.String (fun s -> config_path := Some s),
         "FILE read policy from FILE (default: .ctslint if present)" );

@@ -49,7 +49,7 @@ let blocking_patterns =
     "Unix.sleepf"; "Unix.sleep"; "Unix.select"; "Unix.accept"; "Unix.connect";
     "Unix.recv"; "Unix.send"; "Unix.read"; "Unix.write"; "Thread.delay";
     "Domain.join"; "Fault.inject"; "Fault.inject_float"; "Io.read_line";
-    "Io.read_exactly"; "Unix.fsync"; "Unix.single_write";
+    "Io.read_exact"; "Unix.fsync"; "Unix.single_write";
   ]
 
 let mutator_patterns =

@@ -100,7 +100,8 @@ let guard_tests =
 let sink_patterns =
   [
     "Cac.Engine"; "Engine.evaluate"; "Engine.admit"; "Engine.fill";
-    "Engine.decide"; "Registry.observe"; "Registry.set_gauge";
+    "Engine.add_link"; "Engine.add_link_msec"; "Registry.observe";
+    "Registry.set_gauge";
     "Http.json"; "Http.response";
   ]
 

@@ -1,4 +1,4 @@
-type backend = Syntactic | Typed | Both
+type backend = Syntactic | Typed
 
 type report = {
   findings : Lint_finding.t list;
@@ -182,9 +182,8 @@ let typed_pass ~cfg ~build_root files mlis =
   @ flow_findings ~cfg inputs
   @ Lint_unused.run ~cfg ~build_root ~index mlis
 
-(* Two backends over the same tree report the same defect at the same
-   position under the same rule; keep one (the earlier in the stable
-   order, i.e. the syntactic spelling) and drop the echo. *)
+(* Report order, with one finding per (file, line, column, rule): two
+   passes that meet at one position under one rule report it once. *)
 let dedup findings =
   let key (f : Lint_finding.t) = (f.file, f.line, f.col, f.rule) in
   let rec keep_first = function
@@ -201,14 +200,10 @@ let run ?(backend = Syntactic) ?(flow = false) ?build_root ~cfg paths =
     | None -> Lint_typed_loader.default_build_root ()
   in
   let files = collect ~suffix:".ml" cfg paths in
-  let typed () =
-    typed_pass ~cfg ~build_root files (collect ~suffix:".mli" cfg paths)
-  in
   let findings =
     (match backend with
     | Syntactic -> syntactic_pass ~flow ~cfg files
-    | Typed -> typed ()
-    | Both -> syntactic_pass ~flow ~cfg files @ typed ())
+    | Typed -> typed_pass ~cfg ~build_root files (collect ~suffix:".mli" cfg paths))
     @ check_mli_pairing ~cfg files
   in
   { findings = dedup findings; files_scanned = List.length files }

@@ -7,7 +7,6 @@ type backend =
       (** load dune's [.cmt] typedtrees — real float types for N1/N2,
           resolved names for the flow rules; a missing [.cmt] is a
           [T0] finding, never a silent fallback *)
-  | Both  (** union of the two, deduplicated per rule and position *)
 
 type report = {
   findings : Lint_finding.t list;
