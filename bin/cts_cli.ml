@@ -1,14 +1,5 @@
 (* Command-line driver for the paper-reproduction experiments. *)
 
-let set_env name = Option.iter (Unix.putenv name)
-
-let apply_scale ~frames ~reps ~seed ~results_dir =
-  let set_int name v = set_env name (Option.map string_of_int v) in
-  set_int "CTS_FRAMES" frames;
-  set_int "CTS_REPS" reps;
-  set_int "CTS_SEED" seed;
-  set_env "CTS_RESULTS_DIR" results_dir
-
 open Cmdliner
 
 (* {2 Flag values}
@@ -61,6 +52,10 @@ let positive_float =
 let non_negative_float =
   restrict Arg.float ~expected:"a finite number >= 0" (fun x ->
       Float.is_finite x && x >= 0.0)
+
+(* A path that is not blank. *)
+let directory =
+  restrict Arg.string ~expected:"a non-empty path" (fun s -> String.trim s <> "")
 
 let clr = restrict Arg.float ~expected:"a number in (0, 1)" (fun p -> p > 0.0 && p < 1.0)
 
@@ -312,21 +307,41 @@ let with_faults opts k =
       Resilience.Fault.configure ~seed:opts.fault_seed rules;
       Fun.protect ~finally:Resilience.Fault.clear k
 
+(* The simulation scale: each flag falls back on its variable, read
+   through the same converter, then on [Common.default_scale]. *)
+let default_scale = Experiments.Common.default_scale
+
 let frames_arg =
-  let doc = "Frames per simulation replication (default 20000)." in
-  Arg.(value & opt (some positive_int) None & info [ "frames" ] ~docv:"N" ~doc)
+  let doc = "Frames per simulation replication." in
+  let env = Cmd.Env.info "CTS_FRAMES" in
+  Arg.(
+    value
+    & opt positive_int default_scale.frames
+    & info [ "frames" ] ~env ~docv:"N" ~doc)
 
 let reps_arg =
-  let doc = "Simulation replications, at least 2 (default 3)." in
-  Arg.(value & opt (some replications) None & info [ "reps" ] ~docv:"N" ~doc)
+  let doc = "Simulation replications, at least 2." in
+  let env = Cmd.Env.info "CTS_REPS" in
+  Arg.(
+    value
+    & opt replications default_scale.reps
+    & info [ "reps" ] ~env ~docv:"N" ~doc)
 
 let seed_arg =
-  let doc = "Master random seed, a positive integer (default 1996)." in
-  Arg.(value & opt (some positive_int) None & info [ "seed" ] ~docv:"SEED" ~doc)
+  let doc = "Master random seed, a positive integer." in
+  let env = Cmd.Env.info "CTS_SEED" in
+  Arg.(
+    value
+    & opt positive_int default_scale.seed
+    & info [ "seed" ] ~env ~docv:"SEED" ~doc)
 
 let results_dir_arg =
-  let doc = "Directory for CSV outputs (default ./results)." in
-  Arg.(value & opt (some string) None & info [ "results-dir" ] ~docv:"DIR" ~doc)
+  let doc = "Directory for CSV outputs." in
+  let env = Cmd.Env.info "CTS_RESULTS_DIR" in
+  Arg.(
+    value
+    & opt directory default_scale.results_dir
+    & info [ "results-dir" ] ~env ~docv:"DIR" ~doc)
 
 let list_cmd =
   let run () =
@@ -351,7 +366,9 @@ let run_cmd =
     Arg.(non_empty & pos_all experiment [] & info [] ~docv:"ID" ~doc)
   in
   let run frames reps seed results_dir quiet obs_opts targets =
-    apply_scale ~frames ~reps ~seed ~results_dir;
+    Experiments.Common.with_scale
+      { Experiments.Common.frames; reps; seed; results_dir }
+    @@ fun () ->
     if quiet then Obs.Sink.set_human Obs.Sink.Null;
     with_obs obs_opts @@ fun () ->
     (* Any experiment raising mid-run must surface as a non-zero exit,
@@ -385,7 +402,9 @@ let run_cmd =
 
 let analytic_cmd =
   let run results_dir =
-    set_env "CTS_RESULTS_DIR" results_dir;
+    Experiments.Common.with_scale
+      { default_scale with Experiments.Common.results_dir }
+    @@ fun () ->
     Experiments.Registry.run_all ~include_simulated:false ()
   in
   Cmd.v

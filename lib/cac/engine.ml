@@ -4,12 +4,16 @@ type key =
   | Bop of { cls : string; b : float; c : float; n : int }
   | Eff_bw of { cls : string; total_buffer : float; target_clr : float; n : int }
 
-(* Per-link registry instruments, bound when the link is added. *)
-type link_telemetry = {
-  t_admits : Obs.Registry.Counter.t;
-  t_rejects : Obs.Registry.Counter.t;
-  t_releases : Obs.Registry.Counter.t;
-  t_connections : Obs.Registry.Gauge.t;
+(* A link with its registry instruments, bound when the link is
+   added, and its circuit breakers, one per class name, created on the
+   first kernel evaluation for that class; see [breaker]. *)
+type entry = {
+  link : Link.t;
+  admits : Obs.Registry.Counter.t;
+  rejects : Obs.Registry.Counter.t;
+  releases : Obs.Registry.Counter.t;
+  connections : Obs.Registry.Gauge.t;
+  breakers : (string, Guard.Breaker.t) Hashtbl.t;
 }
 
 (* Every state mutation, as a value: what the durability journal
@@ -27,15 +31,11 @@ type op =
   | Op_release of int
 
 type t = {
-  links : (string, Link.t) Hashtbl.t;
-  link_telemetry : (string, link_telemetry) Hashtbl.t;
-  conns : (int, Link.t * Source_class.t) Hashtbl.t;
+  entries : (string, entry) Hashtbl.t;
+  conns : (int, entry * Source_class.t) Hashtbl.t;
   cache : (key, float) Decision_cache.t;
   metrics : Metrics.t;
   clock : unit -> float;
-  (* One circuit breaker per (link, class) pair, created on first
-     kernel failure path use; see [breaker]. *)
-  breakers : (string, Guard.Breaker.t) Hashtbl.t;
   mutable next_conn : int;
   (* The durability hook: called with each completed mutation, inside
      whatever critical section the caller runs the engine under.  Must
@@ -59,13 +59,11 @@ type verdict = {
 
 let create ?(cache_capacity = 4096) ?(clock = Obs.Clock.wall) () =
   {
-    links = Hashtbl.create 8;
-    link_telemetry = Hashtbl.create 8;
+    entries = Hashtbl.create 8;
     conns = Hashtbl.create 256;
     cache = Decision_cache.create ~capacity:cache_capacity;
     metrics = Metrics.create ();
     clock;
-    breakers = Hashtbl.create 16;
     next_conn = 0;
     journal = None;
   }
@@ -87,17 +85,18 @@ let check_dimensions ~fn ~capacity ~buffer =
 
 let add_link t ~id ~capacity ~buffer ~target_clr =
   check_dimensions ~fn:"add_link" ~capacity ~buffer;
-  if Hashtbl.mem t.links id then
+  if Hashtbl.mem t.entries id then
     invalid_arg (Printf.sprintf "Engine.add_link: duplicate link id %S" id);
   let link = Link.create ~id ~capacity ~buffer ~target_clr in
-  Hashtbl.replace t.links id link;
   let labels = Obs.Labels.make [ ("link", id) ] in
-  Hashtbl.replace t.link_telemetry id
+  Hashtbl.replace t.entries id
     {
-      t_admits = Obs.Registry.Counter.v ~labels "cac.engine.link.admits";
-      t_rejects = Obs.Registry.Counter.v ~labels "cac.engine.link.rejects";
-      t_releases = Obs.Registry.Counter.v ~labels "cac.engine.link.releases";
-      t_connections = Obs.Registry.Gauge.v ~labels "cac.engine.link.connections";
+      link;
+      admits = Obs.Registry.Counter.v ~labels "cac.engine.link.admits";
+      rejects = Obs.Registry.Counter.v ~labels "cac.engine.link.rejects";
+      releases = Obs.Registry.Counter.v ~labels "cac.engine.link.releases";
+      connections = Obs.Registry.Gauge.v ~labels "cac.engine.link.connections";
+      breakers = Hashtbl.create 4;
     };
   emit t (Op_add_link { id; capacity; buffer; target_clr });
   link
@@ -110,18 +109,18 @@ let add_link_msec t ~id ~capacity ~buffer_msec ~target_clr =
   in
   add_link t ~id ~capacity ~buffer ~target_clr
 
-let link t id =
-  match Hashtbl.find_opt t.links id with
-  | Some l -> l
+let entry t id =
+  match Hashtbl.find_opt t.entries id with
+  | Some e -> e
   | None -> invalid_arg (Printf.sprintf "Engine: unknown link %S" id)
 
+let link t id = (entry t id).link
+
 let links t =
-  Hashtbl.fold (fun _ l acc -> l :: acc) t.links []
+  Hashtbl.fold (fun _ e acc -> e.link :: acc) t.entries []
   |> List.sort (fun a b -> String.compare (Link.id a) (Link.id b))
 
-let mem_link t id = Hashtbl.mem t.links id
-
-let link_telemetry t id = Hashtbl.find_opt t.link_telemetry id
+let mem_link t id = Hashtbl.mem t.entries id
 
 (* {2 Decision primitives, memoised} *)
 
@@ -155,44 +154,42 @@ let cached_eff_bw t (cls : Source_class.t) ~total_buffer ~target_clr ~n =
    fail-open.  The kernel is a pure function of its inputs, so running
    it again could only return the same answer. *)
 
-let breaker t ~link_id ~(cls : Source_class.t) =
-  let key = link_id ^ "/" ^ cls.Source_class.name in
-  match Hashtbl.find_opt t.breakers key with
+let breaker e ~(cls : Source_class.t) =
+  match Hashtbl.find_opt e.breakers cls.Source_class.name with
   | Some b -> b
   | None ->
       let b = Guard.Breaker.create () in
-      Hashtbl.replace t.breakers key b;
+      Hashtbl.replace e.breakers cls.Source_class.name b;
       b
 
 type breaker_snapshot = { b_link : string; b_class : string; b_state : string }
 
-(* Keys are [link_id ^ "/" ^ class_name]; class names never contain
-   '/', so split at the last one.  Sorted so [export] encodes
-   deterministically. *)
+(* Sorted so [export] encodes deterministically. *)
 let breakers t =
   Hashtbl.fold
-    (fun key b acc ->
-      match String.rindex_opt key '/' with
-      | None -> acc
-      | Some i ->
+    (fun id e acc ->
+      Hashtbl.fold
+        (fun cls b acc ->
           {
-            b_link = String.sub key 0 i;
-            b_class = String.sub key (i + 1) (String.length key - i - 1);
+            b_link = id;
+            b_class = cls;
             b_state = Guard.Breaker.state_name (Guard.Breaker.state b);
           }
           :: acc)
-    t.breakers []
+        e.breakers acc)
+    t.entries []
   |> List.sort (fun a b ->
          match String.compare a.b_link b.b_link with
          | 0 -> String.compare a.b_class b.b_class
          | c -> c)
 
 let breaker_state t ~link:link_id ~cls =
-  Option.map Guard.Breaker.state
-    (Hashtbl.find_opt t.breakers (link_id ^ "/" ^ cls.Source_class.name))
+  Option.bind (Hashtbl.find_opt t.entries link_id) (fun e ->
+      Option.map Guard.Breaker.state
+        (Hashtbl.find_opt e.breakers cls.Source_class.name))
 
-let kernel_value t ~link_id ~cls f =
-  Guard.Breaker.call (breaker t ~link_id ~cls) (fun () ->
+let kernel_value e ~cls f =
+  Guard.Breaker.call (breaker e ~cls) (fun () ->
       Guard.finite ~label:"cac.engine.kernel" (f ()))
 
 (* The fail-closed fallback: price every connection of the candidate
@@ -234,8 +231,9 @@ let candidate_counts link ~cls =
   in
   if !bumped then counts else (cls, 1) :: counts
 
-let evaluate t ~link:link_id ~cls =
-  let link = link t link_id in
+(* [evaluate] on the link's entry, found once by the caller. *)
+let evaluate_entry t e ~cls =
+  let link = e.link in
   let counts = candidate_counts link ~cls in
   let mean_load =
     List.fold_left
@@ -256,7 +254,7 @@ let evaluate t ~link:link_id ~cls =
     | [ (only, n) ] -> (
         let nf = float_of_int n in
         match
-          kernel_value t ~link_id ~cls:only (fun () ->
+          kernel_value e ~cls:only (fun () ->
               cached_log10_bop t only ~b:(Link.buffer link /. nf)
                 ~c:(capacity /. nf) ~n)
         with
@@ -275,7 +273,7 @@ let evaluate t ~link:link_id ~cls =
           | [] -> Some acc
           | (c, n) :: rest -> (
               match
-                kernel_value t ~link_id ~cls:c (fun () ->
+                kernel_value e ~cls:c (fun () ->
                     cached_eff_bw t c ~total_buffer:(Link.buffer link)
                       ~target_clr:(Link.target_clr link) ~n)
               with
@@ -297,58 +295,51 @@ let evaluate t ~link:link_id ~cls =
         | None -> degraded_verdict link counts)
   end
 
+let evaluate t ~link ~cls = evaluate_entry t (entry t link) ~cls
+
 let admit t ~link:link_id ~cls =
   let started = t.clock () in
-  let verdict = evaluate t ~link:link_id ~cls in
-  let tel = link_telemetry t link_id in
+  let e = entry t link_id in
+  let verdict = evaluate_entry t e ~cls in
   if verdict.degraded then Metrics.record_fallback t.metrics;
   if verdict.admissible then begin
-    let l = link t link_id in
     (* Mutations are ordered so any late exception unwinds cleanly:
        the connection table entry goes in last, and a failure after
        [Link.add] rolls the link state back before re-raising — no
        half-admitted connection can survive. *)
-    Link.add l ~cls;
+    Link.add e.link ~cls;
     match
       let conn = t.next_conn in
       t.next_conn <- conn + 1;
-      Hashtbl.replace t.conns conn (l, cls);
+      Hashtbl.replace t.conns conn (e, cls);
       conn
     with
     | conn ->
         Metrics.record_admit t.metrics ~latency:(t.clock () -. started);
-        (match tel with
-        | Some tel ->
-            Obs.Registry.Counter.incr tel.t_admits;
-            Obs.Registry.Gauge.add tel.t_connections 1.0
-        | None -> ());
+        Obs.Registry.Counter.incr e.admits;
+        Obs.Registry.Gauge.add e.connections 1.0;
         emit t
           (Op_admit { conn; link = link_id; cls = cls.Source_class.name });
         Admitted conn
     | exception exn ->
-        Link.remove l ~cls;
+        Link.remove e.link ~cls;
         raise exn
   end
   else begin
     Metrics.record_reject t.metrics ~latency:(t.clock () -. started);
-    (match tel with
-    | Some tel -> Obs.Registry.Counter.incr tel.t_rejects
-    | None -> ());
+    Obs.Registry.Counter.incr e.rejects;
     Rejected (Option.value verdict.reason ~default:Clr_exceeded)
   end
 
 let release t ~conn =
   match Hashtbl.find_opt t.conns conn with
   | None -> invalid_arg (Printf.sprintf "Engine.release: unknown connection %d" conn)
-  | Some (l, cls) ->
+  | Some (e, cls) ->
       Hashtbl.remove t.conns conn;
-      Link.remove l ~cls;
+      Link.remove e.link ~cls;
       Metrics.record_release t.metrics;
-      (match link_telemetry t (Link.id l) with
-      | Some tel ->
-          Obs.Registry.Counter.incr tel.t_releases;
-          Obs.Registry.Gauge.add tel.t_connections (-1.0)
-      | None -> ());
+      Obs.Registry.Counter.incr e.releases;
+      Obs.Registry.Gauge.add e.connections (-1.0);
       emit t (Op_release conn)
 
 let active_connections t = Hashtbl.length t.conns
@@ -382,25 +373,21 @@ let apply t op =
       if Hashtbl.mem t.conns conn then
         invalid_arg
           (Printf.sprintf "Engine.apply: duplicate connection %d" conn);
-      let l = link t link_id in
+      let e = entry t link_id in
       let c = Source_class.of_name_exn cls in
-      Link.add l ~cls:c;
-      Hashtbl.replace t.conns conn (l, c);
+      Link.add e.link ~cls:c;
+      Hashtbl.replace t.conns conn (e, c);
       if conn >= t.next_conn then t.next_conn <- conn + 1;
-      (match link_telemetry t link_id with
-      | Some tel -> Obs.Registry.Gauge.add tel.t_connections 1.0
-      | None -> ())
+      Obs.Registry.Gauge.add e.connections 1.0
   | Op_release conn -> (
       match Hashtbl.find_opt t.conns conn with
       | None ->
           invalid_arg
             (Printf.sprintf "Engine.apply: unknown connection %d" conn)
-      | Some (l, c) ->
+      | Some (e, c) ->
           Hashtbl.remove t.conns conn;
-          Link.remove l ~cls:c;
-          (match link_telemetry t (Link.id l) with
-          | Some tel -> Obs.Registry.Gauge.add tel.t_connections (-1.0)
-          | None -> ()))
+          Link.remove e.link ~cls:c;
+          Obs.Registry.Gauge.add e.connections (-1.0))
 
 type link_state = {
   l_id : string;
@@ -434,8 +421,12 @@ let export t =
   in
   let s_conns =
     Hashtbl.fold
-      (fun conn (l, cls) acc ->
-        { c_conn = conn; c_link = Link.id l; c_class = cls.Source_class.name }
+      (fun conn (e, cls) acc ->
+        {
+          c_conn = conn;
+          c_link = Link.id e.link;
+          c_class = cls.Source_class.name;
+        }
         :: acc)
       t.conns []
     |> List.sort (fun a b -> Int.compare a.c_conn b.c_conn)
@@ -445,7 +436,7 @@ let export t =
 let restore t st =
   if journaled t then
     invalid_arg "Engine.restore: journal hook armed (restore needs a cold engine)";
-  if Hashtbl.length t.links > 0 || Hashtbl.length t.conns > 0 then
+  if Hashtbl.length t.entries > 0 || Hashtbl.length t.conns > 0 then
     invalid_arg "Engine.restore: engine not empty";
   List.iter
     (fun ls ->
@@ -460,10 +451,11 @@ let restore t st =
   List.iter
     (fun bs ->
       match
-        (Guard.Breaker.state_of_name bs.b_state, Source_class.of_name bs.b_class)
+        ( Guard.Breaker.state_of_name bs.b_state,
+          Source_class.of_name bs.b_class,
+          Hashtbl.find_opt t.entries bs.b_link )
       with
-      | Some s, Some cls when Hashtbl.mem t.links bs.b_link ->
-          Guard.Breaker.force (breaker t ~link_id:bs.b_link ~cls) s
+      | Some s, Some cls, Some e -> Guard.Breaker.force (breaker e ~cls) s
       | _ -> ())
     st.s_breakers;
   if st.s_next_conn > t.next_conn then t.next_conn <- st.s_next_conn

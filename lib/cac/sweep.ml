@@ -159,47 +159,26 @@ let run ?domains scenarios =
      to the caller's request.  Capture the submitting domain's
      context once and restore it inside every worker. *)
   let trace = Obs.Trace.current () in
-  let with_submitter_trace f =
-    match trace with Some t -> Obs.Trace.with_context t f | None -> f ()
+  let next = Atomic.make 0 in
+  let worker slot () =
+    let rec loop () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        rows.(i) <- Some (evaluate_protected ~worker:slot scenarios.(i));
+        loop ()
+      end
+    in
+    match trace with Some t -> Obs.Trace.with_context t loop | None -> loop ()
   in
-  if domains <= 1 then
-    Array.iteri
-      (fun i s ->
-        rows.(i) <- Some (evaluate_protected ~worker:0 s))
-      scenarios
-  else begin
-    let next = Atomic.make 0 in
-    let worker slot () =
-      with_submitter_trace @@ fun () ->
-      let rec loop () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          rows.(i) <- Some (evaluate_protected ~worker:slot scenarios.(i));
-          loop ()
-        end
-      in
-      loop ()
-    in
-    let spawned =
-      List.init (domains - 1) (fun slot -> Domain.spawn (worker (slot + 1)))
-    in
-    worker 0 ();
-    List.iter Domain.join spawned
-  end;
-  (* Every task is caught above, so every slot is filled; if a worker
-     domain nonetheless died, its unclaimed scenarios surface as
-     Failed rows rather than an Option.get crash losing the run. *)
-  Array.mapi
-    (fun i r ->
-      match r with
-      | Some outcome -> outcome
-      | None ->
-          Failed
-            {
-              scenario = scenarios.(i);
-              error = "task never completed (worker domain lost)";
-            })
-    rows
+  (* Slot 0 is the calling domain: one worker spawns nothing. *)
+  let spawned =
+    List.init (domains - 1) (fun slot -> Domain.spawn (worker (slot + 1)))
+  in
+  worker 0 ();
+  List.iter Domain.join spawned;
+  (* [evaluate_protected] lets only [Out_of_memory] and [Stack_overflow]
+     escape, and [Domain.join] re-raises them, so every slot is filled. *)
+  Array.map Option.get rows
 
 let rows outcomes =
   Array.to_list outcomes

@@ -3,7 +3,6 @@ type analysis = { m_star : int; rate : float; scanned_up_to : int; capped : bool
 (* Telemetry: the infimum search behind the Bahadur–Rao rate function
    is the numeric hot path of the whole admission stack, so its scan
    lengths and minimisers are exported through the Obs registry. *)
-let c_searches = Obs.Registry.Counter.v "bahadur_rao.infimum_searches"
 let c_iterations = Obs.Registry.Counter.v "bahadur_rao.infimum_iterations"
 let h_m_star = Obs.Registry.Histogram.v ~lo:0.0 ~hi:5000.0 ~bins:50 "cts.m_star"
 
@@ -123,7 +122,6 @@ let analyze vg ~mu ~c ~b =
         >= !best *. (1.0 +. slack)
   done;
   let m_star = !m_star and scanned_up_to = !m in
-  Obs.Registry.Counter.incr c_searches;
   Obs.Registry.Counter.incr ~by:scanned_up_to c_iterations;
   Obs.Registry.Histogram.observe h_m_star (float_of_int m_star);
   { m_star; rate = !best; scanned_up_to; capped = not !stopped }

@@ -6,37 +6,29 @@ let c_fig4 = 526.0
 let n_main = 30
 let c_main = 538.0
 
-(* The (variable, value) pairs already warned about.  The variables
-   are re-read on every call, since they may change mid-process; a bad
-   value warns once, however many series read it. *)
-let warned : (string * string) list Atomic.t = Atomic.make []
+type scale = { frames : int; reps : int; seed : int; results_dir : string }
 
-let rec warn_once name s =
-  let seen = Atomic.get warned in
-  if not (List.mem (name, s) seen) then
-    if Atomic.compare_and_set warned seen ((name, s) :: seen) then
-      Printf.eprintf "warning: ignoring invalid %s=%S\n%!" name s
-    else warn_once name s
+let default_scale =
+  { frames = 20_000; reps = 3; seed = 1996; results_dir = "results" }
 
-let env_int name ~least default =
-  match Sys.getenv_opt name with
-  | None -> default
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some v when v >= least -> v
-      | _ ->
-          warn_once name s;
-          default)
+(* The scale of the experiments running now; [with_scale] installs one
+   for the duration of a run. *)
+let current = Atomic.make default_scale
 
-let frames () = env_int "CTS_FRAMES" ~least:1 20_000
-(* A Student-t interval needs two replications. *)
-let reps () = env_int "CTS_REPS" ~least:2 3
-let seed () = env_int "CTS_SEED" ~least:1 1996
+let with_scale scale f =
+  let refuse what = invalid_arg ("Common.with_scale: " ^ what) in
+  if scale.frames < 1 then refuse "frames < 1";
+  (* A Student-t interval needs two replications. *)
+  if scale.reps < 2 then refuse "reps < 2";
+  if scale.seed < 1 then refuse "seed < 1";
+  if String.trim scale.results_dir = "" then refuse "empty results_dir";
+  let previous = Atomic.exchange current scale in
+  Fun.protect ~finally:(fun () -> Atomic.set current previous) f
 
-let results_dir () =
-  match Sys.getenv_opt "CTS_RESULTS_DIR" with
-  | Some d when String.trim d <> "" -> d
-  | _ -> "results"
+let frames () = (Atomic.get current).frames
+let reps () = (Atomic.get current).reps
+let seed () = (Atomic.get current).seed
+let results_dir () = (Atomic.get current).results_dir
 
 let practical_buffers_msec =
   [| 0.5; 1.0; 2.0; 3.0; 4.0; 5.0; 6.0; 8.0; 10.0; 12.0; 15.0; 20.0; 25.0; 30.0 |]

@@ -1,18 +1,13 @@
 (** Shared infrastructure for the paper-reproduction experiments: the
     paper's scenario constants, output formatting, CSV export, and the
-    simulation scale knobs.
+    simulation scale.
 
-    Scale environment variables (all optional):
-    - [CTS_FRAMES]: frames per replication, at least 1 (default 20_000;
-      the paper used 500_000),
-    - [CTS_REPS]: replications, at least 2 (default 3; the paper used
-      60),
-    - [CTS_SEED]: master seed, at least 1 (default 1996),
-    - [CTS_RESULTS_DIR]: CSV output directory (default [results]).
-
-    A value below its least, or not an integer, is ignored with a
-    warning on stderr (once per variable and value per process), and
-    the default used. *)
+    The simulated experiments read their scale through {!frames},
+    {!seed} and {!results_dir}: {!default_scale} unless a caller has
+    installed another with {!with_scale}.  [cts run] installs the one
+    its [--frames], [--reps], [--seed] and [--results-dir] flags (or
+    the [CTS_FRAMES], [CTS_REPS], [CTS_SEED] and [CTS_RESULTS_DIR]
+    variables) give. *)
 
 val mu : float
 (** Mean frame size: 500 cells/frame. *)
@@ -34,6 +29,22 @@ val n_main : int
 
 val c_main : float
 (** Figs. 5–10 bandwidth per source: 538 cells/frame. *)
+
+type scale = {
+  frames : int;  (** frames per replication, at least 1 *)
+  reps : int;  (** replications, at least 2 *)
+  seed : int;  (** master seed, at least 1 *)
+  results_dir : string;  (** CSV output directory, not blank *)
+}
+
+val default_scale : scale
+(** 20_000 frames (the paper used 500_000), 3 replications (the paper
+    used 60), seed 1996, CSVs in [results]. *)
+
+val with_scale : scale -> (unit -> 'a) -> 'a
+(** [with_scale s f] runs [f] at scale [s], then restores the scale
+    installed before.  Raises [Invalid_argument] if a field is outside
+    its range. *)
 
 val frames : unit -> int
 val seed : unit -> int
@@ -114,9 +125,9 @@ val clr_sim_series :
   c:float ->
   buffers_msec:float array ->
   series
-(** Simulated finite-buffer log10 CLR with CIs, at the current scale
-    knobs.  Zero-loss points are reported as [neg_infinity].
-    [frames_scale] (default 1) multiplies CTS_FRAMES for this series —
+(** Simulated finite-buffer log10 CLR with CIs, at the installed
+    scale.  Zero-loss points are reported as [neg_infinity].
+    [frames_scale] (default 1) multiplies {!frames} for this series —
     used to push cheap models (DAR) deeper into the tail than the
     event-driven LRD models can afford. *)
 

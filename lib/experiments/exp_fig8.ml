@@ -1,7 +1,7 @@
 (* A coarser buffer grid than the analytic figures: each point is paid
    for in simulation time.  The grid is dense at small buffers where
    laptop-scale runs still observe losses; the deep-tail points light up
-   at CTS_FRAMES/CTS_REPS closer to the paper's 500k x 60. *)
+   at frames and reps closer to the paper's 500k x 60. *)
 let buffers_msec =
   [| 0.0; 0.25; 0.5; 1.0; 1.5; 2.0; 3.0; 5.0; 8.0; 12.0; 20.0; 30.0 |]
 

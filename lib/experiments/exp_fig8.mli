@@ -3,8 +3,8 @@
     Verifies the analytic ordering of Fig. 5 by simulation, including
     the common zero-buffer CLR forced by the shared marginal.
 
-    Scale is controlled by CTS_FRAMES / CTS_REPS; the paper used 60
-    replications of 500k frames. *)
+    Scale is the installed {!Common.scale}'s frames and reps; the paper
+    used 60 replications of 500k frames. *)
 
 val buffers_msec : float array
 

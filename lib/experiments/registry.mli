@@ -4,7 +4,7 @@
 type entry = {
   id : string;
   title : string;
-  simulated : bool;  (** true when cost scales with CTS_FRAMES/CTS_REPS *)
+  simulated : bool;  (** true when cost scales with frames and reps *)
   run : unit -> unit;
 }
 

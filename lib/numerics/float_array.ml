@@ -59,20 +59,6 @@ let logspace ~lo ~hi ~n =
   Array.init n (fun i ->
       exp (llo +. ((lhi -. llo) *. float_of_int i /. float_of_int (n - 1))))
 
-let quantile x p =
-  assert (p >= 0.0 && p <= 1.0);
-  let n = Array.length x in
-  assert (n > 0);
-  let sorted = Array.copy x in
-  Array.sort Float.compare sorted;
-  let pos = p *. float_of_int (n - 1) in
-  let i = int_of_float (floor pos) in
-  if i >= n - 1 then sorted.(n - 1)
-  else begin
-    let frac = pos -. float_of_int i in
-    (sorted.(i) *. (1.0 -. frac)) +. (sorted.(i + 1) *. frac)
-  end
-
 let map2 f a b =
   let n = Array.length a in
   assert (Array.length b = n);

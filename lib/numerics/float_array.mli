@@ -31,10 +31,6 @@ val logspace : lo:float -> hi:float -> n:int -> float array
 (** [n >= 2] points logarithmically spaced from [lo] to [hi] inclusive;
     requires [0 < lo < hi]. *)
 
-val quantile : float array -> float -> float
-(** [quantile x p] for [p] in [0, 1]; linear interpolation between
-    order statistics.  Sorts a copy: O(n log n). *)
-
 val map2 : (float -> float -> float) -> float array -> float array -> float array
 [@@lint.allow "U1"] (* test-only: misc "map2" *)
 

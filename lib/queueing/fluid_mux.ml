@@ -12,11 +12,9 @@ let finite_buffer_step ~w ~arrivals ~service ~buffer =
   let w' = Stdlib.min (Stdlib.max net 0.0) buffer in
   (w', lost)
 
-let default_warmup frames = frames / 20
-
 let clr_multi ~next_frame ~service ~buffers ~frames () =
   assert (frames > 0 && service > 0.0);
-  let warmup = default_warmup frames in
+  let warmup = frames / 20 in
   let k = Array.length buffers in
   let w = Array.make k 0.0 in
   let lost = Array.make k 0.0 in
@@ -52,52 +50,3 @@ let clr_multi ~next_frame ~service ~buffers ~frames () =
 
 let clr ~next_frame ~service ~buffer ~frames () =
   (clr_multi ~next_frame ~service ~buffers:[| buffer |] ~frames ()).(0)
-
-type workload_stats = {
-  mean : float;
-  p50 : float;
-  p95 : float;
-  p99 : float;
-  max : float;
-  frames : int;
-}
-
-let workload_stats ~next_frame ~service ~frames ?warmup () =
-  assert (frames > 0 && service > 0.0);
-  let warmup = match warmup with Some w -> w | None -> default_warmup frames in
-  let w = ref 0.0 in
-  for _ = 1 to warmup do
-    w := Stdlib.max 0.0 (!w +. next_frame () -. service)
-  done;
-  let samples = Array.make frames 0.0 in
-  for i = 0 to frames - 1 do
-    w := Stdlib.max 0.0 (!w +. next_frame () -. service);
-    samples.(i) <- !w
-  done;
-  let quantile = Numerics.Float_array.quantile samples in
-  {
-    mean = Numerics.Float_array.mean samples;
-    p50 = quantile 0.5;
-    p95 = quantile 0.95;
-    p99 = quantile 0.99;
-    max = Numerics.Float_array.max samples;
-    frames;
-  }
-
-let workload_tail ~next_frame ~service ~thresholds ~frames ?warmup () =
-  assert (frames > 0 && service > 0.0);
-  let warmup = match warmup with Some w -> w | None -> default_warmup frames in
-  let k = Array.length thresholds in
-  let exceed = Array.make k 0 in
-  let w = ref 0.0 in
-  for _ = 1 to warmup do
-    w := Stdlib.max 0.0 (!w +. next_frame () -. service)
-  done;
-  for _ = 1 to frames do
-    w := Stdlib.max 0.0 (!w +. next_frame () -. service);
-    for i = 0 to k - 1 do
-      if !w > thresholds.(i) then exceed.(i) <- exceed.(i) + 1
-    done
-  done;
-  Array.init k (fun i ->
-      (thresholds.(i), float_of_int exceed.(i) /. float_of_int frames))

@@ -56,38 +56,3 @@ val clr_multi :
 (** Same arrival stream applied to several buffer sizes in one pass —
     both faster and variance-reducing when sweeping buffer sizes
     (common random numbers). *)
-
-type workload_stats = {
-  mean : float;  (** stationary mean workload, cells *)
-  p50 : float;
-  p95 : float;
-  p99 : float;
-  max : float;
-  frames : int;
-}
-
-val workload_stats :
-  next_frame:(unit -> float) ->
-  service:float ->
-  frames:int ->
-  ?warmup:int ->
-  unit ->
-  workload_stats
-[@@lint.allow "U1"] (* test-only: queueing "workload stats" *)
-(** Summary statistics of the stationary frame-start workload in the
-    infinite-buffer system — mean and quantiles translate directly into
-    queueing-delay statistics via {!Units.buffer_msec_of_cells}. *)
-
-val workload_tail :
-  next_frame:(unit -> float) ->
-  service:float ->
-  thresholds:float array ->
-  frames:int ->
-  ?warmup:int ->
-  unit ->
-  (float * float) array
-[@@lint.allow "U1"] (* test-only: queueing "workload tail monotone" *)
-(** Infinite-buffer Lindley recursion; returns
-    [(x, P(W > x))] estimates for each threshold, where [W] is the
-    stationary frame-start workload — the empirical buffer overflow
-    probability (BOP) curve. *)

@@ -5,15 +5,3 @@ let buffer_cells_of_msec ~msec ~service_cells_per_frame ~ts =
 let buffer_msec_of_cells ~cells ~service_cells_per_frame ~ts =
   assert (cells >= 0.0 && service_cells_per_frame > 0.0 && ts > 0.0);
   cells *. ts /. service_cells_per_frame *. 1000.0
-
-let utilization ~mean_cells_per_frame ~service_cells_per_frame =
-  assert (service_cells_per_frame > 0.0);
-  mean_cells_per_frame /. service_cells_per_frame
-
-let cells_per_second ~cells_per_frame ~ts =
-  assert (ts > 0.0);
-  cells_per_frame /. ts
-
-let atm_cell_bits = 53.0 *. 8.0
-
-let mbps_of_cells_per_second cps = cps *. atm_cell_bits /. 1e6

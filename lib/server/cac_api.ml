@@ -246,8 +246,7 @@ let metrics _req =
     (Obs.Export.prometheus (Obs.Registry.snapshot ()))
 
 (* Last-resort exception boundary for every route.  Handlers can
-   raise through deep call chains (a kernel [invalid_arg], a TOCTOU
-   race on a link removed between parse and dispatch, a histogram
+   raise through deep call chains (a kernel [invalid_arg], a histogram
    shape mismatch in the registry) — that must become a structured
    500, not a torn connection and a dead worker domain.  The pool's
    boundary uses the same fallback, so the 500 counts once in

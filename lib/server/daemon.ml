@@ -157,8 +157,23 @@ let add_debug_providers c api pool ~domains persist =
           | j -> j))
     persist
 
+(* The first id configured twice.  [start] refuses one before it opens
+   a log or the state directory: the engine would refuse it only after
+   journaling the first, which the next boot would then recover. *)
+let rec repeated_id = function
+  | [] -> None
+  | (id, _, _, _) :: rest ->
+      if List.exists (fun (other, _, _, _) -> String.equal id other) rest then
+        Some id
+      else repeated_id rest
+
 let start c =
-  match open_logs c with
+  let logs =
+    match repeated_id c.links with
+    | Some id -> Error (Printf.sprintf "duplicate link id %S" id)
+    | None -> open_logs c
+  in
+  match logs with
   | Error e -> Error e
   | Ok logs -> (
       let fail store e =

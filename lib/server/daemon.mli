@@ -1,13 +1,14 @@
 (** The [cts serve] lifecycle, in one place.
 
-    {!start} boots in a fixed order: open the log files, recover the
-    state directory into a cold engine (interior corruption fails
-    closed), open the store and install its journal hook, add the
-    configured links the recovered state lacks, checkpoint, arm the
-    per-ack durability barrier (which writes the journal on the worker
-    domain that needs it; a failed journal makes admits and releases
-    answer 500), and bind the socket last, so a client
-    can connect only once the connection table is whole.  {!serve}
+    {!start} boots in a fixed order: refuse a link id configured
+    twice, open the log files, recover the state directory into a
+    cold engine (interior corruption fails closed), open the store
+    and install its journal hook, add the configured links the
+    recovered state lacks, checkpoint, arm the per-ack durability
+    barrier (which writes the journal on the worker domain that needs
+    it; a failed journal makes admits and releases answer 500), and
+    bind the socket last, so a client can connect only once the
+    connection table is whole.  {!serve}
     runs until {!stop}, then drains: every worker joins, the shutdown
     snapshot is cut, the store closes and the log sinks are retired.
 

@@ -184,7 +184,7 @@ let handle_request t ~queue_wait_us req =
   Fun.protect ~finally:(fun () ->
       Obs.Registry.add_gauge "srv.http.in_flight" (-1.0))
   @@ fun () ->
-  let route = Router.label t.router req in
+  let route, handler = Router.resolve t.router req in
   let ctx =
     match Http.traceparent req with
     | Some ctx -> ctx
@@ -196,7 +196,7 @@ let handle_request t ~queue_wait_us req =
     Resilience.Guard.protect ~fallback:Router.internal_error
       (fun () ->
         Resilience.Fault.inject "srv.http.handler";
-        snd (Router.dispatch t.router req))
+        handler req)
   in
   let status = Http.status resp in
   incr_requests ~route ~meth:(Http.meth_name req.Http.meth) ~status;

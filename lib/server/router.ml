@@ -42,29 +42,28 @@ let find t (req : Http.request) =
           (`Method_not_allowed
             (List.map (fun r -> Http.meth_name r.meth) matching_path))
 
-let label t (req : Http.request) =
+let resolve t (req : Http.request) =
   match find t req with
-  | Ok r -> r.path
-  | Stdlib.Error (`Method_not_allowed _) -> req.Http.path
-  | Stdlib.Error `Not_found -> unmatched_label
-
-let dispatch t req =
-  match find t req with
-  | Ok r -> (r.path, r.handler req)
+  | Ok r -> (r.path, r.handler)
   | Stdlib.Error `Not_found ->
-      (unmatched_label, Http.json_error ~status:404 "no such endpoint")
+      (unmatched_label, fun _ -> Http.json_error ~status:404 "no such endpoint")
   | Stdlib.Error (`Method_not_allowed allowed) ->
       ( req.Http.path,
-        Http.response
-          ~headers:
-            [
-              ("allow", String.concat ", " allowed);
-              ("content-type", "application/json");
-            ]
-          ~status:405
-          (Obs.Json.to_string
-             (Obs.Json.Obj [ ("error", Obs.Json.String "method not allowed") ])
-          ^ "\n") )
+        fun _ ->
+          Http.response
+            ~headers:
+              [
+                ("allow", String.concat ", " allowed);
+                ("content-type", "application/json");
+              ]
+            ~status:405
+            (Obs.Json.to_string
+               (Obs.Json.Obj [ ("error", Obs.Json.String "method not allowed") ])
+            ^ "\n") )
+
+let dispatch t req =
+  let label, handler = resolve t req in
+  (label, handler req)
 
 let () = Obs.Registry.declare_counter "srv.http.handler_errors"
 

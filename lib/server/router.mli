@@ -2,7 +2,7 @@
 
     Routes are exact-path matches; dispatching an unknown path answers
     [404], a known path with the wrong method answers [405] with an
-    [Allow] header.  {!dispatch} also returns the {e route label} used
+    [Allow] header.  {!resolve} also returns the {e route label} used
     for per-route telemetry: the matched path for known routes, the
     single {!unmatched_label} bucket otherwise, so hostile paths
     cannot explode metric label cardinality. *)
@@ -24,12 +24,12 @@ val routes : t -> (Http.meth * string) list
 val unmatched_label : string
 (** ["unmatched"] — the telemetry bucket for 404s. *)
 
-val label : t -> Http.request -> string
-(** The route label {!dispatch} would report, without running any
-    handler. *)
+val resolve : t -> Http.request -> string * handler
+(** [(route_label, handler)] for the request, without running the
+    handler: the route's own, or one answering [404] or [405]. *)
 
 val dispatch : t -> Http.request -> string * Http.response
-(** [(route_label, response)]. *)
+(** [(route_label, response)]: {!resolve}, then the handler. *)
 
 val internal_error : exn -> Http.response
 (** The answer to a handler that raised: a JSON [500], counted in

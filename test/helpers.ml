@@ -27,13 +27,13 @@ let with_tmp_results f =
   let dir = Filename.temp_file "cts_results" "" in
   Sys.remove dir;
   Sys.mkdir dir 0o755;
-  Unix.putenv "CTS_RESULTS_DIR" dir;
   Fun.protect
     ~finally:(fun () ->
       Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Sys.rmdir dir;
-      Unix.putenv "CTS_RESULTS_DIR" "results")
-    (fun () -> f dir)
+      Sys.rmdir dir)
+    (fun () ->
+      Experiments.Common.(with_scale { default_scale with results_dir = dir })
+        (fun () -> f dir))
 
 (* Register a QCheck property as an alcotest case. *)
 let qcheck ?(count = 200) name gen prop =

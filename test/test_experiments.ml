@@ -204,68 +204,39 @@ let test_emit_csv () =
       (* header(3) + 2 series x 30 lags *)
       check_int "csv rows" 63 !lines)
 
-let test_scale_env () =
-  Unix.putenv "CTS_FRAMES" "123";
-  check_int "frames honours env" 123 (Experiments.Common.frames ());
-  Unix.putenv "CTS_FRAMES" "bogus";
-  check_int "invalid env falls back" 20_000 (Experiments.Common.frames ());
-  Unix.putenv "CTS_FRAMES" "";
-  check_int "empty env falls back" 20_000 (Experiments.Common.frames ())
+(* A scale holds for the duration of [with_scale], nested ones
+   included, and the one before it is back afterwards, even when the
+   run raises. *)
+let test_with_scale () =
+  let open Experiments.Common in
+  with_scale { default_scale with frames = 123; seed = 7 } (fun () ->
+      check_int "frames installed" 123 (frames ());
+      check_int "seed installed" 7 (seed ());
+      with_scale { default_scale with results_dir = "elsewhere" } (fun () ->
+          check_int "nested frames" 20_000 (frames ());
+          check_true "nested dir" (results_dir () = "elsewhere"));
+      check_int "outer restored" 123 (frames ()));
+  check_int "default restored" 20_000 (frames ());
+  (try with_scale { default_scale with frames = 5 } (fun () -> failwith "run")
+   with Failure _ -> ());
+  check_int "restored after a raise" 20_000 (frames ())
 
-(* A Student-t interval needs two replications, so CTS_REPS=1 is as
-   invalid as CTS_REPS=0: it falls back to the default instead of
-   failing after the simulation. *)
-let test_one_rep_env_ignored () =
-  Unix.putenv "CTS_FRAMES" "200";
-  Unix.putenv "CTS_REPS" "1";
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "CTS_FRAMES" "";
-      Unix.putenv "CTS_REPS" "")
-    (fun () ->
-      let s =
-        Experiments.Common.clr_sim_series ~label:"one rep"
-          (Traffic.Models.s ~a:0.975 ~p:1)
-          ~n:30 ~c:538.0 ~buffers_msec:[| 0.0 |]
-      in
-      check_true "CI attached" (s.Experiments.Common.ci_half_width <> None))
-
-(* What [f] writes to the stderr file descriptor. *)
-let captured_stderr f =
-  let path = Filename.temp_file "cts_stderr" ".txt" in
-  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
-  let saved = Unix.dup Unix.stderr in
-  flush stderr;
-  Unix.dup2 fd Unix.stderr;
-  Unix.close fd;
-  Fun.protect
-    ~finally:(fun () ->
-      flush stderr;
-      Unix.dup2 saved Unix.stderr;
-      Unix.close saved)
-    f;
-  let text = In_channel.with_open_bin path In_channel.input_all in
-  Sys.remove path;
-  text
-
-(* Every simulated series reads the knobs again; a bad value warns
-   once per process, not once per series. *)
-let test_bad_env_warns_once () =
-  Unix.putenv "CTS_FRAMES" "0";
-  let text =
-    Fun.protect
-      ~finally:(fun () -> Unix.putenv "CTS_FRAMES" "")
-      (fun () ->
-        captured_stderr (fun () ->
-            check_int "first read falls back" 20_000 (Experiments.Common.frames ());
-            check_int "second read falls back" 20_000
-              (Experiments.Common.frames ())))
-  in
-  check_int "one warning" 1
-    (List.length
-       (List.filter
-          (fun line -> contains_substring line "ignoring invalid CTS_FRAMES")
-          (String.split_on_char '\n' text)))
+(* Every field outside its range is refused before the run starts.
+   One replication is outside it: a Student-t interval needs two. *)
+let test_with_scale_refuses () =
+  let open Experiments.Common in
+  List.iter
+    (fun (what, scale) ->
+      match with_scale scale (fun () -> ()) with
+      | () -> Alcotest.failf "%s accepted" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("reps 1", { default_scale with reps = 1 });
+      ("frames 0", { default_scale with frames = 0 });
+      ("seed 0", { default_scale with seed = 0 });
+      ("empty results_dir", { default_scale with results_dir = "" });
+    ];
+  check_int "scale unchanged" 20_000 (frames ())
 
 let test_buffer_cells_per_source () =
   (* 10 msec at N = 30, c = 538: total 4035 cells, 134.5 per source. *)
@@ -275,12 +246,7 @@ let test_buffer_cells_per_source () =
 let test_sim_smoke () =
   (* A tiny end-to-end simulated series: finite values at zero buffer,
      decreasing CLR, CIs present. *)
-  Unix.putenv "CTS_FRAMES" "4000";
-  Unix.putenv "CTS_REPS" "2";
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "CTS_FRAMES" "";
-      Unix.putenv "CTS_REPS" "")
+  Experiments.Common.(with_scale { default_scale with frames = 4000; reps = 2 })
     (fun () ->
       let s =
         Experiments.Common.clr_sim_series ~label:"smoke"
@@ -336,9 +302,8 @@ let suite =
     case "admission gap small" test_admission_gap_small;
     case "spectrum ignored power" test_spectrum_ignored_power;
     case "csv export" test_emit_csv;
-    case "scale env vars" test_scale_env;
-    case "CTS_REPS=1 is invalid, like 0" test_one_rep_env_ignored;
-    case "a bad CTS_* value warns once" test_bad_env_warns_once;
+    case "with_scale installs and restores" test_with_scale;
+    case "with_scale refuses bad scales" test_with_scale_refuses;
     case "buffer conversion" test_buffer_cells_per_source;
     slow_case "simulated series smoke" test_sim_smoke;
   ]

@@ -42,13 +42,6 @@ let test_logspace () =
   check_close ~tol:1e-9 "third" 100.0 x.(2);
   check_close ~tol:1e-9 "last" 1000.0 x.(3)
 
-let test_quantile () =
-  let x = [| 5.0; 1.0; 3.0; 2.0; 4.0 |] in
-  check_close "median" 3.0 (Fa.quantile x 0.5);
-  check_close "min quantile" 1.0 (Fa.quantile x 0.0);
-  check_close "max quantile" 5.0 (Fa.quantile x 1.0);
-  check_close "interpolated" 1.5 (Fa.quantile x 0.125)
-
 let test_aggregate () =
   let x = [| 1.0; 3.0; 2.0; 4.0; 100.0 |] in
   let a = Fa.aggregate x ~block:2 in
@@ -70,7 +63,6 @@ let suite =
     case "prefix sums" test_prefix_sums;
     case "linspace" test_linspace;
     case "logspace" test_logspace;
-    case "quantile" test_quantile;
     case "aggregate" test_aggregate;
     case "normalize" test_normalize;
     qcheck "aggregate preserves overall mean on exact blocks"
@@ -82,10 +74,4 @@ let suite =
         in
         let agg = Fa.aggregate x ~block in
         Float.abs (Fa.mean agg -. Fa.mean x) < 1e-10);
-    qcheck "quantile is monotone" QCheck2.Gen.(pair (float_range 0. 1.) (float_range 0. 1.))
-      (fun (p1, p2) ->
-        let lo = Stdlib.min p1 p2 and hi = Stdlib.max p1 p2 in
-        let a = rng ~seed:23 () in
-        let x = Array.init 50 (fun _ -> Numerics.Rng.float a) in
-        Fa.quantile x lo <= Fa.quantile x hi +. 1e-12);
   ]

@@ -859,13 +859,15 @@ let test_crash_recovery_under_faults () =
 
 (* Every command run here must exit on its own.  One that boots a
    daemon instead (a refused flag that is accepted again) is killed
-   after 60 s and fails by name rather than hanging the suite. *)
-let run_cli args =
+   after 60 s and fails by name rather than hanging the suite.  [env]
+   adds NAME=VALUE entries to the inherited environment. *)
+let run_cli ?(env = []) args =
   let out = Filename.temp_file "cts_cli" ".out" in
   let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
   let pid =
-    Unix.create_process (Lazy.force exe)
+    Unix.create_process_env (Lazy.force exe)
       (Array.of_list (Lazy.force exe :: args))
+      (Array.append (Unix.environment ()) (Array.of_list env))
       Unix.stdin fd fd
   in
   Unix.close fd;
@@ -974,6 +976,16 @@ let test_cli_refuses_bad_links () =
      refuses it, and the boot fails as cleanly. *)
   usage_error "serve --link big=1e308:1000:1e-6"
     [ "serve"; "--port"; "0"; "--state-dir"; state; "--link"; "big=1e308:1000:1e-6" ];
+  (* A repeated link id is refused before the state dir is created or
+     the first link journaled, which the next boot would recover. *)
+  let duplicate = Filename.concat dir "duplicate" in
+  usage_error "serve --link a=... --link a=..."
+    [
+      "serve"; "--port"; "0"; "--state-dir"; duplicate; "--link";
+      "a=16140:1:1e-6"; "--link"; "a=16140:2:1e-6";
+    ];
+  check_true "duplicate link: no state dir created"
+    (not (Sys.file_exists duplicate));
   usage_error "cac decide --capacity=-5" [ "cac"; "decide"; "--capacity=-5" ];
   usage_error "cac decide --buffer-msec=nan" [ "cac"; "decide"; "--buffer-msec=nan" ];
   usage_error "cac replay --capacity=inf"
@@ -1062,6 +1074,28 @@ let test_cli_refuses_bad_links () =
         (String.concat " " ("run fig8" :: flags))
         ([ "run"; "fig8"; "--quiet"; "--results-dir"; results ] @ flags))
     [ [ "--frames"; "0" ]; [ "--seed"; "0" ]; [ "--reps"; "1" ] ];
+  (* Each scale variable goes through its flag's converter, so a bad
+     value is refused the same way and names the variable.  A flag
+     wins over its variable, so the CTS_RESULTS_DIR case passes no
+     --results-dir. *)
+  List.iter
+    (fun (name, value) ->
+      let flags =
+        if name = "CTS_RESULTS_DIR" then [] else [ "--results-dir"; results ]
+      in
+      let what = name ^ "=" ^ value in
+      let code, out =
+        run_cli ~env:[ what ] ([ "run"; "fig8"; "--quiet" ] @ flags)
+      in
+      check_int (what ^ ": usage error") 124 code;
+      check_true (what ^ ": names the variable") (contains_substring out name))
+    [
+      ("CTS_FRAMES", "0");
+      ("CTS_FRAMES", "5e5");
+      ("CTS_SEED", "0");
+      ("CTS_REPS", "1");
+      ("CTS_RESULTS_DIR", "");
+    ];
   check_true "no results dir created" (not (Sys.file_exists results))
 
 (* The --metrics-out file opens before the command body, as --trace's

@@ -12,18 +12,6 @@ let test_units_roundtrip () =
   in
   check_close ~tol:1e-9 "roundtrip" 10.0 back
 
-let test_utilization () =
-  check_close ~tol:1e-12 "rho = mu/c" (500.0 /. 538.0)
-    (Queueing.Units.utilization ~mean_cells_per_frame:500.0
-       ~service_cells_per_frame:538.0)
-
-let test_cells_per_second () =
-  check_close "cells/s" 13450.0
-    (Queueing.Units.cells_per_second ~cells_per_frame:538.0 ~ts:0.04);
-  check_close_rel ~tol:1e-9 "OC-ish line rate"
-    (13450.0 *. 424.0 /. 1e6)
-    (Queueing.Units.mbps_of_cells_per_second 13450.0)
-
 let test_fluid_step_cases () =
   (* Below service: drains, no loss. *)
   let w, lost =
@@ -80,23 +68,6 @@ let test_fluid_multi_matches_single () =
     single0.Queueing.Fluid_mux.clr multi.(0).Queueing.Fluid_mux.clr;
   check_true "bigger buffer loses less"
     (multi.(1).Queueing.Fluid_mux.clr <= multi.(0).Queueing.Fluid_mux.clr)
-
-let test_workload_tail_monotone () =
-  let model = Traffic.Models.s ~a:0.9 ~p:1 in
-  let gen =
-    (Traffic.Process.replicate model 5).Traffic.Process.spawn (rng ~seed:145 ())
-  in
-  let curve =
-    Queueing.Fluid_mux.workload_tail ~next_frame:gen ~service:2600.0
-      ~thresholds:[| 0.0; 100.0; 500.0; 2000.0 |] ~frames:30_000 ()
-  in
-  let prev = ref 1.1 in
-  Array.iter
-    (fun (_, p) ->
-      check_true "tail decreasing" (p <= !prev);
-      check_true "probability" (p >= 0.0 && p <= 1.0);
-      prev := p)
-    curve
 
 let test_cell_mux_underload () =
   (* Constant 5 cells per frame per source, service 100 > 3*5. *)
@@ -156,39 +127,6 @@ let test_fluid_vs_cell_agree () =
     ((fluid.Queueing.Fluid_mux.clr +. 1e-4)
     /. (cell.Queueing.Cell_mux.clr +. 1e-4))
 
-let test_workload_stats () =
-  let model = Traffic.Models.s ~a:0.9 ~p:1 in
-  let gen utilization =
-    let service = 5.0 *. 500.0 /. utilization in
-    let g =
-      (Traffic.Process.replicate model 5).Traffic.Process.spawn (rng ~seed:149 ())
-    in
-    (service, g)
-  in
-  let service, next_frame = gen 0.9 in
-  let s = Queueing.Fluid_mux.workload_stats ~next_frame ~service ~frames:30_000 () in
-  check_true "quantiles ordered"
-    (s.Queueing.Fluid_mux.p50 <= s.Queueing.Fluid_mux.p95
-    && s.Queueing.Fluid_mux.p95 <= s.Queueing.Fluid_mux.p99
-    && s.Queueing.Fluid_mux.p99 <= s.Queueing.Fluid_mux.max);
-  check_true "mean positive" (s.Queueing.Fluid_mux.mean >= 0.0);
-  (* Heavier load means more queueing. *)
-  let service_hi, next_hi = gen 0.97 in
-  let s_hi =
-    Queueing.Fluid_mux.workload_stats ~next_frame:next_hi ~service:service_hi
-      ~frames:30_000 ()
-  in
-  check_true "workload grows with utilisation"
-    (s_hi.Queueing.Fluid_mux.mean > s.Queueing.Fluid_mux.mean)
-
-let test_replication_ci () =
-  let ci =
-    Queueing.Replication.mean_ci ~seed:7 ~reps:20 (fun rng ->
-        Numerics.Dist.gaussian rng ~mean:10.0 ~std:2.0)
-  in
-  check_close ~tol:1.5 "replicated mean near truth" 10.0 ci.Stats.Ci.point;
-  check_true "nonzero width" (ci.Stats.Ci.half_width > 0.0)
-
 let test_replication_deterministic () =
   let f rng = Numerics.Rng.float rng in
   let a = Queueing.Replication.runs ~seed:3 ~reps:5 f in
@@ -246,18 +184,13 @@ let test_clr_curve_pinned () =
 let suite =
   [
     case "units roundtrip" test_units_roundtrip;
-    case "utilization" test_utilization;
-    case "cells per second and Mbps" test_cells_per_second;
     case "fluid step cases" test_fluid_step_cases;
     case "fluid: no loss when underloaded" test_fluid_no_loss_when_underloaded;
     case "fluid: deterministic overload exact" test_fluid_dd1_exact;
     case "fluid: multi-buffer pass" test_fluid_multi_matches_single;
-    case "workload tail monotone" test_workload_tail_monotone;
     case "cell mux: underload" test_cell_mux_underload;
     case "cell mux: deterministic overload" test_cell_mux_deterministic_overload;
     slow_case "fluid vs cell-level agreement" test_fluid_vs_cell_agree;
-    case "workload stats" test_workload_stats;
-    case "replication CI" test_replication_ci;
     case "replication determinism" test_replication_deterministic;
     case "scenario wiring" test_scenario;
     case "paper_sim-shaped CLR curve, pinned bits" test_clr_curve_pinned;
